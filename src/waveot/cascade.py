@@ -90,8 +90,7 @@ def cascade_evaluate(system: WaveletSystem, which: str,
             psi[valid] += h[k] * phi[src[valid]]
         phi = root2 * psi
 
-    return SampledDensity(origin=0.0, spacing=2.0 ** (-refinement_depth),
-                          values=phi, scale_factor_applied=False)
+    return SampledDensity(offset=0, spacing=2.0 ** (-refinement_depth), values=phi)
 
 
 @dataclass(frozen=True)
@@ -122,14 +121,10 @@ def _golden_min(f, a, b, tol=1e-8):
     return 0.5 * (a + b)
 
 
-def _centered_moment_inf(grid, absvals, spacing, s):
-    """inf over r of the trapezoidal integral of |x - r|^s * absvals(x),
-    located by a candidate scan plus golden-section refinement."""
-    trapz_w = np.full(len(grid), spacing)
-    trapz_w[0] *= 0.5
-    trapz_w[-1] *= 0.5
-    weighted = absvals * trapz_w
-
+def _centered_moment_inf(grid, weighted, s):
+    """inf over r of sum |x - r|^s * weighted(x), with weighted already
+    carrying the quadrature weights; located by a candidate scan plus
+    golden-section refinement."""
     def objective(r):
         return float(np.sum(abs_power(grid - r, s) * weighted))
 
@@ -164,8 +159,10 @@ def estimate_constants(system: WaveletSystem, s: float,
     phi = cascade_evaluate(system, "scaling", depth)
     psi = cascade_evaluate(system, "wavelet", depth)
     grid = phi.grid()
-    spacing = phi.spacing
-    l1_phi = np.trapezoid(np.abs(phi.values), dx=spacing)
-    inf_phi = _centered_moment_inf(grid, np.abs(phi.values), spacing, s)
-    inf_psi = _centered_moment_inf(grid, np.abs(psi.values), spacing, s)
+    trapz_w = np.full(len(grid), phi.spacing)  # trapezoid rule weights
+    trapz_w[[0, -1]] *= 0.5
+    weighted_phi = np.abs(phi.values) * trapz_w
+    l1_phi = float(np.sum(weighted_phi))
+    inf_phi = _centered_moment_inf(grid, weighted_phi, s)
+    inf_psi = _centered_moment_inf(grid, np.abs(psi.values) * trapz_w, s)
     return HolderConstants(a11=1.0 / inf_phi, a12=1.0 / inf_psi, a13=1.0 / l1_phi)

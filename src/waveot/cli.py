@@ -19,7 +19,7 @@ from .distance import DistanceConfig, wavelet_distance
 from .embedding import embed, write_wlot
 from .errors import WaveotError
 from .filters import build_wavelet_system, catalog_names
-from .simulate import FAMILIES, SimulationSpec, emit_csv, run_simulation
+from .simulate import FAMILIES, SimulationSpec, default_c0, emit_csv, run_simulation
 
 # translations wander further than dilations, so they default to a wider
 # dyadic domain (larger 2^-j0)
@@ -54,15 +54,12 @@ def _add_cfg_flags(p, with_s_list):
 def _resolve_cfg(args, s):
     j0 = args.j0 if args.j0 is not None else _DEFAULT_J0[args.family]
     M = args.levels if args.levels is not None else (_FULL_M if args.full else _DEFAULT_M)
-    auto_c0 = False
-    if args.formulation == "alternative":
-        if args.c0 is None or args.c0 == "auto":
-            auto_c0 = True
-            c0 = 3.0 ** s  # resolved per s group when auto
-        else:
-            c0 = float(args.c0)
+    # run_simulation re-resolves an auto C0 per s, for "alternative" only
+    auto_c0 = args.c0 in (None, "auto")
+    if not auto_c0:
+        c0 = float(args.c0)
     else:
-        c0 = 0.0 if args.c0 in (None, "auto") else float(args.c0)
+        c0 = default_c0(s) if args.formulation == "alternative" else 0.0
     cfg = DistanceConfig(s=s, j0=j0, M=M, wavelet=args.wavelet,
                          formulation=args.formulation, C0=c0, C1=args.c1)
     return cfg, auto_c0

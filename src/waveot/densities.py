@@ -85,20 +85,36 @@ class Density:
 
 @dataclass(frozen=True)
 class SampledDensity:
-    """Function values on a uniform dyadic grid.
+    """Values on a window of a uniform grid: values[i] belongs to grid
+    index offset + i, i.e. to x = (offset + i) * spacing.
 
-    When scale_factor_applied is set, values hold 2^(-(j0+M)/2) * p(grid),
-    the DWT initialization vector of length 2^M; untagged instances (e.g.
-    cascade output) hold plain function values.
+    Grid cells outside the window hold exact zeros.
     """
 
-    origin: float
+    offset: int
     spacing: float
     values: np.ndarray
-    scale_factor_applied: bool
 
     def grid(self):
-        return self.origin + self.spacing * np.arange(len(self.values))
+        return (self.offset + np.arange(len(self.values))) * self.spacing
+
+    def __sub__(self, other):
+        """Difference on the union of two windows of the same grid."""
+        lo = min(self.offset, other.offset)
+        hi = max(self.offset + len(self.values), other.offset + len(other.values))
+        out = np.zeros(hi - lo)
+        out[self.offset - lo: self.offset - lo + len(self.values)] = self.values
+        out[other.offset - lo: other.offset - lo + len(other.values)] -= other.values
+        return SampledDensity(offset=lo, spacing=self.spacing, values=out)
+
+    def trimmed(self):
+        """The window without leading and trailing zeros, or None when
+        every value is zero."""
+        nz = np.flatnonzero(self.values)
+        if len(nz) == 0:
+            return None
+        return SampledDensity(offset=self.offset + int(nz[0]), spacing=self.spacing,
+                              values=self.values[nz[0]: nz[-1] + 1])
 
 
 @dataclass(frozen=True)
@@ -202,27 +218,24 @@ def dilate(d: Density, b: float, about: float) -> Density:
     return Density(evaluate, (new_lo, new_hi))
 
 
-def sample_for_dwt(d: Density, j0: int, M: int, rule: str = "point",
-                   subsamples: int = 64) -> SampledDensity:
-    """DWT initialization vector of length 2^M at spacing 2^-(j0+M).
+def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
+    """DWT initialization on the grid of spacing 2^-(j0+M) over [0, 2^-j0].
 
-    rule "point" gives values[k] = 2^(-(j0+M)/2) * d(2^(-(j0+M)) k), the
-    plain initialization.  rule "cell" replaces the point value by the
-    cell average over [k, k+1) * spacing (midpoint rule with `subsamples`
-    points per cell).  Cell averaging preserves the total mass of the
-    sampled vector, which matters for differences of densities: their true
-    approximation coefficients sum to exactly zero (partition of unity),
-    and point sampling of discontinuous densities breaks that identity by
-    O(spacing), an error the coarse-level weights then amplify.
+    Cell k gets 2^(-(j0+M)/2) times the average of d over
+    [k, k+1) * spacing (midpoint rule, 64 points per cell).  Cell averaging
+    preserves the total mass of the samples, which matters for differences
+    of densities: their true approximation coefficients sum to exactly
+    zero (partition of unity), and point sampling of discontinuous
+    densities breaks that identity by O(spacing), an error the
+    coarse-level weights then amplify.
 
-    The density must already live inside the dyadic domain [0, 2^-j0]
-    (translating it there is the caller's job); only grid cells meeting
-    the support are evaluated, all others are exact zeros.
+    The density must already live inside the dyadic domain (translating
+    it there is the caller's job).  Only the cells meeting the support are
+    evaluated and returned, so memory and work follow the support, not the
+    2^M cells of the domain; every other cell is an exact zero.
     """
     if M < 1 or int(M) != M:
         raise InvalidGrid(f"M must be a positive integer, got {M}")
-    if rule not in ("point", "cell"):
-        raise ValueError(f"rule must be 'point' or 'cell', got {rule!r}")
     lo, hi = d.support
     domain_hi = 2.0 ** (-j0)
     if lo < -1e-12 or hi > domain_hi * (1.0 + 1e-12):
@@ -230,21 +243,15 @@ def sample_for_dwt(d: Density, j0: int, M: int, rule: str = "point",
             f"support [{lo}, {hi}] exceeds the sampling domain [0, {domain_hi}]")
     spacing = 2.0 ** (-(j0 + M))
     n = 2 ** M
-    values = np.zeros(n)
-    k_lo = max(0, int(math.floor(lo / spacing)))
-    k_hi = min(n - 1, int(math.ceil(hi / spacing)))
-    if k_lo <= k_hi:
-        ks = np.arange(k_lo, k_hi + 1)
-        if rule == "point":
-            values[k_lo: k_hi + 1] = d.evaluator(ks * spacing)
-        else:
-            offs = (np.arange(subsamples) + 0.5) / subsamples
-            pts = (ks[:, None] + offs[None, :]) * spacing
-            cell = d.evaluator(pts.ravel()).reshape(len(ks), subsamples)
-            values[k_lo: k_hi + 1] = cell.mean(axis=1)
+    # densities vanish on [hi, inf), so the window ends before that cell
+    k_lo = min(n - 1, max(0, int(math.floor(lo / spacing))))
+    k_hi = min(n - 1, max(k_lo, int(math.ceil(hi / spacing)) - 1))
+    ks = np.arange(k_lo, k_hi + 1)
+    offs = (np.arange(64) + 0.5) / 64
+    pts = (ks[:, None] + offs[None, :]) * spacing
+    values = d.evaluator(pts.ravel()).reshape(len(ks), -1).mean(axis=1)
     values *= 2.0 ** (-(j0 + M) / 2.0)
-    return SampledDensity(origin=0.0, spacing=spacing, values=values,
-                          scale_factor_applied=True)
+    return SampledDensity(offset=k_lo, spacing=spacing, values=values)
 
 
 def discretize(d: Density, num_points: int, domain: tuple = None) -> DiscreteMeasure:

@@ -13,15 +13,16 @@ the zero-extension DWT, and take a weighted l1 norm of coefficients:
 * "alternative": same sum as "original" plus C0 * |approximation at level
                  0|, with C0 > 0.
 
-Leading/trailing zeros of the sampled difference are trimmed before the
-transform (with the translation offset carried along), which changes no
-coefficient of the zero-extended signal and keeps the work proportional
-to the support, not the domain.  Edge coefficients produced by the zero
-extension are genuine coefficients of the extended signal and are always
-included in the sums.
+Each density is sampled only on the grid cells meeting its support; the
+difference, formed on the union of the two windows, is trimmed of leading
+and trailing zeros (with the translation offset carried along).  This
+changes no coefficient of the zero-extended signal and keeps memory and
+work proportional to the support, not the 2^M cells of the domain.  Edge
+coefficients produced by the zero extension are genuine coefficients of
+the extended signal and are always included in the sums.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +54,10 @@ class DistanceConfig:
     formulation: str = "new"
     C0: float = 0.0
     C1: float = 1.0
-    mode: str = "zero"
 
     def __post_init__(self):
         if not 0.0 < self.s <= 1.0:
             raise InvalidExponent(f"s must lie in (0, 1], got {self.s}")
-        if self.mode != "zero":
-            raise InvalidConfig("distance computations are defined for zero mode only")
         if self.formulation not in FORMULATIONS:
             raise InvalidConfig(f"unknown formulation {self.formulation!r}")
         if self.M < 1 or int(self.M) != self.M:
@@ -76,44 +74,20 @@ class DistanceConfig:
             raise InvalidConfig(
                 "original/alternative formulations need j0 + M >= 1 to reach level 0")
 
-    def with_s(self, s: float) -> "DistanceConfig":
-        return replace(self, s=s)
-
 
 def _level_weight(j: int, s: float) -> float:
     return 2.0 ** (-j * (s + 0.5))
 
 
-INIT_RULE = "cell"
-
-
-def _difference_initialization(p: Density, q: Density, cfg: DistanceConfig):
-    """Sampled p - q, trimmed to its nonzero window.
-
-    Uses the mass-preserving cell-average sampling rule: the difference
-    integrates to zero, and the spurious constant component that point
-    sampling leaves behind for discontinuous densities would otherwise be
-    blown up by the 2^(-js) weights of the coarse levels.
-
-    Returns (values, k_offset), or (None, 0) when the sampled difference
-    vanishes identically.
-    """
-    sp = sample_for_dwt(p, cfg.j0, cfg.M, rule=INIT_RULE)
-    sq = sample_for_dwt(q, cfg.j0, cfg.M, rule=INIT_RULE)
-    vals = sp.values - sq.values
-    nz = np.flatnonzero(vals)
-    if len(nz) == 0:
-        return None, 0
-    return vals[nz[0]: nz[-1] + 1], int(nz[0])
-
-
-def _decompose_difference(p, q, cfg, num_levels):
-    vals, off = _difference_initialization(p, q, cfg)
-    if vals is None:
+def _decompose_difference(p: Density, q: Density, cfg: DistanceConfig, num_levels):
+    """Transform of sampled p - q trimmed to its nonzero window, or None
+    when that difference vanishes identically."""
+    diff = (sample_for_dwt(p, cfg.j0, cfg.M) - sample_for_dwt(q, cfg.j0, cfg.M)).trimmed()
+    if diff is None:
         return None
     system = build_wavelet_system(cfg.wavelet)
-    return dwt_decompose(vals, system, num_levels, mode="zero",
-                         j_in=cfg.j0 + cfg.M, k_offset=off)
+    return dwt_decompose(diff.values, system, num_levels, mode="zero",
+                         j_in=cfg.j0 + cfg.M, k_offset=diff.offset)
 
 
 def distance_new(p: Density, q: Density, cfg: DistanceConfig) -> float:

@@ -25,7 +25,7 @@ permits callers to pass inputs whose first element sits at a nonzero
 translation index.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class CoefficientPyramid:
     @property
     def levels(self) -> int:
         return len(self.details)
-
-    def level_of(self, i: int) -> int:
-        """Absolute level of details[i]."""
-        return self.j0 + i
 
 
 def _zero_step_geometry(k0, n, L):

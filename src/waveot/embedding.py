@@ -11,6 +11,7 @@ Vectors serialize to a line-based text format: a header line
 17-significant-digit values (bit-exact round trips for finite doubles).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,8 @@ import numpy as np
 from .densities import Density, sample_for_dwt
 from .distance import DistanceConfig, _level_weight
 from .dwt import dwt_decompose
-from .errors import ConfigMismatch, InvalidExponent
-from .filters import build_wavelet_system
+from .errors import ConfigMismatch, InvalidExponent, MalformedWlot
+from .filters import build_wavelet_system, catalog_names
 
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
            "prune", "write_wlot", "read_wlot", "to_text", "from_text"]
@@ -37,12 +38,11 @@ class WlotVector:
     wavelet: str
     j0: int
     M: int
-    mode: str
     entries: dict
 
     @property
     def fingerprint(self):
-        return (self.wavelet, self.j0, self.M, self.mode)
+        return (self.wavelet, self.j0, self.M)
 
     def __len__(self):
         return len(self.entries)
@@ -59,25 +59,20 @@ def embed(p: Density, cfg: DistanceConfig) -> WlotVector:
     """Detail coefficients of p itself (not a difference) under the
     config's sampling grid and wavelet.
 
-    Sampling uses the same cell-average rule as the distance pipeline, so
-    wlot_distance on embedded vectors matches distance_new exactly (the
-    transform is linear in the samples)."""
-    from .distance import INIT_RULE
-    sp = sample_for_dwt(p, cfg.j0, cfg.M, rule=INIT_RULE)
-    vals = sp.values
-    nz = np.flatnonzero(vals)
+    Sampling is the same as in the distance pipeline, so wlot_distance on
+    embedded vectors matches distance_new exactly (the transform is linear
+    in the samples)."""
+    sp = sample_for_dwt(p, cfg.j0, cfg.M).trimmed()
     entries = {}
-    if len(nz) > 0:
+    if sp is not None:
         system = build_wavelet_system(cfg.wavelet)
-        pyr = dwt_decompose(vals[nz[0]: nz[-1] + 1], system, cfg.M,
-                            mode="zero", j_in=cfg.j0 + cfg.M,
-                            k_offset=int(nz[0]))
+        pyr = dwt_decompose(sp.values, system, cfg.M, mode="zero",
+                            j_in=cfg.j0 + cfg.M, k_offset=sp.offset)
         for i, (d, off) in enumerate(zip(pyr.details, pyr.detail_offsets)):
             j = pyr.j0 + i
             for t in np.flatnonzero(d):
                 entries[(j, off + int(t))] = float(d[t])
-    return WlotVector(wavelet=cfg.wavelet, j0=cfg.j0, M=cfg.M,
-                      mode=cfg.mode, entries=entries)
+    return WlotVector(wavelet=cfg.wavelet, j0=cfg.j0, M=cfg.M, entries=entries)
 
 
 def wlot_distance(u: WlotVector, v: WlotVector, s: float) -> float:
@@ -110,8 +105,7 @@ def wlot_distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
 def prune(vec: WlotVector, eps: float) -> WlotVector:
     """Drop entries below magnitude eps (lossy; for storage only)."""
     kept = {k: v for k, v in vec.entries.items() if abs(v) >= eps}
-    return WlotVector(wavelet=vec.wavelet, j0=vec.j0, M=vec.M,
-                      mode=vec.mode, entries=kept)
+    return WlotVector(wavelet=vec.wavelet, j0=vec.j0, M=vec.M, entries=kept)
 
 
 def to_text(vec: WlotVector) -> str:
@@ -122,16 +116,33 @@ def to_text(vec: WlotVector) -> str:
 
 
 def from_text(text: str) -> WlotVector:
-    lines = text.strip().split("\n")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "wlot":
-        raise ValueError(f"bad header line: {lines[0]!r}")
+    """Parse the output of to_text; MalformedWlot names the first line
+    that breaks the format."""
+    lines = text.removesuffix("\n").split("\n")
+    try:
+        tag, wavelet, j0, M = lines[0].split()
+        j0, M = int(j0), int(M)
+    except ValueError:
+        raise MalformedWlot(f"line 1: expected 'wlot <wavelet> <j0> <M>', "
+                            f"got {lines[0]!r}") from None
+    if tag != "wlot" or wavelet not in catalog_names():
+        raise MalformedWlot(f"line 1: bad tag or unknown wavelet in {lines[0]!r}")
     entries = {}
-    for line in lines[1:]:
-        j, k, val = line.split()
-        entries[(int(j), int(k))] = float(val)
-    return WlotVector(wavelet=head[1], j0=int(head[2]), M=int(head[3]),
-                      mode="zero", entries=entries)
+    for line_no, line in enumerate(lines[1:], start=2):
+        try:
+            j, k, val = line.split()
+            j, k, val = int(j), int(k), float(val)
+        except ValueError:
+            raise MalformedWlot(
+                f"line {line_no}: expected 'j k value', got {line!r}") from None
+        if not math.isfinite(val):
+            raise MalformedWlot(f"line {line_no}: non-finite value {val}")
+        if not j0 <= j < j0 + M:
+            raise MalformedWlot(f"line {line_no}: level {j} outside [{j0}, {j0 + M})")
+        if (j, k) in entries:
+            raise MalformedWlot(f"line {line_no}: duplicate entry ({j}, {k})")
+        entries[(j, k)] = val
+    return WlotVector(wavelet=wavelet, j0=j0, M=M, entries=entries)
 
 
 def write_wlot(vec: WlotVector, path) -> None:

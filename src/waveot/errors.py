@@ -51,3 +51,11 @@ class ConfigMismatch(WaveotError, ValueError):
 
 class DegenerateFit(WaveotError, ValueError):
     """Normalization fit has no usable rows (all wavelet values zero)."""
+
+
+class MalformedWlot(WaveotError, ValueError):
+    """A .wlot text breaks the format; the message names the line."""
+
+
+class SolverDidNotConverge(WaveotError, RuntimeError):
+    """The transportation simplex used up its pivot budget."""

@@ -18,12 +18,15 @@ import numpy as np
 
 from ._num import abs_power
 from .densities import DiscreteMeasure
-from .errors import InvalidExponent, UnbalancedMarginals
+from .errors import InvalidExponent, SolverDidNotConverge, UnbalancedMarginals
 
 __all__ = ["TransportPlan", "exact_ws", "w1_cdf"]
 
 _BALANCE_TOL = 1e-9
 _DEGENERATE_STREAK = 30
+# pivot budget on an m x n residual: _PIVOTS_PER_NODE * (m + n) + _PIVOTS_EXTRA
+_PIVOTS_PER_NODE = 200
+_PIVOTS_EXTRA = 10_000
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,7 @@ def _transport_simplex(cost, a, b):
     reduced = np.empty_like(cost)
     degenerate_streak = 0
     use_bland = False
-    max_pivots = 200 * (m + n) + 10_000
+    max_pivots = _PIVOTS_PER_NODE * (m + n) + _PIVOTS_EXTRA
 
     for _ in range(max_pivots):
         u, v = _compute_duals(cost_rows, row_adj, col_adj, m, n)
@@ -262,6 +265,8 @@ def _transport_simplex(cost, a, b):
         row_adj[leaving[0]].discard(leaving[1])
         col_adj[leaving[1]].discard(leaving[0])
     else:
-        raise RuntimeError("transportation simplex failed to converge")
+        raise SolverDidNotConverge(
+            f"transportation simplex did not converge within {max_pivots} pivots "
+            f"on a {m} x {n} residual problem")
 
     return flows

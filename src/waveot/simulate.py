@@ -20,13 +20,19 @@ from .errors import DegenerateFit
 from .exact import exact_ws
 
 __all__ = ["SimulationSpec", "SimulationRow", "run_simulation",
-           "fit_normalization", "emit_csv", "FAMILIES", "EXACT_DOMAIN",
-           "CSV_HEADER"]
+           "fit_normalization", "emit_csv", "default_c0", "FAMILIES",
+           "EXACT_DOMAIN", "CSV_HEADER"]
 
 EXACT_DOMAIN = (0.0, 3.0)
 
 CSV_HEADER = ("family,formulation,wavelet,s,j0,M,param,"
               "wavelet_value,exact_value,norm_constant,normalized_value")
+
+
+def default_c0(s: float) -> float:
+    """C0 of the alternative formulation when none is given: the diameter
+    of the shared exact domain raised to the power s."""
+    return math.pow(EXACT_DOMAIN[1] - EXACT_DOMAIN[0], s)
 
 
 def _uniform_translate(a):
@@ -58,8 +64,7 @@ class SimulationSpec:
     """One benchmark sweep.
 
     cfg acts as a template whose s is replaced by each entry of s_values;
-    with auto_c0 set (alternative formulation), C0 becomes diam^s for the
-    shared exact domain, i.e. 3^s.
+    with auto_c0 set (alternative formulation), C0 becomes default_c0(s).
     """
 
     family: str
@@ -143,8 +148,7 @@ def run_simulation(spec: SimulationSpec):
     for s in spec.s_values:
         cfg = replace(spec.cfg, s=s)
         if spec.auto_c0 and cfg.formulation == "alternative":
-            diam = EXACT_DOMAIN[1] - EXACT_DOMAIN[0]
-            cfg = replace(cfg, C0=math.pow(diam, s))
+            cfg = replace(cfg, C0=default_c0(s))
         cells = []
         for t, d in zip(params, transformed):
             try:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import waveot.exact
 from waveot.cascade import estimate_constants
 from waveot.cli import main
 from waveot.densities import translate, uniform_density
-from waveot.distance import DistanceConfig, distance_new
+from waveot.distance import DistanceConfig, distance_new, distance_original
 from waveot.embedding import read_wlot
 from waveot.filters import build_wavelet_system
 
@@ -28,6 +29,20 @@ def test_distance_command(capsys):
     cfg = DistanceConfig(s=0.5, j0=-6, M=12, wavelet="db10", formulation="new")
     p = uniform_density(0.0, 1.0)
     ref = distance_new(p, translate(p, 0.8), cfg)
+    assert abs(printed - ref) < 1e-9 * max(1.0, ref)
+
+
+def test_distance_command_auto_c0(capsys):
+    # the alternative formulation defaults to C0 = diam(EXACT_DOMAIN)^s = 3^s
+    code = main(["distance", "--family", "uniform_translate", "--param", "0.8",
+                 "--s", "0.5", "--j0", "-6", "--levels", "12",
+                 "--formulation", "alternative"])
+    assert code == 0
+    printed = float(capsys.readouterr().out.strip())
+    cfg = DistanceConfig(s=0.5, j0=-6, M=12, formulation="alternative",
+                         C0=3 ** 0.5)
+    p = uniform_density(0.0, 1.0)
+    ref = distance_original(p, translate(p, 0.8), cfg)
     assert abs(printed - ref) < 1e-9 * max(1.0, ref)
 
 
@@ -76,3 +91,16 @@ def test_domain_error_reports_and_fails(capsys):
                  "--s", "0.5", "--j0", "-6", "--levels", "12"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_solver_non_convergence_reports_and_fails(tmp_path, capsys, monkeypatch):
+    # a one-pivot budget cannot solve the s < 1 sweep cells
+    monkeypatch.setattr(waveot.exact, "_PIVOTS_PER_NODE", 0)
+    monkeypatch.setattr(waveot.exact, "_PIVOTS_EXTRA", 1)
+    code = main(["simulate", "--family", "bump_dilate", "--s", "0.5",
+                 "--j0", "-6", "--levels", "12", "--count", "3",
+                 "--exact-points", "80", "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "did not converge" in err

@@ -65,22 +65,35 @@ def test_mass_preserved_by_transforms():
         assert abs(val - 1.0) < 1e-8
 
 
+def _point_values(d, sd, j0, M):
+    """Plain point sampling on the window of sd, with the DWT scale factor."""
+    return d(sd.grid()) * 2.0 ** (-(j0 + M) / 2.0)
+
+
 def test_sample_for_dwt_hand_case():
+    # domain [0, 2] in 4 cells; the window holds the cells meeting the support
     p = uniform_density(0.0, 1.0)
     sd = sample_for_dwt(p, -1, 2)
     assert sd.spacing == 0.5
-    assert sd.scale_factor_applied
-    assert np.allclose(sd.values, 2.0 ** -0.5 * np.array([1.0, 1.0, 0.0, 0.0]),
+    assert sd.offset == 0
+    assert np.array_equal(sd.grid(), [0.0, 0.5])
+    assert np.allclose(sd.values, 2.0 ** -0.5 * np.array([1.0, 1.0]), atol=1e-14)
+    shifted = sample_for_dwt(translate(p, 0.75), -1, 2)
+    assert shifted.offset == 1
+    assert np.allclose(shifted.values, 2.0 ** -0.5 * np.array([0.5, 1.0, 0.5]),
                        atol=1e-14)
 
 
 def test_sample_for_dwt_full_paper_size():
+    # the window covers the support only: about 2^11 cells, not 2^22
     p = bump_density(0.5, 0.5)
     sd = sample_for_dwt(p, -11, 22)
-    assert len(sd.values) == 2 ** 22
+    lo, hi = p.support
+    assert len(sd.values) <= (hi - lo) / sd.spacing + 2
+    assert sd.offset >= 0 and sd.offset + len(sd.values) <= 2 ** 22
     nz = np.flatnonzero(sd.values)
     assert len(nz) > 0
-    assert nz[-1] * sd.spacing <= 1.0 + sd.spacing
+    assert (sd.offset + nz[-1]) * sd.spacing <= 1.0 + sd.spacing
 
 
 def test_sample_for_dwt_overflow():
@@ -93,9 +106,9 @@ def test_sample_rules_agree_for_smooth_density():
     # cell average = point value + h^2 p''/24 + ...; the bump's second
     # derivative peaks around 1e2, so 2^-11 spacing gives ~1e-5 agreement
     p = bump_density(0.5, 0.5)
-    point = sample_for_dwt(p, -1, 12, rule="point")
-    cell = sample_for_dwt(p, -1, 12, rule="cell")
-    assert np.max(np.abs(point.values - cell.values)) < 1e-4
+    cell = sample_for_dwt(p, -1, 12)
+    point = _point_values(p, cell, -1, 12)
+    assert np.max(np.abs(point - cell.values)) < 1e-4
 
 
 def test_cell_rule_preserves_difference_mass():
@@ -103,11 +116,11 @@ def test_cell_rule_preserves_difference_mass():
     # jump cells while cell averages keep the sampled masses matched
     p = uniform_density(1.0, 2.0)
     q = dilate(p, 0.73, 1.5)
-    diff_point = (sample_for_dwt(p, -3, 10, rule="point").values
-                  - sample_for_dwt(q, -3, 10, rule="point").values)
-    diff_cell = (sample_for_dwt(p, -3, 10, rule="cell").values
-                 - sample_for_dwt(q, -3, 10, rule="cell").values)
-    assert abs(diff_cell.sum()) < abs(diff_point.sum()) / 16.0
+    sp = sample_for_dwt(p, -3, 10)
+    sq = sample_for_dwt(q, -3, 10)
+    diff_point = _point_values(p, sp, -3, 10).sum() - _point_values(q, sq, -3, 10).sum()
+    diff_cell = (sp - sq).values.sum()
+    assert abs(diff_cell) < abs(diff_point) / 16.0
 
 
 def test_sampling_consistency_across_m():

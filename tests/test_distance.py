@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from waveot.densities import (bump_density, dilate, discretize, translate,
-                              uniform_density)
+from waveot.densities import (bump_density, dilate, discretize, sample_for_dwt,
+                              translate, uniform_density)
 from waveot.distance import (DistanceConfig, _decompose_difference,
-                             _difference_initialization, distance_matrix,
-                             distance_new, distance_original, wavelet_distance)
+                             distance_matrix, distance_new, distance_original,
+                             wavelet_distance)
 from waveot.errors import InvalidConfig, InvalidExponent
 from waveot.exact import exact_ws
 
@@ -25,8 +25,6 @@ def test_config_validation():
         DistanceConfig(s=0.5, j0=-3, M=8, formulation="alternative", C0=0.0)
     with pytest.raises(InvalidConfig):
         DistanceConfig(s=0.5, j0=-3, M=8, formulation="spectral")
-    with pytest.raises(InvalidConfig):
-        DistanceConfig(s=0.5, j0=-3, M=8, mode="periodic")
 
 
 def test_identical_inputs_give_zero():
@@ -77,7 +75,7 @@ def test_homogeneity_of_weighted_sum():
     # scaling the sampled difference scales the distance exactly
     p = uniform_density(0.0, 1.0)
     q = bump_density(1.0, 0.5)
-    vals, off = _difference_initialization(p, q, CFG)
+    diff = (sample_for_dwt(p, CFG.j0, CFG.M) - sample_for_dwt(q, CFG.j0, CFG.M)).trimmed()
     pyr = _decompose_difference(p, q, CFG, CFG.M)
     base = sum(2.0 ** (-(pyr.j0 + i) * (CFG.s + 0.5)) * np.sum(np.abs(d))
                for i, d in enumerate(pyr.details))
@@ -85,8 +83,8 @@ def test_homogeneity_of_weighted_sum():
     from waveot.filters import build_wavelet_system
     system = build_wavelet_system(CFG.wavelet)
     lam = 3.7
-    pyr2 = dwt_decompose(lam * vals, system, CFG.M, "zero",
-                         j_in=CFG.j0 + CFG.M, k_offset=off)
+    pyr2 = dwt_decompose(lam * diff.values, system, CFG.M, "zero",
+                         j_in=CFG.j0 + CFG.M, k_offset=diff.offset)
     scaled = sum(2.0 ** (-(pyr2.j0 + i) * (CFG.s + 0.5)) * np.sum(np.abs(d))
                  for i, d in enumerate(pyr2.details))
     assert abs(scaled - lam * base) < 1e-9 * max(1.0, scaled)

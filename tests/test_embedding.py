@@ -7,7 +7,7 @@ from waveot.distance import DistanceConfig, distance_new
 from waveot.dwt import decompose_call_count
 from waveot.embedding import (embed, from_text, prune, read_wlot, to_text,
                               wlot_distance, wlot_distance_matrix, write_wlot)
-from waveot.errors import ConfigMismatch
+from waveot.errors import ConfigMismatch, MalformedWlot
 from waveot.filters import build_wavelet_system
 
 CFG = DistanceConfig(s=0.5, j0=-6, M=13, wavelet="db10", formulation="new")
@@ -131,6 +131,37 @@ def test_text_round_trip_bit_exact(tmp_path):
 def test_from_text_rejects_bad_header():
     with pytest.raises(ValueError):
         from_text("wlotx db10 -6 13\n")
+
+
+GOOD_WLOT = "wlot db10 -6 13\n-6 0 0.25\n6 3 -1.5\n"
+
+
+def test_from_text_accepts_good_text():
+    vec = from_text(GOOD_WLOT)
+    assert vec.fingerprint == ("db10", -6, 13)
+    assert vec.entries == {(-6, 0): 0.25, (6, 3): -1.5}
+    assert to_text(vec) == GOOD_WLOT
+
+
+@pytest.mark.parametrize("text, line", [
+    ("wlot db99 -6 13\n-6 0 0.25\n", 1),
+    ("wlot db10 -6.5 13\n-6 0 0.25\n", 1),
+    ("wlot db10 -6 x\n-6 0 0.25\n", 1),
+    ("wlot db10 -6 13\n\n-6 0 0.25\n", 2),
+    ("wlot db10 -6 13\n-6 0 0.25\n-6 1\n", 3),
+    ("wlot db10 -6 13\n-6 0.5 0.25\n", 2),
+    ("wlot db10 -6 13\n-6 0 abc\n", 2),
+    ("wlot db10 -6 13\n-6 0 0.25\n-6 0 0.5\n", 3),
+    ("wlot db10 -6 13\n-6 0 nan\n", 2),
+    ("wlot db10 -6 13\n-6 0 inf\n", 2),
+    ("wlot db10 -6 13\n-7 0 0.25\n", 2),
+    ("wlot db10 -6 13\n-6 0 0.25\n7 0 0.25\n", 3),
+], ids=["unknown_wavelet", "non_integer_j0", "non_integer_M", "blank_line",
+        "missing_field", "non_integer_k", "non_numeric_value", "duplicate_key",
+        "nan_value", "inf_value", "level_below_j0", "level_at_j0_plus_M"])
+def test_from_text_rejects_malformed(text, line):
+    with pytest.raises(MalformedWlot, match=rf"^line {line}: "):
+        from_text(text)
 
 
 def test_prune():

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from waveot.distance import DistanceConfig
+from waveot.distance import DistanceConfig, distance_original
 from waveot.errors import DegenerateFit
-from waveot.simulate import (CSV_HEADER, SimulationRow, SimulationSpec,
+from waveot.simulate import (CSV_HEADER, FAMILIES, SimulationRow, SimulationSpec,
                              emit_csv, fit_normalization, run_simulation)
 
 SMALL_CFG = DistanceConfig(s=1.0, j0=-8, M=14, wavelet="db10", formulation="new")
@@ -95,6 +97,10 @@ def test_auto_c0_uses_domain_diameter_power():
     assert all(np.isfinite(r.wavelet_value) for r in rows)
     nonidentity = [r for r in rows if abs(r.param - 1.0) > 1e-9]
     assert all(r.wavelet_value > 0 for r in nonidentity)
+    base, transform, _ = FAMILIES["uniform_dilate"]
+    auto = replace(cfg, s=0.5, C0=3 ** 0.5)
+    row = nonidentity[0]
+    assert row.wavelet_value == distance_original(base(), transform(row.param), auto)
 
 
 def test_emit_csv(tmp_path):

@@ -21,12 +21,17 @@ print(f"  sum g - sqrt(2) = {db10.g.sum() - np.sqrt(2):.2e}")
 print(f"  sum h           = {db10.h.sum():.2e}")
 print(f"  ||g||^2 - 1     = {np.dot(db10.g, db10.g) - 1:.2e}")
 
+
+def trapezoid(sd):
+    """Trapezoid-rule integral of a sampled function."""
+    return np.sum(sd.spacing * (sd.values[1:] + sd.values[:-1]) / 2.0)
+
+
 phi = cascade_evaluate(db10, "scaling", 12)
 psi = cascade_evaluate(db10, "wavelet", 12)
 print(f"\nscaling function on {len(phi.values)} dyadic points, "
-      f"mass = {np.trapezoid(phi.values, dx=phi.spacing):.12f}")
-print(f"wavelet cancellation: integral = "
-      f"{np.trapezoid(psi.values, dx=psi.spacing):.2e}")
+      f"mass = {trapezoid(phi):.12f}")
+print(f"wavelet cancellation: integral = {trapezoid(psi):.2e}")
 
 rng = np.random.default_rng(0)
 x = rng.standard_normal(4096)

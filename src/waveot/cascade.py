@@ -23,13 +23,17 @@ import numpy as np
 
 from ._num import abs_power
 from .densities import SampledDensity
-from .errors import InvalidExponent
+from .errors import InvalidExponent, InvalidFunction, InvalidLevels
 from .filters import WaveletSystem
 
 __all__ = ["cascade_evaluate", "estimate_constants", "HolderConstants"]
 
 DEFAULT_CASCADE_DEPTH = 12
 _R_CANDIDATES = 4096
+# entries per block of the candidate scan: 15 rows of the 4,097-point
+# coarse grid, under 512 KB of float64, so a block and abs_power's
+# temporaries fit in a core's L2 cache
+_SCAN_BLOCK = 1 << 16
 
 
 def _integer_values(system: WaveletSystem):
@@ -50,15 +54,30 @@ def _integer_values(system: WaveletSystem):
     return np.concatenate([v, [0.0]])
 
 
+def _wavelet_values(system: WaveletSystem, phi: np.ndarray,
+                    refinement_depth: int) -> np.ndarray:
+    """psi on the grid of phi (spacing 2^-refinement_depth over [0, L-1])."""
+    h = system.h
+    n = len(phi)
+    scale = 2 ** refinement_depth
+    psi = np.zeros(n)
+    for k in range(len(h)):
+        src = 2 * np.arange(n) - k * scale
+        valid = (src >= 0) & (src < n)
+        psi[valid] += h[k] * phi[src[valid]]
+    return math.sqrt(2.0) * psi
+
+
 def cascade_evaluate(system: WaveletSystem, which: str,
                      refinement_depth: int = DEFAULT_CASCADE_DEPTH) -> SampledDensity:
     """Values of the scaling ('scaling') or wavelet ('wavelet') function on
     the dyadic grid of spacing 2^-refinement_depth over [0, L-1]."""
     if which not in ("scaling", "wavelet"):
-        raise ValueError(f"which must be 'scaling' or 'wavelet', got {which!r}")
+        raise InvalidFunction(
+            f"which must be 'scaling' or 'wavelet', got {which!r}")
     if refinement_depth < 1 or int(refinement_depth) != refinement_depth:
-        raise ValueError(f"refinement_depth must be a positive integer, "
-                         f"got {refinement_depth}")
+        raise InvalidLevels(f"refinement_depth must be a positive integer, "
+                            f"got {refinement_depth}")
     g = system.g
     L = len(g)
     width = L - 1
@@ -80,15 +99,7 @@ def cascade_evaluate(system: WaveletSystem, which: str,
         phi = new
 
     if which == "wavelet":
-        h = system.h
-        n = len(phi)
-        scale = 2 ** refinement_depth
-        psi = np.zeros(n)
-        for k in range(L):
-            src = 2 * np.arange(n) - k * scale
-            valid = (src >= 0) & (src < n)
-            psi[valid] += h[k] * phi[src[valid]]
-        phi = root2 * psi
+        phi = _wavelet_values(system, phi, refinement_depth)
 
     return SampledDensity(offset=0, spacing=2.0 ** (-refinement_depth), values=phi)
 
@@ -124,7 +135,13 @@ def _golden_min(f, a, b, tol=1e-8):
 def _centered_moment_inf(grid, weighted, s):
     """inf over r of sum |x - r|^s * weighted(x), with weighted already
     carrying the quadrature weights; located by a candidate scan plus
-    golden-section refinement."""
+    golden-section refinement.
+
+    The scan evaluates candidates against the coarse grid in blocks of at
+    most _SCAN_BLOCK entries (a single candidate row when one row is
+    longer), so its working set is a block and abs_power's few
+    temporaries of that size, not the full candidate-by-grid matrix; the
+    refinement works on arrays of len(grid)."""
     def objective(r):
         return float(np.sum(abs_power(grid - r, s) * weighted))
 
@@ -138,9 +155,9 @@ def _centered_moment_inf(grid, weighted, s):
     coarse_w = weighted[::stride] * stride
     best_val = np.inf
     best_r = candidates[0]
-    chunk = max(1, 10_000_000 // max(1, len(coarse_grid)))
-    for start in range(0, len(candidates), chunk):
-        rs = candidates[start: start + chunk]
+    rows = max(1, _SCAN_BLOCK // len(coarse_grid))
+    for start in range(0, len(candidates), rows):
+        rs = candidates[start: start + rows]
         vals = abs_power(coarse_grid[None, :] - rs[:, None], s) @ coarse_w
         i = int(np.argmin(vals))
         if vals[i] < best_val:
@@ -157,12 +174,12 @@ def estimate_constants(system: WaveletSystem, s: float,
     if not 0.0 < s <= 1.0:
         raise InvalidExponent(f"s must lie in (0, 1], got {s}")
     phi = cascade_evaluate(system, "scaling", depth)
-    psi = cascade_evaluate(system, "wavelet", depth)
+    psi = _wavelet_values(system, phi.values, depth)
     grid = phi.grid()
     trapz_w = np.full(len(grid), phi.spacing)  # trapezoid rule weights
     trapz_w[[0, -1]] *= 0.5
     weighted_phi = np.abs(phi.values) * trapz_w
     l1_phi = float(np.sum(weighted_phi))
     inf_phi = _centered_moment_inf(grid, weighted_phi, s)
-    inf_psi = _centered_moment_inf(grid, np.abs(psi.values) * trapz_w, s)
+    inf_psi = _centered_moment_inf(grid, np.abs(psi) * trapz_w, s)
     return HolderConstants(a11=1.0 / inf_phi, a12=1.0 / inf_psi, a13=1.0 / l1_phi)

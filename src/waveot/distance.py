@@ -28,7 +28,7 @@ import numpy as np
 
 from .densities import Density, sample_for_dwt
 from .dwt import dwt_decompose
-from .errors import InvalidConfig, InvalidExponent
+from .errors import InvalidConfig, InvalidExponent, add_context
 from .filters import build_wavelet_system
 
 __all__ = ["DistanceConfig", "distance_new", "distance_original",
@@ -137,5 +137,6 @@ def distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
             try:
                 out[i, j] = out[j, i] = wavelet_distance(ps[i], ps[j], cfg)
             except Exception as e:
-                raise type(e)(f"pair ({i}, {j}): {e}") from e
+                add_context(e, f"pair ({i}, {j})")
+                raise
     return out

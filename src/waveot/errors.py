@@ -8,6 +8,9 @@ class WaveotError(Exception):
 class UnknownWavelet(WaveotError, KeyError):
     """Requested wavelet name is not in the catalog."""
 
+    # KeyError's str() quotes its argument; report the name as plain text
+    __str__ = Exception.__str__
+
 
 class InvalidLevels(WaveotError, ValueError):
     """Number of decomposition levels is not a positive integer."""
@@ -59,3 +62,23 @@ class MalformedWlot(WaveotError, ValueError):
 
 class SolverDidNotConverge(WaveotError, RuntimeError):
     """The transportation simplex used up its pivot budget."""
+
+
+class InvalidFunction(WaveotError, ValueError):
+    """Cascade asked for neither the 'scaling' nor the 'wavelet' function."""
+
+
+def add_context(err: BaseException, context: str) -> None:
+    """Prefix `context` to the message of `err` in place, for a handler
+    that then re-raises it with a bare `raise`.
+
+    The exception keeps its type and identity, so callers' `except`
+    clauses and the CLI's one-line report see the original error. A
+    WaveotError carries its message as its one argument, which gets the
+    prefix; any other exception keeps its arguments, which its type may
+    read, and gets the context as a note where Python has notes (3.11+).
+    """
+    if isinstance(err, WaveotError) and len(err.args) == 1:
+        err.args = (f"{context}: {err.args[0]}",)
+    elif hasattr(err, "add_note"):
+        err.add_note(context)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .densities import bump_density, dilate, discretize, translate, uniform_density
 from .distance import DistanceConfig, wavelet_distance
-from .errors import DegenerateFit
+from .errors import DegenerateFit, add_context
 from .exact import exact_ws
 
 __all__ = ["SimulationSpec", "SimulationRow", "run_simulation",
@@ -156,7 +156,8 @@ def run_simulation(spec: SimulationSpec):
                 nu = discretize(d, spec.exact_grid_points, domain=EXACT_DOMAIN)
                 eval_, _ = exact_ws(mu0, nu, s)
             except Exception as e:
-                raise type(e)(f"family {spec.family}, s={s}, param={t}: {e}") from e
+                add_context(e, f"family {spec.family}, s={s}, param={t}")
+                raise
             cells.append((float(t), wval, eval_))
         c = _fit_constant([c[0] for c in cells], [c[1] for c in cells],
                           [c[2] for c in cells])

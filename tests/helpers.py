@@ -10,6 +10,20 @@ from waveot.densities import Density, DiscreteMeasure, _adaptive_integral
 from waveot.filters import build_wavelet_system
 
 
+class CodedError(Exception):
+    """An exception whose constructor takes more than a message."""
+
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+
+
+def trapezoid(values, dx):
+    """Trapezoid rule on a uniform grid, summed as np.trapezoid sums it
+    (which needs numpy >= 2.0)."""
+    values = np.asarray(values, dtype=float)
+    return float(np.sum(dx * (values[1:] + values[:-1]) / 2.0))
+
+
 def random_measure(rng, max_atoms, lo=0.0, hi=3.0, min_atoms=2):
     """Random discrete measure with distinct sorted positions."""
     k = int(rng.integers(min_atoms, max_atoms + 1))

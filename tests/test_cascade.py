@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from helpers import trapezoid
+from waveot import cascade
 from waveot.cascade import cascade_evaluate, estimate_constants
-from waveot.errors import InvalidExponent
+from waveot.errors import InvalidExponent, WaveotError
 from waveot.filters import build_wavelet_system
 
 
@@ -27,8 +31,8 @@ def test_scaling_mass_and_wavelet_cancellation(name):
     system = build_wavelet_system(name)
     phi = cascade_evaluate(system, "scaling", 10)
     psi = cascade_evaluate(system, "wavelet", 10)
-    assert abs(np.trapezoid(phi.values, dx=phi.spacing) - 1.0) < 1e-6
-    assert abs(np.trapezoid(psi.values, dx=psi.spacing)) < 1e-6
+    assert abs(trapezoid(phi.values, dx=phi.spacing) - 1.0) < 1e-6
+    assert abs(trapezoid(psi.values, dx=psi.spacing)) < 1e-6
 
 
 def test_db10_refinement_consistency():
@@ -38,7 +42,7 @@ def test_db10_refinement_consistency():
     lo = cascade_evaluate(db10, "scaling", 11)
     hi = cascade_evaluate(db10, "scaling", 12)
     assert np.max(np.abs(hi.values[::2] - lo.values)) < 1e-10
-    assert abs(np.trapezoid(hi.values, dx=hi.spacing) - 1.0) < 1e-6
+    assert abs(trapezoid(hi.values, dx=hi.spacing) - 1.0) < 1e-6
 
 
 def test_two_scale_relation_holds_on_grid():
@@ -57,10 +61,12 @@ def test_two_scale_relation_holds_on_grid():
 
 def test_invalid_inputs():
     haar = build_wavelet_system("haar")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         cascade_evaluate(haar, "scaling", 0)
-    with pytest.raises(ValueError):
+    assert isinstance(exc.value, WaveotError)
+    with pytest.raises(ValueError) as exc:
         cascade_evaluate(haar, "neither", 4)
+    assert isinstance(exc.value, WaveotError)
     with pytest.raises(InvalidExponent):
         estimate_constants(haar, 0.0)
     with pytest.raises(InvalidExponent):
@@ -81,7 +87,7 @@ def test_db10_constants_sane():
     db10 = build_wavelet_system("db10")
     c = estimate_constants(db10, 0.5)
     phi = cascade_evaluate(db10, "scaling", 12)
-    l1 = np.trapezoid(np.abs(phi.values), dx=phi.spacing)
+    l1 = trapezoid(np.abs(phi.values), dx=phi.spacing)
     assert abs(c.a13 - 1.0 / l1) < 1e-12
     assert c.a11 > 0 and c.a12 > 0
     # the centered s-moment of |psi| exceeds that of |phi| for db10
@@ -94,7 +100,31 @@ def test_grid_search_matches_midpoint_objective_for_haar():
     haar = build_wavelet_system("haar")
     phi = cascade_evaluate(haar, "scaling", 12)
     grid = phi.grid()
-    val = np.trapezoid(np.abs(grid - 0.5) * np.abs(phi.values), dx=phi.spacing)
+    val = trapezoid(np.abs(grid - 0.5) * np.abs(phi.values), dx=phi.spacing)
     assert abs(val - 0.25) < 1e-4
     c = estimate_constants(haar, 1.0)
     assert 1.0 / c.a11 <= val + 1e-12
+
+
+def test_constants_scan_memory_bounded():
+    # the candidate scan works in cache-sized blocks, so the peak is a few
+    # grid-sized arrays (db20: 159,745 points, 1.3 MB each)
+    db20 = build_wavelet_system("db20")
+    tracemalloc.start()
+    try:
+        estimate_constants(db20, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("block", [4097, 1 << 20])
+def test_constants_independent_of_scan_block(monkeypatch, block):
+    # one candidate row per block, and 255 rows per block
+    db2 = build_wavelet_system("db2")
+    ref = estimate_constants(db2, 0.5)
+    monkeypatch.setattr(cascade, "_SCAN_BLOCK", block)
+    got = estimate_constants(db2, 0.5)
+    for a, b in [(got.a11, ref.a11), (got.a12, ref.a12), (got.a13, ref.a13)]:
+        assert abs(a - b) <= 1e-12 * abs(b)

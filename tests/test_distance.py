@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from helpers import CodedError
+from waveot import distance
 from waveot.densities import (bump_density, dilate, discretize, sample_for_dwt,
                               translate, uniform_density)
 from waveot.distance import (DistanceConfig, _decompose_difference,
                              distance_matrix, distance_new, distance_original,
                              wavelet_distance)
-from waveot.errors import InvalidConfig, InvalidExponent
+from waveot.errors import InvalidConfig, InvalidExponent, UnknownWavelet
 from waveot.exact import exact_ws
 
 CFG = DistanceConfig(s=0.5, j0=-6, M=13, wavelet="db10", formulation="new")
@@ -164,6 +166,31 @@ def test_distance_matrix_error_context():
     far = translate(p, 80.0)  # outside [0, 2^6]
     with pytest.raises(Exception, match=r"pair \(0, 1\)"):
         distance_matrix([p, far], CFG)
+
+
+def test_distance_matrix_context_added_once_without_quotes(monkeypatch):
+    def fail(p, q, cfg):
+        raise UnknownWavelet("db99")
+
+    monkeypatch.setattr(distance, "wavelet_distance", fail)
+    p = uniform_density(0.0, 1.0)
+    with pytest.raises(UnknownWavelet) as exc:
+        distance_matrix([p, p], CFG)
+    assert str(exc.value) == "pair (0, 1): db99"
+
+
+def test_distance_matrix_keeps_foreign_exception(monkeypatch):
+    err = CodedError(7, "solver state")
+
+    def fail(p, q, cfg):
+        raise err
+
+    monkeypatch.setattr(distance, "wavelet_distance", fail)
+    p = uniform_density(0.0, 1.0)
+    with pytest.raises(CodedError) as exc:
+        distance_matrix([p, p], CFG)
+    assert exc.value is err and exc.value.args == (7, "solver state")
+    assert getattr(err, "__notes__", ["pair (0, 1)"]) == ["pair (0, 1)"]
 
 
 def test_wavelet_distance_dispatch():

@@ -3,8 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import CodedError
+from waveot import simulate
 from waveot.distance import DistanceConfig, distance_original
-from waveot.errors import DegenerateFit
+from waveot.errors import DegenerateFit, UnknownWavelet
 from waveot.simulate import (CSV_HEADER, FAMILIES, SimulationRow, SimulationSpec,
                              emit_csv, fit_normalization, run_simulation)
 
@@ -122,3 +124,28 @@ def test_emit_csv(tmp_path):
     path2 = tmp_path / "again.csv"
     emit_csv(run_simulation(spec), path2)
     assert path2.read_bytes() == path.read_bytes()
+
+
+def test_run_simulation_error_context(monkeypatch):
+    spec = SimulationSpec(family="uniform_translate", cfg=SMALL_CFG, s_values=(1.0,),
+                          count=2, exact_grid_points=40)
+    context = "family uniform_translate, s=1.0, param=0.0"
+
+    def unknown(p, q, cfg):
+        raise UnknownWavelet("db99")
+
+    monkeypatch.setattr(simulate, "wavelet_distance", unknown)
+    with pytest.raises(UnknownWavelet) as exc:
+        run_simulation(spec)
+    assert str(exc.value) == f"{context}: db99"
+
+    err = CodedError(7, "solver state")
+
+    def foreign(p, q, cfg):
+        raise err
+
+    monkeypatch.setattr(simulate, "wavelet_distance", foreign)
+    with pytest.raises(CodedError) as exc:
+        run_simulation(spec)
+    assert exc.value is err and exc.value.args == (7, "solver state")
+    assert getattr(err, "__notes__", [context]) == [context]

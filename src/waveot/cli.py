@@ -48,7 +48,7 @@ def _add_cfg_flags(p, with_s_list):
                         "alternative formulation (default: 0 / auto)")
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--full", action="store_true",
-                   help="full-size parameters (M = 22, 1000 exact grid points)")
+                   help="full-size parameters (M = 22)")
 
 
 def _resolve_cfg(args, s):
@@ -67,13 +67,10 @@ def _resolve_cfg(args, s):
 
 def _cmd_simulate(args):
     cfg, auto_c0 = _resolve_cfg(args, args.s[0])
-    exact_points = args.exact_points
-    if args.full and args.exact_points is None:
-        exact_points = 1000
     spec = SimulationSpec(
         family=args.family, cfg=cfg, s_values=tuple(args.s),
         count=args.count, param_range=tuple(args.range) if args.range else None,
-        exact_grid_points=exact_points if exact_points else 1000,
+        exact_grid_points=args.exact_points,
         auto_c0=auto_c0)
     rows = run_simulation(spec)
     emit_csv(rows, args.out)
@@ -122,7 +119,7 @@ def build_parser():
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--range", type=float, nargs=2, default=None,
                    metavar=("LO", "HI"))
-    p.add_argument("--exact-points", dest="exact_points", type=int, default=None,
+    p.add_argument("--exact-points", dest="exact_points", type=int, default=1000,
                    help="exact-solver grid points on [0, 3] (default 1000)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_simulate)

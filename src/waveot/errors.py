@@ -45,7 +45,7 @@ class UnbalancedMarginals(WaveotError, ValueError):
 
 
 class InvalidConfig(WaveotError, ValueError):
-    """Distance configuration violates a formulation invariant."""
+    """A distance or sweep configuration violates an invariant."""
 
 
 class ConfigMismatch(WaveotError, ValueError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .densities import bump_density, dilate, discretize, translate, uniform_density
 from .distance import DistanceConfig, wavelet_distance
-from .errors import DegenerateFit, add_context
+from .errors import DegenerateFit, InvalidConfig, add_context
 from .exact import exact_ws
 
 __all__ = ["SimulationSpec", "SimulationRow", "run_simulation",
@@ -77,14 +77,14 @@ class SimulationSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; "
-                             f"choose from {sorted(FAMILIES)}")
+            raise InvalidConfig(f"unknown family {self.family!r}; "
+                                f"choose from {sorted(FAMILIES)}")
         if self.count < 2:
-            raise ValueError(f"count must be at least 2, got {self.count}")
+            raise InvalidConfig(f"count must be at least 2, got {self.count}")
         if self.param_range is not None:
             lo, hi = self.param_range
             if not lo < hi:
-                raise ValueError(f"invalid param_range {self.param_range}")
+                raise InvalidConfig(f"invalid param_range {self.param_range}")
 
     def params(self):
         lo, hi = self.param_range if self.param_range is not None \

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from waveot.cascade import cascade_evaluate
-from waveot.densities import Density, DiscreteMeasure, _adaptive_integral
+from waveot.densities import Density, DiscreteMeasure, _mass
 from waveot.filters import build_wavelet_system
 
 
@@ -60,7 +60,7 @@ def density_from_grid(values, origin, spacing):
     """Unit-mass density interpolating nonnegative grid values linearly.
 
     Returns (density, mass) where mass is the integral of the raw values,
-    computed by the same adaptive quadrature the Density constructor uses.
+    computed by the same midpoint rule the Density constructor uses.
     """
     values = np.asarray(values, dtype=float)
     grid = origin + spacing * np.arange(len(values))
@@ -70,7 +70,7 @@ def density_from_grid(values, origin, spacing):
         return np.interp(np.asarray(x, dtype=float), grid, values,
                          left=0.0, right=0.0)
 
-    mass = _adaptive_integral(lambda t: float(raw(t)), lo, hi)
+    mass = _mass(raw, lo, hi)
     return Density(lambda x: raw(x) / mass, (lo, hi)), mass
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,3 +109,34 @@ def test_solver_non_convergence_reports_and_fails(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "did not converge" in err
+
+
+@pytest.mark.parametrize("bad", [["--count", "1"], ["--range", "2", "1"]])
+def test_bad_sweep_spec_reports_and_fails(tmp_path, capsys, bad):
+    code = main(["simulate", "--family", "bump_dilate", "--out",
+                 str(tmp_path / "out.csv")] + bad)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_zero_exact_points_reports_and_fails(tmp_path, capsys):
+    code = main(["simulate", "--family", "uniform_translate", "--s", "1.0",
+                 "--j0", "-6", "--levels", "12", "--count", "3",
+                 "--exact-points", "0", "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "grid points" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it costs most of a CLI start
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, waveot.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from waveot.densities import (DiscreteMeasure, bump_density, dilate, discretize,
+from helpers import trapezoid
+from waveot.densities import (_BUMP_BASE_MASS, Density, DiscreteMeasure,
+                              bump_density, dilate, discretize,
                               sample_for_dwt, translate, uniform_density)
 from waveot.errors import (DomainOverflow, InvalidGrid, InvalidInterval,
                            UnbalancedMarginals)
@@ -63,6 +67,32 @@ def test_mass_preserved_by_transforms():
         lo, hi = d.support
         val, _ = quad(lambda x: float(d(x)), lo, hi, epsabs=1e-10, epsrel=1e-10)
         assert abs(val - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("factor", [1.0 - 2e-8, 1.0 + 2e-8])
+def test_mass_check_rejects_off_unit_mass(factor):
+    p = bump_density(0.5, 0.5)
+    with pytest.raises(InvalidInterval, match="density mass"):
+        Density(lambda x: factor * p(x), p.support)
+
+
+def test_mass_check_accepts_kinked_interpolant():
+    # knots off the dyadic cell edges of the mass rule; the trapezoid sum
+    # is the exact mass of the linear interpolant
+    rng = np.random.default_rng(7)
+    lo, spacing = 1.0 / 3.0, 0.7 / 1000
+    knots = lo + spacing * np.arange(1001)
+    values = np.sin(np.linspace(0.0, np.pi, 1001)) ** 2 * rng.uniform(0.7, 1.3, 1001)
+    values /= trapezoid(values, spacing)
+    d = Density(lambda x: np.interp(x, knots, values, left=0.0, right=0.0),
+                (float(knots[0]), float(knots[-1])))
+    assert d(0.5) > 0.0
+
+
+def test_bump_base_mass_matches_quadrature():
+    ref, _ = quad(lambda t: math.exp(-1.0 / (1.0 - t * t)), -1.0, 1.0,
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    assert abs(_BUMP_BASE_MASS - ref) <= 1e-14 * ref
 
 
 def _point_values(d, sd, j0, M):

@@ -4,7 +4,7 @@ Densities are immutable value objects wrapping a vectorized evaluator and
 a compact support interval, so the same object can feed both the dyadic
 DWT grid and the uniform grid of the exact discrete solver without
 interpolation.  Unit mass is validated at construction by the midpoint
-rule on 2^18 equal cells of the support.
+rule on 2^18 equal cells of the support, refined around jumps.
 """
 
 import math
@@ -21,27 +21,50 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-8
-
-
-_MASS_CELLS = 1 << 18
-_MASS_CHUNK = 1 << 14
+_MASS_CELLS = 1 << 18      # equal cells of the first pass over the support
+_MASS_BLOCK = 1 << 14      # most cells evaluated in one call
+_MASS_SPLIT = 16           # subcells of a refined cell
+_MASS_REFINE = 1 << 12     # most cells refined after one pass
+_MASS_PASSES = 16          # most passes, the first included
+_MASS_CELL_ERR = 1e-12     # error estimate above which a cell is refined
 
 
 def _mass(f, lo, hi):
-    """Integral of the vectorized f over [lo, hi] by the midpoint rule on
-    _MASS_CELLS equal cells, evaluated _MASS_CHUNK points at a time.
+    """Integral of the vectorized f over [lo, hi]: the midpoint rule on
+    _MASS_CELLS equal cells, refined where it is not yet accurate.
 
-    Exact for piecewise-linear f with kinks on cell edges; otherwise a kink
-    costs O(h^2) and a jump O(h) in the cell holding it (h the cell width),
-    and smooth f vanishing to all orders at lo and hi converges faster than
-    any power of h.
+    A cell's error estimate, its width times the second difference of the
+    midpoint values around it, is O(h^3) where f is smooth, O(h^2) at a
+    kink and O(h) at a jump.  The worst _MASS_REFINE cells whose estimate
+    exceeds _MASS_CELL_ERR are split into _MASS_SPLIT subcells for the next
+    pass while a subcell stays a few float spacings wide.  Groups of cells
+    are sampled one cell beyond either end, so a jump is seen whichever
+    cell holds it.  _MASS_BLOCK cells per call keep the arrays in cache,
+    which makes the first pass two to four times faster than one call.
+    Positions are kept relative to lo and rounded once, when f gets them.
     """
-    h = (hi - lo) / _MASS_CELLS
-    mids = np.arange(_MASS_CHUNK) + 0.5
-    total = 0.0
-    for start in range(0, _MASS_CELLS, _MASS_CHUNK):
-        total += float(np.sum(f(lo + (start + mids) * h)))
-    return total * h
+    n, width, total = _MASS_BLOCK, (hi - lo) / _MASS_CELLS, 0.0
+    starts = n * width * np.arange(_MASS_CELLS // n)
+    for npass in range(1, _MASS_PASSES + 1):
+        offsets, flagged = np.arange(-1, n + 1) + 0.5, []
+        for block in np.array_split(starts, -(-len(starts) * n // _MASS_BLOCK)):
+            rel = block[:, None] + offsets * width
+            vals = f(lo + rel.ravel()).reshape(rel.shape)
+            err = np.abs(np.diff(vals, 2))
+            cells = np.flatnonzero(err > _MASS_CELL_ERR / width)
+            mids = vals[:, 1:-1]
+            flagged.append((err.flat[cells], rel[:, 1:-1].flat[cells], mids.flat[cells]))
+            mids.flat[cells] = 0.0
+            total += width * float(np.sum(mids))
+        err, centres, values = (np.concatenate(parts) for parts in zip(*flagged))
+        split = np.zeros(len(err), dtype=bool)
+        split[np.argsort(err)[::-1][:_MASS_REFINE]] = npass < _MASS_PASSES
+        split &= width > 4 * _MASS_SPLIT * np.spacing(np.abs(lo + centres))
+        total += width * float(np.sum(values[~split]))
+        if not split.any():
+            break
+        starts, width, n = centres[split] - 0.5 * width, width / _MASS_SPLIT, _MASS_SPLIT
+    return total
 
 
 @dataclass(frozen=True)
@@ -49,9 +72,9 @@ class Density:
     """A probability density with compact support [lo, hi].
 
     The evaluator accepts scalars or numpy arrays and returns zero outside
-    the support.  Construction fails if the mass, by the midpoint rule on
-    2^18 equal cells of the support, deviates from 1 by more than 1e-8; so
-    a jump inside the support belongs on the edge of such a cell.
+    the support.  Construction fails if the support is not finite or if
+    the mass, by the refined midpoint rule of _mass, deviates from 1 by
+    more than 1e-8.
     """
 
     evaluator: callable
@@ -59,8 +82,9 @@ class Density:
 
     def __post_init__(self):
         lo, hi = self.support
-        if not lo < hi:
-            raise InvalidInterval(f"support must satisfy lo < hi, got {self.support}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise InvalidInterval(
+                f"support must be finite with lo < hi, got {self.support}")
         raw = self.evaluator
 
         # half-open [lo, hi): dyadic grid points landing exactly on the
@@ -75,7 +99,7 @@ class Density:
 
         object.__setattr__(self, "evaluator", masked)
         mass = _mass(masked, lo, hi)
-        if abs(mass - 1.0) > _MASS_TOL:
+        if not abs(mass - 1.0) <= _MASS_TOL:
             raise InvalidInterval(
                 f"density mass is {mass:.12g}, expected 1 within {_MASS_TOL}")
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from helpers import trapezoid
-from waveot.densities import (_BUMP_BASE_MASS, Density, DiscreteMeasure,
+from waveot.densities import (_BUMP_BASE_MASS, Density, DiscreteMeasure, _mass,
                               bump_density, dilate, discretize,
                               sample_for_dwt, translate, uniform_density)
 from waveot.errors import (DomainOverflow, InvalidGrid, InvalidInterval,
@@ -87,6 +87,63 @@ def test_mass_check_accepts_kinked_interpolant():
     d = Density(lambda x: np.interp(x, knots, values, left=0.0, right=0.0),
                 (float(knots[0]), float(knots[-1])))
     assert d(0.5) > 0.0
+
+
+def _histogram(edges, heights):
+    """Evaluator of a piecewise-constant density, zero off its bins."""
+    edges = np.asarray(edges, dtype=float)
+    heights = np.asarray(heights, dtype=float)
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        k = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(heights) - 1)
+        return np.where((x >= edges[0]) & (x < edges[-1]), heights[k], 0.0)
+
+    return evaluate
+
+
+def _random_histogram(bins, hi):
+    # bin edges drawn at random in [0, hi], so off the cell edges of the mass rule
+    rng = np.random.default_rng(bins)
+    edges = np.r_[0.0, np.sort(rng.uniform(0.0, hi, bins - 1)), hi]
+    heights = rng.uniform(0.1, 2.0, bins)
+    return edges, heights / np.sum(heights * np.diff(edges))
+
+
+@pytest.mark.parametrize("bins", [2, 7, 200])
+def test_mass_rule_refines_jumps_off_cell_edges(bins):
+    edges, heights = _random_histogram(bins, 2.5)
+    f = _histogram(edges, heights)
+    assert abs(_mass(f, 0.0, 2.5) - 1.0) < 1e-11
+    assert Density(f, (0.0, 2.5))(1.0) > 0.0
+    for factor in (1.0 - 2e-8, 1.0 + 2e-8):
+        with pytest.raises(InvalidInterval, match="density mass"):
+            Density(_histogram(edges, factor * heights), (0.0, 2.5))
+
+
+def test_mass_check_accepts_steps_and_mixtures():
+    # a jump at 1/3, and uniform mixtures with edges off the dyadic grid
+    Density(lambda x: np.where(np.asarray(x) < 1.0 / 3.0, 0.5, 1.25), (0.0, 1.0))
+    p, q = uniform_density(0.0, 1.0), uniform_density(1.0, 2.5)
+    Density(lambda x: 0.5 * p(x) + 0.5 * q(x), (0.0, 2.5))
+    r = translate(dilate(q, 0.7, 0.3), 0.123)
+    Density(lambda x: 0.25 * p(x) + 0.75 * r(x), (0.0, r.support[1]))
+
+
+@pytest.mark.parametrize("center, half_width", [(1000.0, 1e-6), (1000.0, 1e-9), (1e6, 1e-6)])
+def test_mass_check_accepts_narrow_bumps_far_from_zero(center, half_width):
+    # cells a few hundred float spacings wide: each position is rounded once
+    d = bump_density(center, half_width)
+    assert d(center) > 0.0
+
+
+def test_mass_check_rejects_unbounded_support_and_nan():
+    with pytest.raises(InvalidInterval, match="finite"):
+        Density(lambda x: np.exp(-np.asarray(x, dtype=float)), (0.0, math.inf))
+    with pytest.raises(InvalidInterval, match="finite"):
+        dilate(bump_density(0.5, 0.5), math.inf, 0.0)
+    with pytest.raises(InvalidInterval, match="density mass is nan"):
+        Density(lambda x: np.full(np.shape(x), np.nan), (0.0, 1.0))
 
 
 def test_bump_base_mass_matches_quadrature():

@@ -27,6 +27,8 @@ _MASS_SPLIT = 16           # subcells of a refined cell
 _MASS_REFINE = 1 << 12     # most cells refined after one pass
 _MASS_PASSES = 16          # most passes, the first included
 _MASS_CELL_ERR = 1e-12     # error estimate above which a cell is refined
+_CELL_POINTS = 64          # midpoint-rule points per cell in sample_for_dwt
+_MAX_SAMPLE_POINTS = 1 << 25   # most points it evaluates, 256 MiB a float array
 
 
 def _mass(f, lo, hi):
@@ -98,6 +100,8 @@ class Density:
             return out[0] if np.ndim(x) == 0 else out
 
         object.__setattr__(self, "evaluator", masked)
+        # translate and dilate wrap this, so a transformed density masks once
+        object.__setattr__(self, "_unmasked", raw)
         mass = _mass(masked, lo, hi)
         if not abs(mass - 1.0) <= _MASS_TOL:
             raise InvalidInterval(
@@ -211,7 +215,7 @@ def bump_density(center: float, half_width: float) -> Density:
 def translate(d: Density, a: float) -> Density:
     """Shift a density by a."""
     lo, hi = d.support
-    inner = d.evaluator
+    inner = d._unmasked
 
     def evaluate(x):
         return inner(np.asarray(x, dtype=float) - a)
@@ -224,7 +228,7 @@ def dilate(d: Density, b: float, about: float) -> Density:
     if b <= 0:
         raise InvalidInterval(f"dilation factor must be positive, got {b}")
     lo, hi = d.support
-    inner = d.evaluator
+    inner = d._unmasked
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -238,18 +242,20 @@ def dilate(d: Density, b: float, about: float) -> Density:
 def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
     """DWT initialization on the grid of spacing 2^-(j0+M) over [0, 2^-j0].
 
-    Cell k gets 2^(-(j0+M)/2) times the average of d over
-    [k, k+1) * spacing (midpoint rule, 64 points per cell).  Cell averaging
-    preserves the total mass of the samples, which matters for differences
-    of densities: their true approximation coefficients sum to exactly
-    zero (partition of unity), and point sampling of discontinuous
+    Cell k gets 2^(-(j0+M)/2) times the average of d over [k, k+1) *
+    spacing (midpoint rule, _CELL_POINTS = 64 points per cell).  Cell
+    averaging preserves the total mass of the samples, which matters for
+    differences of densities: their true approximation coefficients sum to
+    exactly zero (partition of unity), and point sampling of discontinuous
     densities breaks that identity by O(spacing), an error the
     coarse-level weights then amplify.
 
     The density must already live inside the dyadic domain (translating
     it there is the caller's job).  Only the cells meeting the support are
     evaluated and returned, so memory and work follow the support, not the
-    2^M cells of the domain; every other cell is an exact zero.
+    2^M cells of the domain; every other cell is an exact zero.  A window
+    needing more than _MAX_SAMPLE_POINTS points is refused before any of
+    them is allocated.
     """
     if M < 1 or int(M) != M:
         raise InvalidGrid(f"M must be a positive integer, got {M}")
@@ -259,12 +265,18 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
         raise DomainOverflow(
             f"support [{lo}, {hi}] exceeds the sampling domain [0, {domain_hi}]")
     spacing = 2.0 ** (-(j0 + M))
+    # the window has at most (hi - lo) / spacing + 2 cells; multiplied out,
+    # so a spacing that underflows to zero is refused too
+    if _CELL_POINTS * (hi - lo) > (_MAX_SAMPLE_POINTS - 2 * _CELL_POINTS) * spacing:
+        raise InvalidGrid(
+            f"sampling the support [{lo}, {hi}] at M = {M} needs more than the "
+            f"budget of {_MAX_SAMPLE_POINTS} points; use a smaller M")
     n = 2 ** M
     # densities vanish on [hi, inf), so the window ends before that cell
     k_lo = min(n - 1, max(0, int(math.floor(lo / spacing))))
     k_hi = min(n - 1, max(k_lo, int(math.ceil(hi / spacing)) - 1))
     ks = np.arange(k_lo, k_hi + 1)
-    offs = (np.arange(64) + 0.5) / 64
+    offs = (np.arange(_CELL_POINTS) + 0.5) / _CELL_POINTS
     pts = (ks[:, None] + offs[None, :]) * spacing
     values = d.evaluator(pts.ravel()).reshape(len(ks), -1).mean(axis=1)
     values *= 2.0 ** (-(j0 + M) / 2.0)

@@ -60,10 +60,13 @@ class DistanceConfig:
             raise InvalidExponent(f"s must lie in (0, 1], got {self.s}")
         if self.formulation not in FORMULATIONS:
             raise InvalidConfig(f"unknown formulation {self.formulation!r}")
-        if self.M < 1 or int(self.M) != self.M:
+        if not (self.M >= 1 and float(self.M).is_integer()):
             raise InvalidConfig(f"M must be a positive integer, got {self.M}")
-        if int(self.j0) != self.j0:
+        if not float(self.j0).is_integer():
             raise InvalidConfig(f"j0 must be an integer, got {self.j0}")
+        # integral floats pass; levels, shifts and the .wlot header need ints
+        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "j0", int(self.j0))
         if self.j0 < 0 and self.M <= -self.j0:
             raise InvalidConfig("need M > -j0 so the sampling level j0+M is positive")
         if self.formulation == "original" and (self.C0 != 0.0 or self.C1 != 1.0):

@@ -37,7 +37,7 @@ class DomainOverflow(WaveotError, ValueError):
 
 
 class InvalidGrid(WaveotError, ValueError):
-    """Discretization grid has fewer than two points."""
+    """A grid is malformed, too small, or past its memory budget."""
 
 
 class UnbalancedMarginals(WaveotError, ValueError):

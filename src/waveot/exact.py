@@ -1,12 +1,15 @@
 """Exact discrete optimal transport with ground cost |x - y|^s, 0 < s <= 1.
 
 The solver is a dense transportation simplex (network simplex specialized
-to the bipartite transportation polytope): northwest-corner starting basis,
-spanning-tree duals, and Dantzig pricing that falls back to Bland's
-smallest-index rule whenever a run of degenerate pivots is detected, which
-guarantees termination without cycling.  Degenerate bases are carried
+to the bipartite transportation polytope): northwest-corner starting basis
+and Dantzig pricing that falls back to Bland's smallest-index rule whenever
+a run of degenerate pivots is detected, which guarantees termination
+without cycling.  Each pivot makes one pass over the basis tree, which
+gives the duals and the parent and depth of every node; the entering arc's
+cycle is then read off the parent pointers.  Degenerate bases are carried
 explicitly as zero-flow basic arcs, so marginals stay exact instead of
-being smeared by weight perturbations.
+being smeared by weight perturbations.  Residual problems past
+_MAX_RESIDUAL_CELLS are refused before anything is allocated.
 
 w1_cdf provides the closed-form 1-D W1 value (area between CDFs on the
 merged support grid) used as an independent oracle for s = 1.
@@ -18,7 +21,8 @@ import numpy as np
 
 from ._num import abs_power
 from .densities import DiscreteMeasure
-from .errors import InvalidExponent, SolverDidNotConverge, UnbalancedMarginals
+from .errors import (InvalidExponent, InvalidGrid, SolverDidNotConverge,
+                     UnbalancedMarginals)
 
 __all__ = ["TransportPlan", "exact_ws", "w1_cdf"]
 
@@ -27,6 +31,9 @@ _DEGENERATE_STREAK = 30
 # pivot budget on an m x n residual: _PIVOTS_PER_NODE * (m + n) + _PIVOTS_EXTRA
 _PIVOTS_PER_NODE = 200
 _PIVOTS_EXTRA = 10_000
+# most residual cells m * n; the cost matrix, the reduced costs and the
+# cost rows as Python floats take about 48 bytes a cell, 200 MB at the limit
+_MAX_RESIDUAL_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -81,26 +88,21 @@ def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
     a = mu.weights[keep_i].copy()
     b = nu.weights[keep_j].copy()
 
-    entries = []
-    i = j = 0
-    while i < len(x) and j < len(y):
-        if x[i] == y[j]:
-            t = min(a[i], b[j])
-            if t > 0.0:
-                entries.append((int(keep_i[i]), int(keep_j[j]), float(t)))
-                a[i] -= t
-                b[j] -= t
-            i += 1
-            j += 1
-        elif x[i] < y[j]:
-            i += 1
-        else:
-            j += 1
+    # positions are strictly increasing, so the matches come in ascending order
+    _, ci, cj = np.intersect1d(x, y, assume_unique=True, return_indices=True)
+    t = np.minimum(a[ci], b[cj])
+    a[ci] -= t
+    b[cj] -= t
+    entries = list(zip(keep_i[ci].tolist(), keep_j[cj].tolist(), t.tolist()))
 
     ir = np.flatnonzero(a > 0.0)
     jr = np.flatnonzero(b > 0.0)
     total = 0.0
     if len(ir) > 0 and len(jr) > 0:
+        if len(ir) * len(jr) > _MAX_RESIDUAL_CELLS:
+            raise InvalidGrid(
+                f"the {len(ir)} x {len(jr)} residual problem exceeds the solver's "
+                f"budget of {_MAX_RESIDUAL_CELLS} cells; use fewer grid points")
         cost = abs_power(x[ir][:, None] - y[jr][None, :], s)
         flows = _transport_simplex(cost, a[ir], b[jr])
         for (ii, jj), f in flows.items():
@@ -134,65 +136,68 @@ def _northwest_corner(a, b):
     return flows
 
 
-def _compute_duals(cost_rows, row_adj, col_adj, m, n):
-    """Tree duals with u[0] = 0; plain-Python traversal for speed."""
+def _tree_duals(cost_rows, row_adj, col_adj, m, n):
+    """One pass over the basis tree rooted at row 0: duals with u[0] = 0,
+    and each node's parent and depth (columns encoded as m + j, the
+    root's parent is -1); plain-Python traversal for speed."""
     u = [0.0] * m
     v = [0.0] * n
-    seen_u = bytearray(m)
-    seen_v = bytearray(n)
-    seen_u[0] = 1
-    stack = [(0, True)]
+    parent = [-1] * (m + n)
+    depth = [-1] * (m + n)
+    depth[0] = 0
+    stack = [0]
     push = stack.append
     while stack:
-        k, is_row = stack.pop()
-        if is_row:
+        k = stack.pop()
+        below = depth[k] + 1
+        if k < m:
             ck = cost_rows[k]
             uk = u[k]
             for j in row_adj[k]:
-                if not seen_v[j]:
-                    seen_v[j] = 1
+                c = m + j
+                if depth[c] < 0:
+                    depth[c] = below
+                    parent[c] = k
                     v[j] = ck[j] - uk
-                    push((j, False))
+                    push(c)
         else:
-            vk = v[k]
-            for i in col_adj[k]:
-                if not seen_u[i]:
-                    seen_u[i] = 1
-                    u[i] = cost_rows[i][k] - vk
-                    push((i, True))
-    return u, v
-
-
-def _tree_path(row_adj, col_adj, src_row, dst_col, m):
-    """Node path [row, col, row, ..., col] from src_row to dst_col through
-    basic arcs; the tree structure makes it unique.  Columns are encoded
-    as m + j internally."""
-    parent = {src_row: -1}
-    stack = [src_row]
-    target = m + dst_col
-    push = stack.append
-    while stack:
-        node = stack.pop()
-        if node == target:
-            break
-        if node < m:
-            for j in row_adj[node]:
-                nxt = m + j
-                if nxt not in parent:
-                    parent[nxt] = node
-                    push(nxt)
-        else:
-            for i in col_adj[node - m]:
-                if i not in parent:
-                    parent[i] = node
+            j = k - m
+            vk = v[j]
+            for i in col_adj[j]:
+                if depth[i] < 0:
+                    depth[i] = below
+                    parent[i] = k
+                    u[i] = cost_rows[i][j] - vk
                     push(i)
-    path = []
-    node = target
-    while node != -1:
-        path.append(node)
-        node = parent[node]
-    path.reverse()
-    return path
+    return u, v, parent, depth
+
+
+def _cycle(parent, depth, ei, ej, m):
+    """Arcs of the tree path that the entering arc (ei, ej) closes into a
+    cycle, as (minus, plus): the arcs that lose theta and those that gain
+    it.  The path is found by walking up from row ei and column m + ej
+    until the walks meet.  The entering arc gains theta and the path from
+    ei alternates -, +, -, ..., so an arc run from a row to a column loses
+    it: a row's arc to its parent on the ei side, a column's on the ej
+    side."""
+    minus, plus = [], []
+    a, b = ei, m + ej
+    while a != b:
+        if depth[a] >= depth[b]:
+            p = parent[a]
+            if a < m:
+                minus.append((a, p - m))
+            else:
+                plus.append((p, a - m))
+            a = p
+        else:
+            p = parent[b]
+            if b >= m:
+                minus.append((p, b - m))
+            else:
+                plus.append((b, p - m))
+            b = p
+    return minus, plus
 
 
 def _transport_simplex(cost, a, b):
@@ -214,7 +219,7 @@ def _transport_simplex(cost, a, b):
     max_pivots = _PIVOTS_PER_NODE * (m + n) + _PIVOTS_EXTRA
 
     for _ in range(max_pivots):
-        u, v = _compute_duals(cost_rows, row_adj, col_adj, m, n)
+        u, v, parent, depth = _tree_duals(cost_rows, row_adj, col_adj, m, n)
         np.subtract(cost, np.asarray(u)[:, None], out=reduced)
         reduced -= np.asarray(v)[None, :]
 
@@ -229,23 +234,9 @@ def _transport_simplex(cost, a, b):
                 break
         ei, ej = divmod(flat, n)
 
-        path = _tree_path(row_adj, col_adj, ei, ej, m)
-        # entering arc gets +theta; walking the tree path from the entering
-        # row, arcs alternate -, +, -, ... and the path has odd length
-        cycle = []
-        for k in range(len(path) - 1):
-            na, nb = path[k], path[k + 1]
-            arc = (na, nb - m) if na < m else (nb, na - m)
-            cycle.append((arc, -1.0 if k % 2 == 0 else 1.0))
-
-        theta = np.inf
-        leaving = None
-        for arc, sign in cycle:
-            if sign < 0:
-                f = flows[arc]
-                if f < theta or (f == theta and (leaving is None or arc < leaving)):
-                    theta = f
-                    leaving = arc
+        minus, plus = _cycle(parent, depth, ei, ej, m)
+        # the smallest flow to lose theta leaves, ties to the smallest arc
+        theta, leaving = min((flows[arc], arc) for arc in minus)
 
         if theta <= tol:
             degenerate_streak += 1
@@ -255,9 +246,11 @@ def _transport_simplex(cost, a, b):
             degenerate_streak = 0
             use_bland = False
 
-        for arc, sign in cycle:
-            nf = flows[arc] + sign * theta
+        for arc in minus:
+            nf = flows[arc] - theta
             flows[arc] = nf if nf > 0.0 else 0.0
+        for arc in plus:
+            flows[arc] += theta
         flows[(ei, ej)] = theta
         row_adj[ei].add(ej)
         col_adj[ej].add(ei)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import waveot.densities
 import waveot.exact
 from waveot.cascade import estimate_constants
 from waveot.cli import main
@@ -109,6 +110,27 @@ def test_solver_non_convergence_reports_and_fails(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "did not converge" in err
+
+
+def test_residual_budget_reports_and_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(waveot.exact, "_MAX_RESIDUAL_CELLS", 100)
+    code = main(["simulate", "--family", "bump_dilate", "--s", "0.5",
+                 "--j0", "-6", "--levels", "12", "--count", "3",
+                 "--exact-points", "80", "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget of 100 cells" in err
+
+
+def test_sampling_budget_reports_and_fails(capsys, monkeypatch):
+    monkeypatch.setattr(waveot.densities, "_MAX_SAMPLE_POINTS", 1000)
+    code = main(["distance", "--family", "bump_dilate", "--param", "1.2",
+                 "--s", "0.5", "--j0", "-6", "--levels", "12"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget of 1000 points" in err
 
 
 @pytest.mark.parametrize("bad", [["--count", "1"], ["--range", "2", "1"]])

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from helpers import trapezoid
+from waveot import densities
 from waveot.densities import (_BUMP_BASE_MASS, Density, DiscreteMeasure, _mass,
                               bump_density, dilate, discretize,
                               sample_for_dwt, translate, uniform_density)
@@ -146,6 +148,47 @@ def test_mass_check_rejects_unbounded_support_and_nan():
         Density(lambda x: np.full(np.shape(x), np.nan), (0.0, 1.0))
 
 
+def test_mass_check_rejects_transforms_past_float_resolution():
+    # mass is preserved in exact arithmetic, not in floats: at 1e15 the
+    # positions are 0.125 apart, and a bump 1e-14 wide spans about 90 floats
+    with pytest.raises(InvalidInterval, match="density mass is 0.9375"):
+        translate(uniform_density(0.0, 1.0), 1e15)
+    with pytest.raises(InvalidInterval, match="density mass is 1.00000008"):
+        dilate(bump_density(0.5, 0.5), 1e-14, 0.5)
+
+
+def test_transforms_mask_once_and_return_zero_outside_support():
+    d = uniform_density(0.0, 1.0)
+    for k in range(6):
+        d = translate(d, 0.25) if k % 2 == 0 else dilate(d, 1.1, 0.5)
+    lo, hi = d.support
+    x = np.array([lo - 1e-9, lo, 0.5 * (lo + hi), hi - 1e-9, hi, hi + 1.0])
+    assert np.array_equal(d(x) > 0.0, [False, True, True, True, False, False])
+    assert d(hi) == 0.0 and d(lo - 1.0) == 0.0
+
+
+def _evaluation_peak(d, n):
+    lo, hi = d.support
+    x = np.linspace(lo, hi, n, endpoint=False)
+    tracemalloc.start()
+    try:
+        d.evaluator(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transform_layers_do_not_mask_again():
+    # one mask per evaluation: a layer holds its mapped points (8 bytes a
+    # point), not also a mask, an inside copy and an output of its own
+    n, depth = 1 << 15, 6
+    d = base = bump_density(0.5, 0.5)
+    for k in range(depth):
+        d = translate(d, 0.25) if k % 2 == 0 else dilate(d, 1.1, 0.5)
+    growth = _evaluation_peak(d, n) - _evaluation_peak(translate(base, 0.25), n)
+    assert growth <= 16 * n * (depth - 1)
+
+
 def test_bump_base_mass_matches_quadrature():
     ref, _ = quad(lambda t: math.exp(-1.0 / (1.0 - t * t)), -1.0, 1.0,
                   epsabs=0.0, epsrel=1e-13, limit=200)
@@ -187,6 +230,18 @@ def test_sample_for_dwt_overflow():
     p = uniform_density(0.0, 4.0)
     with pytest.raises(DomainOverflow):
         sample_for_dwt(p, -1, 4)
+
+
+def test_sample_for_dwt_refuses_windows_past_budget(monkeypatch):
+    p = uniform_density(0.0, 1.0)
+    # at the real budget: a spacing that underflows to zero is refused
+    with pytest.raises(InvalidGrid, match="budget"):
+        sample_for_dwt(p, 0, 1100)
+    # 16 cells need at most 64 * (16 + 2) points, 32 cells more than 1200
+    monkeypatch.setattr(densities, "_MAX_SAMPLE_POINTS", 1200)
+    assert len(sample_for_dwt(p, 0, 4).values) == 16
+    with pytest.raises(InvalidGrid, match="budget"):
+        sample_for_dwt(p, 0, 5)
 
 
 def test_sample_rules_agree_for_smooth_density():

@@ -199,3 +199,21 @@ def test_wavelet_distance_dispatch():
     assert wavelet_distance(p, q, CFG) == distance_new(p, q, CFG)
     orig = DistanceConfig(s=0.5, j0=-4, M=12, formulation="original")
     assert wavelet_distance(p, q, orig) == distance_original(p, q, orig)
+
+
+@pytest.mark.parametrize("kwargs", [{"j0": -6.0, "M": 13}, {"j0": -6, "M": 13.0}])
+def test_config_keeps_integral_levels_as_ints(kwargs):
+    cfg = DistanceConfig(s=0.5, **kwargs)
+    assert type(cfg.j0) is int and type(cfg.M) is int
+    assert cfg == CFG
+    p, q = uniform_density(0.0, 1.0), bump_density(1.5, 0.5)
+    assert distance_new(p, q, cfg) == distance_new(p, q, CFG)
+
+
+@pytest.mark.parametrize("kwargs", [{"j0": -6, "M": float("inf")},
+                                    {"j0": -6, "M": float("nan")},
+                                    {"j0": float("nan"), "M": 13},
+                                    {"j0": -6, "M": 13.5}])
+def test_config_rejects_non_integral_levels(kwargs):
+    with pytest.raises(InvalidConfig):
+        DistanceConfig(s=0.5, **kwargs)

@@ -171,3 +171,11 @@ def test_prune():
     assert all(abs(v) >= eps for v in small.entries.values())
     assert len(small) < len(vec)
     assert small.fingerprint == vec.fingerprint
+
+
+def test_integral_float_levels_write_a_readable_header():
+    cfg = DistanceConfig(s=0.5, j0=-9.0, M=18.0)
+    vec = embed(bump_density(1.5, 0.5), cfg)
+    text = to_text(vec)
+    assert text.startswith("wlot db10 -9 18\n")
+    assert from_text(text).entries == vec.entries

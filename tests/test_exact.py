@@ -3,7 +3,8 @@ import pytest
 
 from helpers import brute_force_lp, random_measure
 from waveot.densities import DiscreteMeasure, discretize, translate, uniform_density
-from waveot.errors import InvalidExponent, UnbalancedMarginals
+from waveot import exact
+from waveot.errors import InvalidExponent, InvalidGrid, UnbalancedMarginals
 from waveot.exact import exact_ws, w1_cdf
 
 
@@ -132,6 +133,36 @@ def test_zero_weight_atoms_pruned():
     assert all(i != 1 for i, _, _ in plan.entries)
 
 
+def merged_common_mass(mu, nu):
+    """Reference for the common-mass reduction: a two-pointer merge over
+    the positive atoms, matching min(a, b) at each coincident position."""
+    ia, ib = np.flatnonzero(mu.weights > 0), np.flatnonzero(nu.weights > 0)
+    entries, i, j = [], 0, 0
+    while i < len(ia) and j < len(ib):
+        x, y = mu.positions[ia[i]], nu.positions[ib[j]]
+        if x == y:
+            t = min(mu.weights[ia[i]], nu.weights[ib[j]])
+            entries.append((int(ia[i]), int(ib[j]), float(t)))
+        i += x <= y
+        j += y <= x
+    return entries
+
+
+def test_common_mass_reduction_matches_merge():
+    rng = np.random.default_rng(7)
+    grid = np.linspace(0.0, 3.0, 25)
+    for _ in range(50):
+        measures = []
+        for _ in range(2):
+            idx = np.sort(rng.choice(len(grid), int(rng.integers(1, 15)), replace=False))
+            w = rng.integers(0, 4, len(idx)).astype(float)
+            if w.sum() == 0:
+                w[-1] = 1.0
+            measures.append(DiscreteMeasure(grid[idx], w / w.sum()))
+        ref = merged_common_mass(*measures)
+        assert exact_ws(*measures, 0.5)[1].entries[:len(ref)] == ref
+
+
 def test_invalid_exponent():
     with pytest.raises(InvalidExponent):
         exact_ws(delta(0.0), delta(1.0), 0.0)
@@ -148,3 +179,22 @@ def test_unbalanced_rejected():
         exact_ws(good, bad, 0.5)
     with pytest.raises(UnbalancedMarginals):
         w1_cdf(good, bad)
+
+
+def test_residual_budget_checked_before_the_cost_matrix(monkeypatch):
+    def no_cost_matrix(*args):
+        raise AssertionError("cost matrix built")
+
+    uniform4 = np.full(4, 0.25)
+    mu = DiscreteMeasure(np.arange(4.0), uniform4)
+    monkeypatch.setattr(exact, "_MAX_RESIDUAL_CELLS", 15)
+    monkeypatch.setattr(exact, "abs_power", no_cost_matrix)
+    with pytest.raises(InvalidGrid, match="4 x 4 residual"):
+        exact_ws(mu, DiscreteMeasure(np.arange(4.0) + 0.5, uniform4), 0.5)
+    # common mass is matched first, so only the residual counts
+    assert exact_ws(mu, mu, 0.5)[0] == 0.0
+    monkeypatch.undo()
+    monkeypatch.setattr(exact, "_MAX_RESIDUAL_CELLS", 12)
+    # shares the atom at 0 with mu: a 3 x 3 residual
+    nu = DiscreteMeasure(np.array([0.0, 0.5, 1.5, 2.5]), uniform4)
+    assert abs(exact_ws(mu, nu, 1.0)[0] - w1_cdf(mu, nu)) < 1e-12

@@ -1,6 +1,7 @@
 """Property tests of the sampled window and the distance/embedding
 identity over densities drawn anywhere in the dyadic domain, including
-supports touching either end and supports narrower than one grid cell.
+supports touching either end and supports narrower than one grid cell,
+and of the exact solver against the LP oracle on a small shared grid.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -9,9 +10,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveot.densities import bump_density, sample_for_dwt, uniform_density
+from helpers import brute_force_lp
+from waveot.densities import (DiscreteMeasure, bump_density, sample_for_dwt,
+                              uniform_density)
 from waveot.distance import DistanceConfig, distance_new
 from waveot.embedding import embed, wlot_distance
+from waveot.exact import exact_ws
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     database=None)
@@ -80,3 +84,50 @@ def test_embedding_reproduces_distance_and_distance_is_symmetric(data):
     d_pq = distance_new(p, q, cfg)
     assert d_pq == distance_new(q, p, cfg)
     assert abs(wlot_distance(embed(p, cfg), embed(q, cfg), s) - d_pq) < 1e-10
+
+
+# a coarse shared grid, so coincident atoms and degenerate pivots occur
+SOLVER_GRID = np.linspace(0.0, 3.0, 15)
+
+
+@st.composite
+def grid_measures(draw):
+    """Small integer weights, many of them 0, on k consecutive atoms of
+    SOLVER_GRID (all 15 of them, or 3 or 8 from some start)."""
+    k = draw(st.sampled_from([len(SOLVER_GRID), 3, 8]))
+    start = draw(st.integers(0, len(SOLVER_GRID) - k))
+    w = np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)),
+                 dtype=float)
+    if w.sum() == 0:
+        w[-1] = 1.0
+    return DiscreteMeasure(SOLVER_GRID[start:start + k], w / w.sum())
+
+
+def plan_marginals(plan, mu, nu):
+    rows, cols = np.zeros(len(mu)), np.zeros(len(nu))
+    for i, j, f in plan.entries:
+        rows[i] += f
+        cols[j] += f
+    return rows, cols
+
+
+@SETTINGS
+@given(grid_measures(), grid_measures(), st.sampled_from([1.0, 0.5, 0.25]))
+def test_exact_ws_matches_lp_oracle(mu, nu, s):
+    assert abs(exact_ws(mu, nu, s)[0] - brute_force_lp(mu, nu, s)) < 1e-8
+
+
+@SETTINGS
+@given(grid_measures(), grid_measures(), st.sampled_from([1.0, 0.5, 0.25]))
+def test_exact_ws_is_symmetric_with_exact_marginals(mu, nu, s):
+    cost, plan = exact_ws(mu, nu, s)
+    assert abs(cost - exact_ws(nu, mu, s)[0]) < 1e-12
+    rows, cols = plan_marginals(plan, mu, nu)
+    assert np.max(np.abs(rows - mu.weights)) < 1e-9
+    assert np.max(np.abs(cols - nu.weights)) < 1e-9
+
+
+@SETTINGS
+@given(grid_measures(), st.sampled_from([1.0, 0.5, 0.25]))
+def test_exact_ws_of_a_measure_with_itself_is_zero(mu, s):
+    assert exact_ws(mu, mu, s)[0] == 0.0

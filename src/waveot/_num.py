@@ -4,19 +4,5 @@ import numpy as np
 
 
 def abs_power(x, s):
-    """|x| ** s, elementwise, for s in (0, 1].
-
-    np.power hits a slow scalar libm path for some exponents on this
-    platform; exp(s * log|x|) uses the SIMD transcendental kernels and is
-    exact enough (1 ulp-ish) for the tolerances used here.  Zeros map to
-    zero, matching 0^s = 0 for s > 0.
-    """
-    if s == 1.0:
-        return np.abs(x)
-    ax = np.abs(np.asarray(x, dtype=float))
-    with np.errstate(divide="ignore"):
-        out = np.exp(s * np.log(ax))
-    if out.ndim == 0:
-        return float(out) if ax != 0.0 else 0.0
-    out[ax == 0.0] = 0.0
-    return out
+    """|x| ** s, elementwise, for s in (0, 1]; zeros map to zero."""
+    return np.abs(x) ** s

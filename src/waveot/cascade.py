@@ -167,14 +167,14 @@ def _centered_moment_inf(grid, weighted, s):
     return min(objective(r), objective(best_r))
 
 
-def estimate_constants(system: WaveletSystem, s: float,
-                       depth: int = DEFAULT_CASCADE_DEPTH) -> HolderConstants:
+def estimate_constants(system: WaveletSystem, s: float) -> HolderConstants:
     """Numerically estimate a11, a12 (centered-moment infima) and a13
-    (reciprocal L1 norm) for the given wavelet system and 0 < s <= 1."""
+    (reciprocal L1 norm) for the given wavelet system and 0 < s <= 1, on
+    the dyadic grid of depth DEFAULT_CASCADE_DEPTH."""
     if not 0.0 < s <= 1.0:
         raise InvalidExponent(f"s must lie in (0, 1], got {s}")
-    phi = cascade_evaluate(system, "scaling", depth)
-    psi = _wavelet_values(system, phi.values, depth)
+    phi = cascade_evaluate(system, "scaling", DEFAULT_CASCADE_DEPTH)
+    psi = _wavelet_values(system, phi.values, DEFAULT_CASCADE_DEPTH)
     grid = phi.grid()
     trapz_w = np.full(len(grid), phi.spacing)  # trapezoid rule weights
     trapz_w[[0, -1]] *= 0.5

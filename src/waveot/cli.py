@@ -19,7 +19,7 @@ from .distance import DistanceConfig, wavelet_distance
 from .embedding import embed, write_wlot
 from .errors import WaveotError
 from .filters import build_wavelet_system, catalog_names
-from .simulate import FAMILIES, SimulationSpec, default_c0, emit_csv, run_simulation
+from .simulate import FAMILIES, SimulationSpec, emit_csv, run_simulation
 
 # translations wander further than dilations, so they default to a wider
 # dyadic domain (larger 2^-j0)
@@ -43,7 +43,8 @@ def _add_cfg_flags(p, with_s_list):
     p.add_argument("--wavelet", default="db10", choices=catalog_names())
     p.add_argument("--formulation", default="new",
                    choices=["new", "original", "alternative"])
-    p.add_argument("--c0", default=None,
+    p.add_argument("--c0", type=lambda v: None if v == "auto" else float(v),
+                   default=None,
                    help="approximation weight; 'auto' gives 3^s for the "
                         "alternative formulation (default: 0 / auto)")
     p.add_argument("--c1", type=float, default=1.0)
@@ -54,47 +55,31 @@ def _add_cfg_flags(p, with_s_list):
 def _resolve_cfg(args, s):
     j0 = args.j0 if args.j0 is not None else _DEFAULT_J0[args.family]
     M = args.levels if args.levels is not None else (_FULL_M if args.full else _DEFAULT_M)
-    # run_simulation re-resolves an auto C0 per s, for "alternative" only
-    auto_c0 = args.c0 in (None, "auto")
-    if not auto_c0:
-        c0 = float(args.c0)
-    else:
-        c0 = default_c0(s) if args.formulation == "alternative" else 0.0
-    cfg = DistanceConfig(s=s, j0=j0, M=M, wavelet=args.wavelet,
-                         formulation=args.formulation, C0=c0, C1=args.c1)
-    return cfg, auto_c0
+    return DistanceConfig(s=s, j0=j0, M=M, wavelet=args.wavelet,
+                          formulation=args.formulation, C0=args.c0, C1=args.c1)
 
 
 def _cmd_simulate(args):
-    cfg, auto_c0 = _resolve_cfg(args, args.s[0])
     spec = SimulationSpec(
-        family=args.family, cfg=cfg, s_values=tuple(args.s),
+        family=args.family, cfg=_resolve_cfg(args, args.s[0]), s_values=tuple(args.s),
         count=args.count, param_range=tuple(args.range) if args.range else None,
-        exact_grid_points=args.exact_points,
-        auto_c0=auto_c0)
+        exact_grid_points=args.exact_points)
     rows = run_simulation(spec)
     emit_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
-def _transformed_density(args, param):
-    _base, transform, _rng = FAMILIES[args.family]
-    return transform(param)
-
-
 def _cmd_distance(args):
-    cfg, _ = _resolve_cfg(args, args.s)
-    base = FAMILIES[args.family][0]()
-    other = _transformed_density(args, args.param)
-    print(f"{wavelet_distance(base, other, cfg):.12g}")
+    cfg = _resolve_cfg(args, args.s)
+    base, transform, _ = FAMILIES[args.family]
+    print(f"{wavelet_distance(base(), transform(args.param), cfg):.12g}")
     return 0
 
 
 def _cmd_embed(args):
-    cfg, _ = _resolve_cfg(args, args.s)
-    density = _transformed_density(args, args.param)
-    vec = embed(density, cfg)
+    cfg = _resolve_cfg(args, args.s)
+    vec = embed(FAMILIES[args.family][1](args.param), cfg)
     write_wlot(vec, args.out)
     print(f"wrote {len(vec)} coefficients to {args.out}")
     return 0
@@ -148,10 +133,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except WaveotError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (WaveotError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

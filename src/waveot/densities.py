@@ -28,7 +28,8 @@ _MASS_REFINE = 1 << 12     # most cells refined after one pass
 _MASS_PASSES = 16          # most passes, the first included
 _MASS_CELL_ERR = 1e-12     # error estimate above which a cell is refined
 _CELL_POINTS = 64          # midpoint-rule points per cell in sample_for_dwt
-_MAX_SAMPLE_POINTS = 1 << 25   # most points it evaluates, 256 MiB a float array
+_SAMPLE_BLOCK = 1 << 12     # most cells sample_for_dwt evaluates in one call
+_MAX_SAMPLE_POINTS = 1 << 25   # most points it evaluates; their cell means take 4 MiB
 
 
 def _mass(f, lo, hi):
@@ -159,11 +160,11 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", w)
         if pos.ndim != 1 or pos.shape != w.shape or pos.size == 0:
             raise InvalidGrid("positions and weights must be matching 1-D arrays")
-        if np.any(np.diff(pos) <= 0):
-            raise InvalidGrid("positions must be strictly increasing")
-        if np.any(w < 0):
-            raise UnbalancedMarginals("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not (np.all(np.isfinite(pos)) and np.all(np.diff(pos) > 0)):
+            raise InvalidGrid("positions must be finite and strictly increasing")
+        if not np.all((w >= 0) & np.isfinite(w)):
+            raise UnbalancedMarginals("weights must be finite and nonnegative")
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise UnbalancedMarginals(f"weights sum to {w.sum():.15g}, expected 1")
 
     def __len__(self):
@@ -253,9 +254,10 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
     The density must already live inside the dyadic domain (translating
     it there is the caller's job).  Only the cells meeting the support are
     evaluated and returned, so memory and work follow the support, not the
-    2^M cells of the domain; every other cell is an exact zero.  A window
-    needing more than _MAX_SAMPLE_POINTS points is refused before any of
-    them is allocated.
+    2^M cells of the domain; every other cell is an exact zero.  The cells
+    are evaluated _SAMPLE_BLOCK at a time, so the memory beyond the result
+    stays a few blocks of points.  A window needing more than
+    _MAX_SAMPLE_POINTS points is refused before any of them is evaluated.
     """
     if M < 1 or int(M) != M:
         raise InvalidGrid(f"M must be a positive integer, got {M}")
@@ -277,8 +279,10 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
     k_hi = min(n - 1, max(k_lo, int(math.ceil(hi / spacing)) - 1))
     ks = np.arange(k_lo, k_hi + 1)
     offs = (np.arange(_CELL_POINTS) + 0.5) / _CELL_POINTS
-    pts = (ks[:, None] + offs[None, :]) * spacing
-    values = d.evaluator(pts.ravel()).reshape(len(ks), -1).mean(axis=1)
+    values = np.empty(len(ks))
+    for start in range(0, len(ks), _SAMPLE_BLOCK):
+        pts = (ks[start: start + _SAMPLE_BLOCK, None] + offs[None, :]) * spacing
+        values[start: start + len(pts)] = d.evaluator(pts.ravel()).reshape(pts.shape).mean(axis=1)
     values *= 2.0 ** (-(j0 + M) / 2.0)
     return SampledDensity(offset=k_lo, spacing=spacing, values=values)
 

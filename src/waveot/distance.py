@@ -3,15 +3,17 @@
 All three formulations run the same pipeline: sample the difference of the
 two densities on the dyadic grid of spacing 2^-(j0+M) over [0, 2^-j0]
 (applying the 2^(-(j0+M)/2) initialization factor), push the vector through
-the zero-extension DWT, and take a weighted l1 norm of coefficients:
+the zero-extension DWT, and take one weighted l1 norm of the coefficients,
 
-* "new":         sum over levels j0 <= j < j0+M of 2^(-j(s+1/2)) |detail|,
-                 decomposing the full M levels.
-* "original":    C0 = 0, C1 = 1 fixed; decomposes j0+M levels so the
-                 approximation sits at level 0, then sums
-                 C1 * 2^(-j(s+1/2)) |detail| over 0 <= j < j0+M.
-* "alternative": same sum as "original" plus C0 * |approximation at level
-                 0|, with C0 > 0.
+    c0 * sum |approximation| + c1 * sum_j 2^(-j(s+1/2)) sum |detail at j|:
+
+* "new":         decomposes the full M levels, so 0 <= j - j0 < M, with
+                 c0 = 0 and c1 = 1.
+* "original":    decomposes j0+M levels so the approximation sits at level
+                 0 and 0 <= j < j0+M; C0 = 0 and C1 = 1 are fixed.
+* "alternative": the same levels as "original" with C0 > 0, by default
+                 3^s (the diameter of the exact solver's domain [0, 3] to
+                 the power s), and any C1.
 
 Each density is sampled only on the grid cells meeting its support; the
 difference, formed on the union of the two windows, is trimmed of leading
@@ -22,6 +24,7 @@ coefficients produced by the zero extension are genuine coefficients of
 the extended signal and are always included in the sums.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,10 @@ __all__ = ["DistanceConfig", "distance_new", "distance_original",
 
 FORMULATIONS = ("new", "original", "alternative")
 
+# diameter of simulate.EXACT_DOMAIN; the alternative formulation's default
+# C0 is its s-th power
+_C0_DIAMETER = 3.0
+
 
 @dataclass(frozen=True)
 class DistanceConfig:
@@ -44,7 +51,10 @@ class DistanceConfig:
     s: exponent in (0, 1]; j0: lowest level (typically negative);
     M: number of levels, giving 2^M samples; wavelet: catalog name;
     formulation: one of "new", "original", "alternative"; C0/C1: weights
-    of the original/alternative formulations (ignored by "new").
+    of the original/alternative formulations (ignored by "new").  C0 =
+    None means the formulation's default, 0 for "original" and 3^s for
+    "alternative", resolved when a distance is computed, so a config
+    replaced with another s gets that s's default.
     """
 
     s: float
@@ -52,7 +62,7 @@ class DistanceConfig:
     M: int
     wavelet: str = "db10"
     formulation: str = "new"
-    C0: float = 0.0
+    C0: float = None
     C1: float = 1.0
 
     def __post_init__(self):
@@ -69,9 +79,9 @@ class DistanceConfig:
         object.__setattr__(self, "j0", int(self.j0))
         if self.j0 < 0 and self.M <= -self.j0:
             raise InvalidConfig("need M > -j0 so the sampling level j0+M is positive")
-        if self.formulation == "original" and (self.C0 != 0.0 or self.C1 != 1.0):
+        if self.formulation == "original" and (self.C0 not in (None, 0.0) or self.C1 != 1.0):
             raise InvalidConfig("original formulation fixes C0 = 0 and C1 = 1")
-        if self.formulation == "alternative" and not self.C0 > 0:
+        if self.formulation == "alternative" and not (self.C0 is None or self.C0 > 0):
             raise InvalidConfig("alternative formulation requires C0 > 0")
         if self.formulation != "new" and self.j0 + self.M < 1:
             raise InvalidConfig(
@@ -97,37 +107,34 @@ def distance_new(p: Density, q: Density, cfg: DistanceConfig) -> float:
     """Weighted detail sum over all M levels, from j0 through j0 + M - 1."""
     if cfg.formulation != "new":
         raise InvalidConfig(f"config formulation is {cfg.formulation!r}, not 'new'")
-    pyr = _decompose_difference(p, q, cfg, cfg.M)
-    if pyr is None:
-        return 0.0
-    total = 0.0
-    for i, d in enumerate(pyr.details):
-        total += _level_weight(pyr.j0 + i, cfg.s) * float(np.sum(np.abs(d)))
-    return total
+    return wavelet_distance(p, q, cfg)
 
 
 def distance_original(p: Density, q: Density, cfg: DistanceConfig) -> float:
     """Level-0 approximation term (weight C0) plus detail sums over the
     nonnegative levels (weight C1); covers both the original and the
     alternative formulation depending on cfg."""
-    if cfg.formulation not in ("original", "alternative"):
+    if cfg.formulation == "new":
         raise InvalidConfig(
-            f"config formulation is {cfg.formulation!r}, expected 'original' "
-            f"or 'alternative'")
-    pyr = _decompose_difference(p, q, cfg, cfg.j0 + cfg.M)
-    if pyr is None:
-        return 0.0
-    total = cfg.C0 * float(np.sum(np.abs(pyr.approx)))
-    for i, d in enumerate(pyr.details):
-        total += cfg.C1 * _level_weight(i, cfg.s) * float(np.sum(np.abs(d)))
-    return total
+            "config formulation is 'new', expected 'original' or 'alternative'")
+    return wavelet_distance(p, q, cfg)
 
 
 def wavelet_distance(p: Density, q: Density, cfg: DistanceConfig) -> float:
-    """Dispatch to the formulation selected by the config."""
+    """The distance under the formulation selected by the config."""
     if cfg.formulation == "new":
-        return distance_new(p, q, cfg)
-    return distance_original(p, q, cfg)
+        levels, c0, c1 = cfg.M, 0.0, 1.0
+    else:
+        levels, c0, c1 = cfg.j0 + cfg.M, cfg.C0, cfg.C1
+        if c0 is None:
+            c0 = 0.0 if cfg.formulation == "original" else math.pow(_C0_DIAMETER, cfg.s)
+    pyr = _decompose_difference(p, q, cfg, levels)
+    if pyr is None:
+        return 0.0
+    total = c0 * float(np.sum(np.abs(pyr.approx)))
+    for i, d in enumerate(pyr.details):
+        total += c1 * _level_weight(pyr.j0 + i, cfg.s) * float(np.sum(np.abs(d)))
+    return total
 
 
 def distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:

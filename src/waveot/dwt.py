@@ -189,10 +189,10 @@ def _synthesize_periodic(a, d, g, h):
     return out
 
 
-def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem,
-                    mode: str = None) -> np.ndarray:
-    """Invert dwt_decompose; exact up to roundoff for both modes."""
-    mode = pyramid.mode if mode is None else mode
+def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.ndarray:
+    """Invert dwt_decompose in the pyramid's own mode; exact up to roundoff
+    for both modes."""
+    mode = pyramid.mode
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     levels = pyramid.levels

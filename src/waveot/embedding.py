@@ -19,7 +19,7 @@ import numpy as np
 from .densities import Density, sample_for_dwt
 from .distance import DistanceConfig, _level_weight
 from .dwt import dwt_decompose
-from .errors import ConfigMismatch, InvalidExponent, MalformedWlot
+from .errors import ConfigMismatch, InvalidConfig, InvalidExponent, MalformedWlot
 from .filters import build_wavelet_system, catalog_names
 
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
@@ -61,7 +61,11 @@ def embed(p: Density, cfg: DistanceConfig) -> WlotVector:
 
     Sampling is the same as in the distance pipeline, so wlot_distance on
     embedded vectors matches distance_new exactly (the transform is linear
-    in the samples)."""
+    in the samples).  Only the "new" formulation embeds this way, so any
+    other config is refused."""
+    if cfg.formulation != "new":
+        raise InvalidConfig(
+            f"only the 'new' formulation embeds, got {cfg.formulation!r}")
     sp = sample_for_dwt(p, cfg.j0, cfg.M).trimmed()
     entries = {}
     if sp is not None:

@@ -48,7 +48,7 @@ def _check_balanced(mu: DiscreteMeasure, nu: DiscreteMeasure):
     for m in (mu, nu):
         if len(m) == 0:
             raise UnbalancedMarginals("measures must be nonempty")
-        if abs(m.weights.sum() - 1.0) > _BALANCE_TOL:
+        if not abs(m.weights.sum() - 1.0) <= _BALANCE_TOL:
             raise UnbalancedMarginals(
                 f"weights sum to {m.weights.sum():.12g}, expected 1")
 

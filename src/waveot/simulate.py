@@ -9,7 +9,6 @@ shared uniform grid over [0, 3] are recorded, and a least-squares
 normalization constant is fitted per s group.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,19 +19,13 @@ from .errors import DegenerateFit, InvalidConfig, add_context
 from .exact import exact_ws
 
 __all__ = ["SimulationSpec", "SimulationRow", "run_simulation",
-           "fit_normalization", "emit_csv", "default_c0", "FAMILIES",
+           "fit_normalization", "emit_csv", "FAMILIES",
            "EXACT_DOMAIN", "CSV_HEADER"]
 
 EXACT_DOMAIN = (0.0, 3.0)
 
 CSV_HEADER = ("family,formulation,wavelet,s,j0,M,param,"
               "wavelet_value,exact_value,norm_constant,normalized_value")
-
-
-def default_c0(s: float) -> float:
-    """C0 of the alternative formulation when none is given: the diameter
-    of the shared exact domain raised to the power s."""
-    return math.pow(EXACT_DOMAIN[1] - EXACT_DOMAIN[0], s)
 
 
 def _uniform_translate(a):
@@ -64,7 +57,7 @@ class SimulationSpec:
     """One benchmark sweep.
 
     cfg acts as a template whose s is replaced by each entry of s_values;
-    with auto_c0 set (alternative formulation), C0 becomes default_c0(s).
+    an unset C0 then takes the formulation's default for each s.
     """
 
     family: str
@@ -73,7 +66,6 @@ class SimulationSpec:
     count: int = 20
     param_range: tuple = None
     exact_grid_points: int = 1000
-    auto_c0: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -147,8 +139,6 @@ def run_simulation(spec: SimulationSpec):
     rows = []
     for s in spec.s_values:
         cfg = replace(spec.cfg, s=s)
-        if spec.auto_c0 and cfg.formulation == "alternative":
-            cfg = replace(cfg, C0=default_c0(s))
         cells = []
         for t, d in zip(params, transformed):
             try:

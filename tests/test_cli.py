@@ -52,6 +52,18 @@ def test_distance_command_auto_c0(capsys):
     assert abs(printed - ref) < 1e-9 * max(1.0, ref)
 
 
+def test_explicit_auto_c0_is_the_default(capsys):
+    args = ["distance", "--family", "bump_dilate", "--param", "1.2", "--s", "0.25",
+            "--j0", "-6", "--levels", "12", "--formulation", "alternative"]
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    assert main(args + ["--c0", "auto"]) == 0
+    assert capsys.readouterr().out == default
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--c0", "heavy"])
+    assert exc.value.code == 2
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     args = ["simulate", "--family", "uniform_translate", "--s", "1.0",
             "--j0", "-6", "--levels", "12", "--count", "5",
@@ -74,6 +86,18 @@ def test_embed_command(tmp_path, capsys):
     assert code == 0
     vec = read_wlot(out)
     assert vec.j0 == -6 and vec.M == 12 and len(vec) > 0
+
+
+@pytest.mark.parametrize("formulation", ["original", "alternative"])
+def test_embed_refuses_other_formulations(tmp_path, capsys, formulation):
+    out = tmp_path / "vec.wlot"
+    code = main(["embed", "--family", "bump_translate", "--param", "0.5",
+                 "--s", "0.5", "--j0", "-6", "--levels", "12",
+                 "--formulation", formulation, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_unknown_family_exits_nonzero():

@@ -244,6 +244,30 @@ def test_sample_for_dwt_refuses_windows_past_budget(monkeypatch):
         sample_for_dwt(p, 0, 5)
 
 
+def test_sample_for_dwt_evaluates_in_blocks():
+    # 2^16 cells of 64 points: all points at once would take 32 MiB for
+    # the positions alone and over 2 KB a cell at the peak
+    p = bump_density(0.5, 0.5)
+    tracemalloc.start()
+    try:
+        sd = sample_for_dwt(p, 0, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sd.values) == 1 << 16
+    assert peak <= 512 * len(sd.values)
+
+
+def test_sample_blocks_do_not_change_values(monkeypatch):
+    d = dilate(bump_density(1.5, 0.5), 1.3, 1.5)
+    ref = sample_for_dwt(d, -3, 12)
+    monkeypatch.setattr(densities, "_SAMPLE_BLOCK", 7)
+    blocked = sample_for_dwt(d, -3, 12)
+    assert len(ref.values) > 50 * 7
+    assert blocked.offset == ref.offset
+    assert np.array_equal(blocked.values, ref.values)
+
+
 def test_sample_rules_agree_for_smooth_density():
     # cell average = point value + h^2 p''/24 + ...; the bump's second
     # derivative peaks around 1e2, so 2^-11 spacing gives ~1e-5 agreement
@@ -307,3 +331,9 @@ def test_discrete_measure_validation():
         DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.6]))
     with pytest.raises(UnbalancedMarginals):
         DiscreteMeasure(np.array([0.0, 1.0]), np.array([-0.5, 1.5]))
+    for pos in ([0.0, np.nan], [np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(InvalidGrid, match="finite"):
+            DiscreteMeasure(np.array(pos), np.array([0.5, 0.5]))
+    for w in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]):
+        with pytest.raises(UnbalancedMarginals, match="finite"):
+            DiscreteMeasure(np.array([0.0, 1.0]), np.array(w))

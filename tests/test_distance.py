@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from waveot.distance import (DistanceConfig, _decompose_difference,
                              wavelet_distance)
 from waveot.errors import InvalidConfig, InvalidExponent, UnknownWavelet
 from waveot.exact import exact_ws
+from waveot.simulate import EXACT_DOMAIN
 
 CFG = DistanceConfig(s=0.5, j0=-6, M=13, wavelet="db10", formulation="new")
 
@@ -27,6 +30,22 @@ def test_config_validation():
         DistanceConfig(s=0.5, j0=-3, M=8, formulation="alternative", C0=0.0)
     with pytest.raises(InvalidConfig):
         DistanceConfig(s=0.5, j0=-3, M=8, formulation="spectral")
+
+
+def test_default_c0_is_resolved_per_s():
+    # an unset C0 means 0 for "original" and diam(EXACT_DOMAIN)^s for
+    # "alternative", resolved at use, so replacing s re-resolves it
+    p = bump_density(1.5, 0.5)
+    q = dilate(p, 1.3, 1.5)
+    diam = EXACT_DOMAIN[1] - EXACT_DOMAIN[0]
+    assert distance._C0_DIAMETER == diam
+    alt = DistanceConfig(s=1.0, j0=-4, M=12, wavelet="db4", formulation="alternative")
+    orig = replace(alt, formulation="original")
+    for s in (1.0, 0.5, 0.25):
+        alt, orig = replace(alt, s=s), replace(orig, s=s)
+        assert alt.C0 is None
+        assert wavelet_distance(p, q, alt) == wavelet_distance(p, q, replace(alt, C0=diam ** s))
+        assert wavelet_distance(p, q, orig) == wavelet_distance(p, q, replace(orig, C0=0.0))
 
 
 def test_identical_inputs_give_zero():

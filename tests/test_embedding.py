@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from waveot.distance import DistanceConfig, distance_new
 from waveot.dwt import decompose_call_count
 from waveot.embedding import (embed, from_text, prune, read_wlot, to_text,
                               wlot_distance, wlot_distance_matrix, write_wlot)
-from waveot.errors import ConfigMismatch, MalformedWlot
+from waveot.errors import ConfigMismatch, InvalidConfig, MalformedWlot
 from waveot.filters import build_wavelet_system
 
 CFG = DistanceConfig(s=0.5, j0=-6, M=13, wavelet="db10", formulation="new")
@@ -59,6 +61,18 @@ def test_metric_axioms_on_vectors():
     dvu = wlot_distance(v, u, 0.5)
     assert duv >= 0.0 and abs(duv - dvu) < 1e-12 * max(1.0, duv)
     assert wlot_distance(u, w, 0.5) <= duv + wlot_distance(v, w, 0.5) + 1e-12
+
+
+def test_embed_refuses_other_formulations():
+    # embeddings reproduce "new" only; another config must not silently
+    # give "new" distances
+    ps = [uniform_density(0.0, 1.0), bump_density(0.7, 0.3)]
+    for formulation in ("original", "alternative"):
+        cfg = replace(CFG, formulation=formulation)
+        with pytest.raises(InvalidConfig, match="'new'"):
+            embed(ps[0], cfg)
+        with pytest.raises(InvalidConfig):
+            wlot_distance_matrix(ps, cfg)
 
 
 def test_config_mismatch():

@@ -172,13 +172,15 @@ def test_invalid_exponent():
 
 def test_unbalanced_rejected():
     good = delta(0.0)
-    bad = DiscreteMeasure.__new__(DiscreteMeasure)
-    object.__setattr__(bad, "positions", np.array([1.0]))
-    object.__setattr__(bad, "weights", np.array([0.9]))
-    with pytest.raises(UnbalancedMarginals):
-        exact_ws(good, bad, 0.5)
-    with pytest.raises(UnbalancedMarginals):
-        w1_cdf(good, bad)
+    # a NaN sum compares false both ways, so the check must not pass it
+    for weights in ([0.9], [np.nan]):
+        bad = DiscreteMeasure.__new__(DiscreteMeasure)
+        object.__setattr__(bad, "positions", np.array([1.0]))
+        object.__setattr__(bad, "weights", np.array(weights))
+        with pytest.raises(UnbalancedMarginals):
+            exact_ws(good, bad, 0.5)
+        with pytest.raises(UnbalancedMarginals):
+            w1_cdf(good, bad)
 
 
 def test_residual_budget_checked_before_the_cost_matrix(monkeypatch):

@@ -92,9 +92,9 @@ def test_normalized_value_consistency():
 
 def test_auto_c0_uses_domain_diameter_power():
     cfg = DistanceConfig(s=1.0, j0=-4, M=12, wavelet="db4",
-                         formulation="alternative", C0=1.0)
+                         formulation="alternative")
     spec = SimulationSpec(family="uniform_dilate", cfg=cfg, s_values=(0.5,),
-                          count=4, exact_grid_points=120, auto_c0=True)
+                          count=4, exact_grid_points=120)
     rows = run_simulation(spec)
     assert all(np.isfinite(r.wavelet_value) for r in rows)
     nonidentity = [r for r in rows if abs(r.param - 1.0) > 1e-9]

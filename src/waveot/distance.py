@@ -11,9 +11,9 @@ the zero-extension DWT, and take one weighted l1 norm of the coefficients,
                  c0 = 0 and c1 = 1.
 * "original":    decomposes j0+M levels so the approximation sits at level
                  0 and 0 <= j < j0+M; C0 = 0 and C1 = 1 are fixed.
-* "alternative": the same levels as "original" with C0 > 0, by default
-                 3^s (the diameter of the exact solver's domain [0, 3] to
-                 the power s), and any C1.
+* "alternative": the same levels as "original" with finite C0 > 0, by
+                 default 3^s (the diameter of the exact solver's domain
+                 [0, 3] to the power s), and any finite C1 > 0.
 
 Each density is sampled only on the grid cells meeting its support; the
 difference, formed on the union of the two windows, is trimmed of leading
@@ -42,14 +42,18 @@ FORMULATIONS = ("new", "original", "alternative")
 # diameter of simulate.EXACT_DOMAIN; the alternative formulation's default
 # C0 is its s-th power
 _C0_DIAMETER = 3.0
+# the domain length 2^-j0 and the grid spacing 2^-(j0+M) must be finite,
+# nonzero doubles (the largest power of two and the smallest subnormal)
+_MIN_J0, _MAX_SAMPLING_LEVEL = -1023, 1074
 
 
 @dataclass(frozen=True)
 class DistanceConfig:
     """Parameters of a wavelet distance computation.
 
-    s: exponent in (0, 1]; j0: lowest level (typically negative);
-    M: number of levels, giving 2^M samples; wavelet: catalog name;
+    s: exponent in (0, 1]; j0: lowest level (typically negative, at
+    least -1023); M: number of levels, giving 2^M samples, with j0 + M at
+    most 1074; wavelet: catalog name;
     formulation: one of "new", "original", "alternative"; C0/C1: weights
     of the original/alternative formulations (ignored by "new").  C0 =
     None means the formulation's default, 0 for "original" and 3^s for
@@ -79,10 +83,17 @@ class DistanceConfig:
         object.__setattr__(self, "j0", int(self.j0))
         if self.j0 < 0 and self.M <= -self.j0:
             raise InvalidConfig("need M > -j0 so the sampling level j0+M is positive")
+        if not (self.j0 >= _MIN_J0 and self.j0 + self.M <= _MAX_SAMPLING_LEVEL):
+            raise InvalidConfig(
+                f"need j0 >= {_MIN_J0} and j0 + M <= {_MAX_SAMPLING_LEVEL} so the "
+                f"domain and the grid spacing are doubles, got j0 = {self.j0}, M = {self.M}")
         if self.formulation == "original" and (self.C0 not in (None, 0.0) or self.C1 != 1.0):
             raise InvalidConfig("original formulation fixes C0 = 0 and C1 = 1")
-        if self.formulation == "alternative" and not (self.C0 is None or self.C0 > 0):
-            raise InvalidConfig("alternative formulation requires C0 > 0")
+        if self.formulation == "alternative" and not (
+                (self.C0 is None or 0.0 < self.C0 < math.inf) and 0.0 < self.C1 < math.inf):
+            raise InvalidConfig(
+                f"alternative formulation requires finite C0 > 0 and C1 > 0, "
+                f"got C0 = {self.C0}, C1 = {self.C1}")
         if self.formulation != "new" and self.j0 + self.M < 1:
             raise InvalidConfig(
                 "original/alternative formulations need j0 + M >= 1 to reach level 0")
@@ -90,6 +101,14 @@ class DistanceConfig:
 
 def _level_weight(j: int, s: float) -> float:
     return 2.0 ** (-j * (s + 0.5))
+
+
+def _weighted_l1(j0, details, s, c1=1.0, total=0.0):
+    """total + sum_i c1 2^(-j(s+1/2)) sum |details[i]| with j = j0 + i,
+    added level by level from the coarsest."""
+    for j, d in enumerate(details, start=j0):
+        total += c1 * _level_weight(j, s) * float(np.sum(np.abs(d)))
+    return total
 
 
 def _decompose_difference(p: Density, q: Density, cfg: DistanceConfig, num_levels):
@@ -131,10 +150,8 @@ def wavelet_distance(p: Density, q: Density, cfg: DistanceConfig) -> float:
     pyr = _decompose_difference(p, q, cfg, levels)
     if pyr is None:
         return 0.0
-    total = c0 * float(np.sum(np.abs(pyr.approx)))
-    for i, d in enumerate(pyr.details):
-        total += c1 * _level_weight(pyr.j0 + i, cfg.s) * float(np.sum(np.abs(d)))
-    return total
+    return _weighted_l1(pyr.j0, pyr.details, cfg.s, c1,
+                        total=c0 * float(np.sum(np.abs(pyr.approx))))
 
 
 def distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:

@@ -3,10 +3,13 @@
 perfbench/tracer.py times layers by replacing package attributes at their
 import sites, and perfbench/workloads.py imports its entry points by name;
 a name dropped from the package would otherwise only fail a traced
-benchmark run.  The benchmark files are read, never changed.
+benchmark run.  Likewise the benchmark reads an embedding's entries,
+len() and (wavelet, j0, M).  The benchmark files are read, never changed.
 """
 
 from pathlib import Path
+
+from waveot.embedding import from_text, to_text
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -20,3 +23,30 @@ def test_traced_import_sites_exist(monkeypatch):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
     for attr, _span in workloads.BENCH_SITES:
         assert callable(getattr(workloads, attr, None)), attr
+
+
+def test_embedding_reads_of_the_benchmark(monkeypatch, tmp_path):
+    # workloads.EmbedMatrix compares a read-back vector with the embedded
+    # one by (wavelet, j0, M) and entries; tracer records len() as nnz
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import workloads
+
+    bench = workloads.EmbedMatrix
+    vec = workloads.embed(bench.construct(bench.measures(0)[1]), bench.CFG)
+    nonzero = {(j, offset + t): float(values[t])
+               for j, (offset, values) in enumerate(vec.levels, start=vec.j0)
+               for t in range(len(values)) if values[t] != 0.0}
+    assert vec.entries == nonzero
+    assert vec.entries is vec.entries  # built once, not on every access
+    assert len(vec) == len(nonzero) > 0
+    assert tracer.ATTRS["embedding.embed"]((), {}, vec) == {"nnz": len(nonzero)}
+    assert (vec.wavelet, vec.j0, vec.M) == (bench.CFG.wavelet, bench.CFG.j0, bench.CFG.M)
+    workloads.write_wlot(vec, tmp_path / "m.wlot")
+    back = workloads.read_wlot(tmp_path / "m.wlot")
+    assert (back.wavelet, back.j0, back.M) == (vec.wavelet, vec.j0, vec.M)
+    assert not back.entries != vec.entries
+    header, first, rest = to_text(vec).split("\n", 2)
+    j, k, value = first.split()
+    other = from_text(f"{header}\n{j} {k} {float(value) / 2!r}\n{rest}")
+    assert other.entries != vec.entries

@@ -157,6 +157,26 @@ def test_sampling_budget_reports_and_fails(capsys, monkeypatch):
     assert "budget of 1000 points" in err
 
 
+@pytest.mark.parametrize("weight", [["--c1", "-1"], ["--c1", "nan"], ["--c0", "inf"]])
+def test_bad_alternative_weights_report_and_fail(capsys, weight):
+    code = main(["distance", "--family", "uniform_translate", "--param", "0.5",
+                 "--s", "0.5", "--j0", "-4", "--levels", "10",
+                 "--formulation", "alternative"] + weight)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_grid_past_double_range_reports_and_fails(capsys):
+    # the domain 2^1100 overflows a double; this used to be an OverflowError
+    code = main(["distance", "--family", "bump_dilate", "--param", "1.2",
+                 "--j0", "-1100", "--levels", "1110"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("bad", [["--count", "1"], ["--range", "2", "1"]])
 def test_bad_sweep_spec_reports_and_fails(tmp_path, capsys, bad):
     code = main(["simulate", "--family", "bump_dilate", "--out",

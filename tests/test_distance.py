@@ -30,6 +30,23 @@ def test_config_validation():
         DistanceConfig(s=0.5, j0=-3, M=8, formulation="alternative", C0=0.0)
     with pytest.raises(InvalidConfig):
         DistanceConfig(s=0.5, j0=-3, M=8, formulation="spectral")
+    # the domain 2^1024 and the spacing 2^-1075 are not doubles
+    with pytest.raises(InvalidConfig, match="doubles"):
+        DistanceConfig(s=0.5, j0=-1024, M=1030)
+    with pytest.raises(InvalidConfig, match="doubles"):
+        DistanceConfig(s=0.5, j0=-11, M=1086)
+    DistanceConfig(s=0.5, j0=-1023, M=2097)
+
+
+@pytest.mark.parametrize("weights", [
+    {"C1": -1.0}, {"C1": 0.0}, {"C1": float("nan")}, {"C1": float("inf")},
+    {"C0": float("inf")}, {"C0": float("nan")},
+], ids=["C1_negative", "C1_zero", "C1_nan", "C1_inf", "C0_inf", "C0_nan"])
+def test_alternative_rejects_bad_weights(weights):
+    # C1 = -1 used to give -0.3547 between a uniform and its 0.5-translate,
+    # C1 = nan a NaN and C0 = inf an infinite distance
+    with pytest.raises(InvalidConfig, match="finite C0 > 0 and C1 > 0"):
+        DistanceConfig(s=0.5, j0=-4, M=10, formulation="alternative", **weights)
 
 
 def test_default_c0_is_resolved_per_s():

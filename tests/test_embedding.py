@@ -3,13 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import waveot.embedding
 from helpers import wavelet_part_densities
 from waveot.densities import Density, bump_density, translate, uniform_density
 from waveot.distance import DistanceConfig, distance_new
 from waveot.dwt import decompose_call_count
-from waveot.embedding import (embed, from_text, prune, read_wlot, to_text,
+from waveot.embedding import (WlotVector, embed, from_text, prune, read_wlot, to_text,
                               wlot_distance, wlot_distance_matrix, write_wlot)
-from waveot.errors import ConfigMismatch, InvalidConfig, MalformedWlot
+from waveot.errors import (ConfigMismatch, InvalidConfig, InvalidGrid, MalformedWlot,
+                           ShapeMismatch)
 from waveot.filters import build_wavelet_system
 
 CFG = DistanceConfig(s=0.5, j0=-6, M=13, wavelet="db10", formulation="new")
@@ -170,12 +172,73 @@ def test_from_text_accepts_good_text():
     ("wlot db10 -6 13\n-6 0 inf\n", 2),
     ("wlot db10 -6 13\n-7 0 0.25\n", 2),
     ("wlot db10 -6 13\n-6 0 0.25\n7 0 0.25\n", 3),
+    ("wlot db10 -6 13\n-6 0 0.25\n-6 1000000000000000 1.0\n", 3),
+    ("wlot db10 -6 100000000\n", 1),
+    ("wlot db10 -1100 1110\n", 1),
+    ("wlot db10 -6 0\n", 1),
 ], ids=["unknown_wavelet", "non_integer_j0", "non_integer_M", "blank_line",
         "missing_field", "non_integer_k", "non_numeric_value", "duplicate_key",
-        "nan_value", "inf_value", "level_below_j0", "level_at_j0_plus_M"])
+        "nan_value", "inf_value", "level_below_j0", "level_at_j0_plus_M",
+        "translation_past_window", "grid_too_fine",
+        "domain_too_wide", "no_levels"])
 def test_from_text_rejects_malformed(text, line):
     with pytest.raises(MalformedWlot, match=rf"^line {line}: "):
         from_text(text)
+
+
+def test_translation_windows_are_the_full_domain_transform():
+    # db10 wavelets at level j span 19 translations of 2^-j, so over the
+    # domain [0, 64] level 6 holds translations -9 ... 4095, level -6
+    # only -18 ... 0
+    for line in ("6 -9 1.0", "6 4095 1.0", "-6 -18 1.0", "-6 0 1.0"):
+        assert len(from_text(f"wlot db10 -6 13\n{line}\n")) == 1
+    for line in ("6 -10 1.0", "6 4096 1.0", "-6 -19 1.0", "-6 1 1.0"):
+        with pytest.raises(MalformedWlot, match="^line 2: translation"):
+            from_text(f"wlot db10 -6 13\n{line}\n")
+
+
+def test_from_text_refuses_spans_past_budget(monkeypatch):
+    monkeypatch.setattr(waveot.embedding, "_MAX_CELLS", 100)
+    assert len(from_text("wlot db10 -6 13\n6 0 1.0\n6 99 1.0\n")) == 2
+    with pytest.raises(MalformedWlot, match=r"^line 4: .* 100 translations"):
+        from_text("wlot db10 -6 13\n6 0 1.0\n6 99 1.0\n5 0 1.0\n")
+
+
+def test_from_text_drops_zero_values():
+    vec = from_text("wlot db10 -6 13\n-6 0 0.0\n0 1 0.5\n0 3 -0.0\n")
+    assert vec.entries == {(0, 1): 0.5}
+    assert len(vec) == 1 and vec.level_counts() == {0: 1}
+    assert vec.levels[0][0] == 0 and len(vec.levels[0][1]) == 0
+    assert vec.levels[6][0] == 1 and list(vec.levels[6][1]) == [0.5]
+    assert to_text(vec) == "wlot db10 -6 13\n0 1 0.5\n"
+    with pytest.raises(MalformedWlot, match="^line 3: duplicate"):
+        from_text("wlot db10 -6 13\n-6 0 0.0\n-6 0 0.0\n")
+
+
+def test_matrix_budget_counts_covered_translations(monkeypatch):
+    # the translates at 0 and 0.5 overlap, the one at 40 lies far away:
+    # each covered translation is one column, the gap takes none
+    ps = [translate(uniform_density(0.0, 1.0), a) for a in (0.0, 0.5, 40.0)]
+    vecs = [embed(p, CFG) for p in ps]
+    cells = len(ps) * sum(
+        len(set().union(*(range(o, o + len(a)) for o, a in level)))
+        for level in zip(*(v.levels for v in vecs)))
+    monkeypatch.setattr(waveot.embedding, "_MAX_CELLS", cells - 1)
+    with pytest.raises(InvalidGrid, match=rf"budget of {cells - 1} cells"):
+        wlot_distance_matrix(ps, CFG)
+    monkeypatch.setattr(waveot.embedding, "_MAX_CELLS", cells)
+    mat = wlot_distance_matrix(ps, CFG)
+    assert mat[0, 2] == pytest.approx(wlot_distance(vecs[0], vecs[2], CFG.s), rel=1e-12)
+
+
+def test_level_arrays_are_trimmed_and_read_only():
+    vec = embed(bump_density(0.7, 0.3), CFG)
+    assert len(vec.levels) == CFG.M
+    for _, values in vec.levels:
+        assert values[0] != 0.0 and values[-1] != 0.0
+        assert not values.flags.writeable
+    with pytest.raises(ShapeMismatch):
+        WlotVector(wavelet="db10", j0=CFG.j0, M=CFG.M, levels=vec.levels[1:])
 
 
 def test_prune():

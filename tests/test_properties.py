@@ -1,7 +1,8 @@
 """Property tests of the sampled window and the distance/embedding
 identity over densities drawn anywhere in the dyadic domain, including
 supports touching either end and supports narrower than one grid cell,
-and of the exact solver against the LP oracle on a small shared grid.
+of the embedding's matrix and text round trip, and of the exact solver
+against the LP oracle on a small shared grid.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_lp
 from waveot.densities import (DiscreteMeasure, bump_density, sample_for_dwt,
-                              uniform_density)
+                              translate, uniform_density)
 from waveot.distance import DistanceConfig, distance_new
-from waveot.embedding import embed, wlot_distance
+from waveot.embedding import (embed, from_text, to_text, wlot_distance,
+                              wlot_distance_matrix)
 from waveot.exact import exact_ws
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
@@ -84,6 +86,64 @@ def test_embedding_reproduces_distance_and_distance_is_symmetric(data):
     d_pq = distance_new(p, q, cfg)
     assert d_pq == distance_new(q, p, cfg)
     assert abs(wlot_distance(embed(p, cfg), embed(q, cfg), s) - d_pq) < 1e-10
+
+
+@SETTINGS
+@given(st.data())
+def test_matrix_is_the_pairwise_distances(data):
+    j0, M = data.draw(grids())
+    ps = data.draw(st.lists(densities(j0, M), min_size=2, max_size=4))
+    ps.append(ps[0])  # a repeated measure: its distance must be exactly 0
+    cfg = DistanceConfig(s=data.draw(st.sampled_from([1.0, 0.5, 0.25])), j0=j0, M=M,
+                         wavelet=data.draw(st.sampled_from(["haar", "db2", "db10"])))
+    mat = wlot_distance_matrix(ps, cfg)
+    assert np.array_equal(mat, mat.T) and not np.any(np.diag(mat))
+    vecs = [embed(p, cfg) for p in ps]
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            pair = wlot_distance(vecs[i], vecs[j], cfg.s)
+            assert abs(mat[i, j] - pair) <= 1e-12 * pair
+    assert mat[0, -1] == 0.0
+
+
+@SETTINGS
+@given(st.data())
+def test_text_round_trip_keeps_the_level_arrays(data):
+    j0, M = data.draw(grids())
+    wavelet = data.draw(st.sampled_from(["haar", "db2", "db10"]))
+    vec = embed(data.draw(densities(j0, M)), DistanceConfig(s=0.5, j0=j0, M=M,
+                                                            wavelet=wavelet))
+    back = from_text(to_text(vec))
+    assert back.fingerprint == vec.fingerprint
+    assert len(back.levels) == M
+    for (o, a), (ob, b) in zip(vec.levels, back.levels):
+        assert o == ob and np.array_equal(a, b)
+
+
+# to_text of this embedding as written before the levels were arrays
+PINNED_WLOT = """\
+wlot db2 -1 4
+-1 -2 0.033170865588517798
+-1 -1 0.87970372832031463
+-1 0 -0.13452977512458675
+0 -2 0.038248259212467661
+0 -1 0.074914875266790318
+0 0 -0.27855094348481918
+1 -1 -0.29555985107137034
+1 0 0.13751612344734704
+1 1 -0.24181328463265173
+2 0 0.0069289606629592982
+2 1 0.02655318219418365
+2 2 5.5511151231257827e-17
+2 3 -0.17857142857142858
+"""
+
+
+def test_pinned_wlot_text():
+    cfg = DistanceConfig(s=0.5, j0=-1, M=4, wavelet="db2")
+    vec = embed(translate(uniform_density(0.0, 0.7), 0.3), cfg)
+    assert to_text(vec) == PINNED_WLOT
+    assert to_text(from_text(PINNED_WLOT)) == PINNED_WLOT
 
 
 # a coarse shared grid, so coincident atoms and degenerate pivots occur

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .cascade import estimate_constants
-from .distance import DistanceConfig, wavelet_distance
+from .distance import FORMULATIONS, DistanceConfig, wavelet_distance
 from .embedding import embed, write_wlot
 from .errors import WaveotError
 from .filters import build_wavelet_system, catalog_names
@@ -41,8 +41,7 @@ def _add_cfg_flags(p, with_s_list):
     p.add_argument("--levels", type=int, default=None, metavar="M",
                    help=f"number of DWT levels (default {_DEFAULT_M}; {_FULL_M} with --full)")
     p.add_argument("--wavelet", default="db10", choices=catalog_names())
-    p.add_argument("--formulation", default="new",
-                   choices=["new", "original", "alternative"])
+    p.add_argument("--formulation", default="new", choices=FORMULATIONS)
     p.add_argument("--c0", type=lambda v: None if v == "auto" else float(v),
                    default=None,
                    help="approximation weight; 'auto' gives 3^s for the "

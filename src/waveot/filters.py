@@ -97,6 +97,5 @@ def build_wavelet_system(name: str) -> WaveletSystem:
     if p not in DB_SCALING_FILTERS:
         raise UnknownWavelet(name)
     g = np.array(DB_SCALING_FILTERS[p], dtype=float)
-    L = len(g)
-    h = ((-1.0) ** np.arange(L)) * g[::-1]
+    h = ((-1.0) ** np.arange(len(g))) * g[::-1]
     return WaveletSystem(name=key, g=g, h=h)

@@ -149,8 +149,7 @@ def run_simulation(spec: SimulationSpec):
                 add_context(e, f"family {spec.family}, s={s}, param={t}")
                 raise
             cells.append((float(t), wval, eval_))
-        c = _fit_constant([c[0] for c in cells], [c[1] for c in cells],
-                          [c[2] for c in cells])
+        c = _fit_constant(*zip(*cells))
         for t, wval, eval_ in cells:
             rows.append(SimulationRow(
                 family=spec.family, formulation=cfg.formulation,

@@ -196,6 +196,18 @@ def test_zero_exact_points_reports_and_fails(tmp_path, capsys):
     assert "grid points" in err
 
 
+def test_exact_points_past_budget_reports_and_fails(tmp_path, capsys):
+    # 10^13 points are 80 TB; this used to end in a numpy MemoryError traceback
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--family", "bump_dilate", "--s", "1", "--count", "2",
+                 "--exact-points", "10000000000000", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "grid points" in captured.err
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test dependency only; importing it costs most of a CLI start
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from helpers import trapezoid
 from waveot import densities
-from waveot.densities import (_BUMP_BASE_MASS, Density, DiscreteMeasure, _mass,
-                              bump_density, dilate, discretize,
+from waveot.densities import (_BUMP_BASE_MASS, Density, DiscreteMeasure, SampledDensity,
+                              _mass, bump_density, dilate, discretize,
                               sample_for_dwt, translate, uniform_density)
 from waveot.errors import (DomainOverflow, InvalidGrid, InvalidInterval,
                            UnbalancedMarginals)
@@ -193,6 +193,8 @@ def test_bump_base_mass_matches_quadrature():
     ref, _ = quad(lambda t: math.exp(-1.0 / (1.0 - t * t)), -1.0, 1.0,
                   epsabs=0.0, epsrel=1e-13, limit=200)
     assert abs(_BUMP_BASE_MASS - ref) <= 1e-14 * ref
+    # every bump's normalization: a change of the mass rule must not move it
+    assert _BUMP_BASE_MASS.hex() == "0x1.c6a650a045c5ap-2"
 
 
 def _point_values(d, sd, j0, M):
@@ -258,12 +260,31 @@ def test_sample_for_dwt_evaluates_in_blocks():
     assert peak <= 512 * len(sd.values)
 
 
+def test_sample_memory_does_not_grow_with_the_window():
+    # beyond its result, sampling holds one block of points whatever the
+    # window's size; it used to hold 17 MB of 2^12-cell blocks and the
+    # window's cell indices
+    p = bump_density(0.5, 0.5)
+    excess = []
+    for M in (14, 17):
+        tracemalloc.start()
+        try:
+            sd = sample_for_dwt(p, 0, M)
+            excess.append(tracemalloc.get_traced_memory()[1] - sd.values.nbytes)
+        finally:
+            tracemalloc.stop()
+        assert len(sd.values) == 1 << M
+    assert max(excess) < 2 << 20
+    assert excess[1] <= excess[0] + (64 << 10)
+
+
 def test_sample_blocks_do_not_change_values(monkeypatch):
     d = dilate(bump_density(1.5, 0.5), 1.3, 1.5)
     ref = sample_for_dwt(d, -3, 12)
-    monkeypatch.setattr(densities, "_SAMPLE_BLOCK", 7)
+    # the reference takes three blocks of 256 cells, the patched run 96 of 7
+    assert len(ref.values) > 2 * densities._BLOCK_POINTS // densities._CELL_POINTS
+    monkeypatch.setattr(densities, "_BLOCK_POINTS", 7 * densities._CELL_POINTS)
     blocked = sample_for_dwt(d, -3, 12)
-    assert len(ref.values) > 50 * 7
     assert blocked.offset == ref.offset
     assert np.array_equal(blocked.values, ref.values)
 
@@ -322,6 +343,23 @@ def test_discretize_errors():
         discretize(p, 1)
     with pytest.raises(InvalidGrid):
         discretize(p, 100, domain=(2.0, 3.0))
+
+
+def test_discretize_refuses_grids_past_budget(monkeypatch):
+    p = uniform_density(0.0, 1.0)
+    monkeypatch.setattr(densities, "_MAX_SAMPLE_POINTS", 100)
+    assert len(discretize(p, 100)) == 100
+    with pytest.raises(InvalidGrid, match="2 to 100 grid points"):
+        discretize(p, 101)
+
+
+def test_difference_refuses_other_spacings():
+    # this used to return [0, 0, -3, -4] labelled with spacing 0.5
+    a = SampledDensity(0, 0.5, np.array([1.0, 2.0]))
+    b = SampledDensity(0, 0.25, np.array([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(InvalidGrid, match="spacings differ"):
+        a - b
+    assert np.array_equal((a - SampledDensity(1, 0.5, np.array([3.0]))).values, [1.0, -1.0])
 
 
 def test_discrete_measure_validation():

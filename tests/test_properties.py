@@ -4,16 +4,19 @@ supports touching either end and supports narrower than one grid cell,
 of the embedding's matrix and text round trip, and of the exact solver
 against the LP oracle on a small shared grid.
 
+The window does not depend on how many cells one evaluator call gets.
 Examples are derandomized, so every run checks the same cases.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_lp
-from waveot.densities import (DiscreteMeasure, bump_density, sample_for_dwt,
-                              translate, uniform_density)
+from waveot.densities import (_CELL_POINTS, DiscreteMeasure, bump_density, dilate,
+                              sample_for_dwt, translate, uniform_density)
 from waveot.distance import DistanceConfig, distance_new
 from waveot.embedding import (embed, from_text, to_text, wlot_distance,
                               wlot_distance_matrix)
@@ -45,6 +48,21 @@ def densities(draw, j0, M):
     return bump_density(0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
+@st.composite
+def transformed(draw, j0):
+    """A uniform or bump density on [0, w], w at least a twentieth of the
+    domain [0, 2^-j0], dilated about its centre by a factor in [0.3, 1] and
+    translated to a drawn place inside the domain."""
+    width = draw(st.floats(0.05, 1.0)) * 2.0 ** -j0
+    if draw(st.booleans()):
+        d = uniform_density(0.0, width)
+    else:
+        d = bump_density(0.5 * width, 0.5 * width)
+    d = dilate(d, draw(st.floats(0.3, 1.0)), 0.5 * width)
+    lo, hi = d.support
+    return translate(d, draw(st.floats(0.0, 1.0)) * (2.0 ** -j0 - hi + lo) - lo)
+
+
 def full_grid_samples(d, j0, M):
     """Cell averages over all 2^M cells of the domain, computed the way
     sample_for_dwt computes them on its window."""
@@ -72,6 +90,20 @@ def test_window_holds_every_cell_meeting_the_support(data):
     assert np.array_equal(sd.values, full[window])
     full[window] = 0.0
     assert not np.any(full)
+
+
+@SETTINGS
+@given(st.data())
+def test_sample_blocks_keep_the_window(data):
+    j0 = data.draw(st.integers(-3, 1))
+    M = data.draw(st.integers(8, 14))
+    d = data.draw(transformed(j0))
+    ref = sample_for_dwt(d, j0, M)
+    cells = data.draw(st.integers(1, 300))
+    with mock.patch("waveot.densities._BLOCK_POINTS", cells * _CELL_POINTS):
+        blocked = sample_for_dwt(d, j0, M)
+    assert blocked.offset == ref.offset
+    assert np.array_equal(blocked.values, ref.values)
 
 
 @SETTINGS

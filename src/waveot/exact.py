@@ -1,12 +1,15 @@
 """Exact discrete optimal transport with ground cost |x - y|^s, 0 < s <= 1.
 
 The solver is a dense transportation simplex (network simplex specialized
-to the bipartite transportation polytope): northwest-corner starting basis
-and Dantzig pricing that falls back to Bland's smallest-index rule whenever
+to the bipartite transportation polytope): a starting basis from the nested
+plan, which is optimal at s = 1 and leaves a few pivots for s < 1, and
+Dantzig pricing that falls back to Bland's smallest-index rule whenever
 a run of degenerate pivots is detected, which guarantees termination
 without cycling.  Each pivot makes one pass over the basis tree, which
 gives the duals and the parent and depth of every node; the entering arc's
-cycle is then read off the parent pointers.  Degenerate bases are carried
+cycle is then read off the parent pointers.  The tree pass reads each
+basic arc's cost from the adjacency lists, which store it when the arc
+enters the basis.  Degenerate bases are carried
 explicitly as zero-flow basic arcs, so marginals stay exact instead of
 being smeared by weight perturbations.  Residual problems past
 _MAX_RESIDUAL_CELLS are refused before anything is allocated.
@@ -31,8 +34,10 @@ _DEGENERATE_STREAK = 30
 # pivot budget on an m x n residual: _PIVOTS_PER_NODE * (m + n) + _PIVOTS_EXTRA
 _PIVOTS_PER_NODE = 200
 _PIVOTS_EXTRA = 10_000
-# most residual cells m * n; the cost matrix, the reduced costs and the
-# cost rows as Python floats take about 48 bytes a cell, 200 MB at the limit
+# most residual cells m * n; building the cost matrix peaks at 24 bytes a
+# cell by tracemalloc (the differences, their absolute values and the
+# powers), and the solve then holds the costs and the reduced costs, so
+# about 100 MB at the limit
 _MAX_RESIDUAL_CELLS = 1 << 22
 
 
@@ -103,8 +108,9 @@ def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
             raise InvalidGrid(
                 f"the {len(ir)} x {len(jr)} residual problem exceeds the solver's "
                 f"budget of {_MAX_RESIDUAL_CELLS} cells; use fewer grid points")
-        cost = abs_power(x[ir][:, None] - y[jr][None, :], s)
-        flows = _transport_simplex(cost, a[ir], b[jr])
+        xr, yr = x[ir], y[jr]
+        cost = abs_power(xr[:, None] - yr[None, :], s)
+        flows = _transport_simplex(cost, _nested_start(xr, yr, a[ir], b[jr]))
         for (ii, jj), f in flows.items():
             total += f * cost[ii, jj]
             if f > 0.0:
@@ -112,34 +118,75 @@ def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
     return float(total), TransportPlan(entries=entries, total_cost=float(total))
 
 
-def _northwest_corner(a, b):
-    """Initial basic feasible solution with exactly m + n - 1 arcs
-    (degenerate arcs carry flow zero)."""
+def _nested_start(x, y, a, b):
+    """Starting basis from the nested plan: m + n - 1 arcs keyed by (row,
+    col) spanning the rows at x and the columns at y (sorted positions,
+    none shared between the sides).
+
+    One scan in position order matches each atom against the unmatched
+    mass of opposite sign on top of a stack, which holds one sign at a
+    time.  The result is the level-by-level plan of F_mu - F_nu: W1-optimal
+    and, like every optimal plan for s < 1, free of crossing arcs (McCann
+    1999).  A symbolic eps on the masses keeps remainders from tying, so
+    its arcs, zero-flow ones included, form one tree; union-find joins
+    what rounding or atoms without mass leave apart with zero-flow arcs,
+    each atom to the nearest earlier atom of the other side (or the first
+    one).  Mass the scan cannot place, the rounding gap between the two
+    sums, stays on the atoms of the larger side."""
     m, n = len(a), len(b)
-    rem_a = a.astype(float).copy()
-    rem_b = b.astype(float).copy()
+    order = np.argsort(np.concatenate([x, y]), kind="stable").tolist()
+    # a mass (value, e) stands for value + e * eps: each row with mass gains
+    # eps and the last column their total, which keeps the stack from
+    # emptying before the end (Orden's perturbation of the supplies)
+    rows_with_mass = int(np.count_nonzero(a))
+    mass = [(w, 1 if w > 0.0 else 0) for w in a.tolist()] + \
+        [(w, 0) for w in b[:-1].tolist()] + [(float(b[-1]), rows_with_mass)]
+    empty = (0.0, 0)
     flows = {}
-    i = j = 0
-    while True:
-        t = min(rem_a[i], rem_b[j])
-        flows[(i, j)] = t
-        rem_a[i] -= t
-        rem_b[j] -= t
-        if i == m - 1 and j == n - 1:
-            break
-        if rem_a[i] <= rem_b[j] and i < m - 1:
-            i += 1
-        elif j < n - 1:
-            j += 1
-        else:
-            i += 1
+    stack = []
+    for k in order:
+        w = mass[k]
+        while w > empty and stack and (stack[-1] < m) != (k < m):
+            top = stack[-1]
+            t = min(w, mass[top])
+            flows[(k, top - m) if k < m else (top, k - m)] = t[0]
+            w = (w[0] - t[0], w[1] - t[1])
+            rest = mass[top] = (mass[top][0] - t[0], mass[top][1] - t[1])
+            if rest <= empty:
+                stack.pop()
+        if w > empty:
+            mass[k] = w
+            stack.append(k)
+
+    root = list(range(m + n))
+
+    def find(k):
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    for i, j in flows:
+        root[find(i)] = find(m + j)
+    last = [0, m]  # the first row and the first column
+    for k in order:
+        side = k >= m
+        q = last[not side]
+        if find(k) != find(q):
+            root[find(k)] = find(q)
+            flows[(q, k - m) if side else (k, q - m)] = 0.0
+        last[side] = k
+    assert len(flows) == m + n - 1
+    assert len({find(k) for k in range(m + n)}) == 1
     return flows
 
 
-def _tree_duals(cost_rows, row_adj, col_adj, m, n):
+def _tree_duals(row_adj, col_adj, m, n):
     """One pass over the basis tree rooted at row 0: duals with u[0] = 0,
     and each node's parent and depth (columns encoded as m + j, the
-    root's parent is -1); plain-Python traversal for speed."""
+    root's parent is -1).  row_adj[i] maps each basic column j of row i
+    to the arc's cost and col_adj[j] each basic row; plain-Python
+    traversal for speed."""
     u = [0.0] * m
     v = [0.0] * n
     parent = [-1] * (m + n)
@@ -151,23 +198,22 @@ def _tree_duals(cost_rows, row_adj, col_adj, m, n):
         k = stack.pop()
         below = depth[k] + 1
         if k < m:
-            ck = cost_rows[k]
             uk = u[k]
-            for j in row_adj[k]:
-                c = m + j
-                if depth[c] < 0:
-                    depth[c] = below
-                    parent[c] = k
-                    v[j] = ck[j] - uk
-                    push(c)
+            for j, c in row_adj[k].items():
+                node = m + j
+                if depth[node] < 0:
+                    depth[node] = below
+                    parent[node] = k
+                    v[j] = c - uk
+                    push(node)
         else:
             j = k - m
             vk = v[j]
-            for i in col_adj[j]:
+            for i, c in col_adj[j].items():
                 if depth[i] < 0:
                     depth[i] = below
                     parent[i] = k
-                    u[i] = cost_rows[i][j] - vk
+                    u[i] = c - vk
                     push(i)
     return u, v, parent, depth
 
@@ -200,26 +246,26 @@ def _cycle(parent, depth, ei, ej, m):
     return minus, plus
 
 
-def _transport_simplex(cost, a, b):
-    """Solve the balanced transportation problem; returns the basic flow
-    dict keyed by (row, col)."""
+def _transport_simplex(cost, flows):
+    """Solve the balanced transportation problem from the spanning-tree
+    basis `flows` (arcs keyed by (row, col), updated in place); returns
+    the optimal basic flows.  Each basic arc's cost is read from `cost`
+    once, when the arc enters the basis."""
     m, n = cost.shape
-    flows = _northwest_corner(a, b)
-    row_adj = [set() for _ in range(m)]
-    col_adj = [set() for _ in range(n)]
+    row_adj = [{} for _ in range(m)]
+    col_adj = [{} for _ in range(n)]
     for (i, j) in flows:
-        row_adj[i].add(j)
-        col_adj[j].add(i)
+        row_adj[i][j] = col_adj[j][i] = cost.item(i, j)
 
-    cost_rows = cost.tolist()
     tol = 1e-12 * max(1.0, float(np.max(cost)))
     reduced = np.empty_like(cost)
     degenerate_streak = 0
     use_bland = False
     max_pivots = _PIVOTS_PER_NODE * (m + n) + _PIVOTS_EXTRA
+    pivots = 0
 
-    for _ in range(max_pivots):
-        u, v, parent, depth = _tree_duals(cost_rows, row_adj, col_adj, m, n)
+    while True:
+        u, v, parent, depth = _tree_duals(row_adj, col_adj, m, n)
         np.subtract(cost, np.asarray(u)[:, None], out=reduced)
         reduced -= np.asarray(v)[None, :]
 
@@ -227,11 +273,16 @@ def _transport_simplex(cost, a, b):
             neg = reduced.ravel() < -tol
             flat = int(np.argmax(neg))
             if not neg[flat]:
-                break
+                return flows
         else:
             flat = int(np.argmin(reduced.ravel()))
             if reduced.ravel()[flat] >= -tol:
-                break
+                return flows
+        if pivots == max_pivots:
+            raise SolverDidNotConverge(
+                f"transportation simplex did not converge within {max_pivots} "
+                f"pivots on a {m} x {n} residual problem")
+        pivots += 1
         ei, ej = divmod(flat, n)
 
         minus, plus = _cycle(parent, depth, ei, ej, m)
@@ -252,14 +303,7 @@ def _transport_simplex(cost, a, b):
         for arc in plus:
             flows[arc] += theta
         flows[(ei, ej)] = theta
-        row_adj[ei].add(ej)
-        col_adj[ej].add(ei)
+        row_adj[ei][ej] = col_adj[ej][ei] = cost.item(ei, ej)
         del flows[leaving]
-        row_adj[leaving[0]].discard(leaving[1])
-        col_adj[leaving[1]].discard(leaving[0])
-    else:
-        raise SolverDidNotConverge(
-            f"transportation simplex did not converge within {max_pivots} pivots "
-            f"on a {m} x {n} residual problem")
-
-    return flows
+        li, lj = leaving
+        del row_adj[li][lj], col_adj[lj][li]

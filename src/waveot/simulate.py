@@ -24,6 +24,12 @@ __all__ = ["SimulationSpec", "SimulationRow", "run_simulation",
 
 EXACT_DOMAIN = (0.0, 3.0)
 
+# most parameters in one sweep: each costs a wavelet distance and an exact
+# solve for every s, 10 to 20 ms together at the CLI defaults, so 10^5 of
+# them over the three default exponents already run for over an hour;
+# larger counts are refused before np.linspace allocates them
+_MAX_COUNT = 100_000
+
 CSV_HEADER = ("family,formulation,wavelet,s,j0,M,param,"
               "wavelet_value,exact_value,norm_constant,normalized_value")
 
@@ -71,8 +77,9 @@ class SimulationSpec:
         if self.family not in FAMILIES:
             raise InvalidConfig(f"unknown family {self.family!r}; "
                                 f"choose from {sorted(FAMILIES)}")
-        if self.count < 2:
-            raise InvalidConfig(f"count must be at least 2, got {self.count}")
+        if not 2 <= self.count <= _MAX_COUNT:
+            raise InvalidConfig(f"count must lie in [2, {_MAX_COUNT}], "
+                                f"got {self.count}")
         if self.param_range is not None:
             lo, hi = self.param_range
             if not lo < hi:

@@ -124,9 +124,10 @@ def test_domain_error_reports_and_fails(capsys):
 
 
 def test_solver_non_convergence_reports_and_fails(tmp_path, capsys, monkeypatch):
-    # a one-pivot budget cannot solve the s < 1 sweep cells
+    # the bump_dilate cells at s < 1 need one pivot from the nested start,
+    # so a budget of none cannot solve them
     monkeypatch.setattr(waveot.exact, "_PIVOTS_PER_NODE", 0)
-    monkeypatch.setattr(waveot.exact, "_PIVOTS_EXTRA", 1)
+    monkeypatch.setattr(waveot.exact, "_PIVOTS_EXTRA", 0)
     code = main(["simulate", "--family", "bump_dilate", "--s", "0.5",
                  "--j0", "-6", "--levels", "12", "--count", "3",
                  "--exact-points", "80", "--out", str(tmp_path / "out.csv")])
@@ -206,6 +207,18 @@ def test_exact_points_past_budget_reports_and_fails(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "grid points" in captured.err
+
+
+def test_count_past_budget_reports_and_fails(tmp_path, capsys):
+    # np.linspace of 10^13 parameters used to end in a MemoryError traceback
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--family", "bump_dilate", "--s", "1",
+                 "--count", "10000000000000", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "count must lie in [2, 100000]" in captured.err
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,7 +1,4 @@
-"""Smoke test: the quick demos run to completion from a clean process.
-
-demos/dilation_sweep.py is left out for its run time (about 12 s).
-"""
+"""Smoke test: every demo runs to completion from a clean process."""
 
 import os
 import subprocess
@@ -13,8 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["embedding_workflow", "three_formulations",
-                                  "translation_sweep", "wavelet_toolbox"])
+@pytest.mark.parametrize("demo", ["dilation_sweep", "embedding_workflow",
+                                  "three_formulations", "translation_sweep",
+                                  "wavelet_toolbox"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))

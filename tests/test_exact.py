@@ -4,8 +4,10 @@ import pytest
 from helpers import brute_force_lp, random_measure
 from waveot.densities import DiscreteMeasure, discretize, translate, uniform_density
 from waveot import exact
-from waveot.errors import InvalidExponent, InvalidGrid, UnbalancedMarginals
+from waveot.errors import (InvalidExponent, InvalidGrid, SolverDidNotConverge,
+                           UnbalancedMarginals)
 from waveot.exact import exact_ws, w1_cdf
+from waveot.simulate import EXACT_DOMAIN, FAMILIES
 
 
 def delta(x):
@@ -200,3 +202,62 @@ def test_residual_budget_checked_before_the_cost_matrix(monkeypatch):
     # shares the atom at 0 with mu: a 3 x 3 residual
     nu = DiscreteMeasure(np.array([0.0, 0.5, 1.5, 2.5]), uniform4)
     assert abs(exact_ws(mu, nu, 1.0)[0] - w1_cdf(mu, nu)) < 1e-12
+
+
+def count_pivots(monkeypatch):
+    """Count the basis-tree passes of every solve; a solve of k pivots
+    makes k + 1 of them, the last one proving optimality."""
+    calls = []
+    tree_duals = exact._tree_duals
+
+    def counted(*args):
+        calls.append(None)
+        return tree_duals(*args)
+
+    monkeypatch.setattr(exact, "_tree_duals", counted)
+    return calls
+
+
+def test_pivot_budget_counts_pivots(monkeypatch):
+    rng = np.random.default_rng(9)
+    mu = random_measure(rng, 8, min_atoms=8)
+    nu = random_measure(rng, 8, min_atoms=8)
+    calls = count_pivots(monkeypatch)
+    cost, _ = exact_ws(mu, nu, 0.5)
+    pivots = len(calls) - 1
+    assert pivots >= 2
+    monkeypatch.setattr(exact, "_PIVOTS_PER_NODE", 0)
+    monkeypatch.setattr(exact, "_PIVOTS_EXTRA", pivots)
+    assert exact_ws(mu, nu, 0.5)[0] == cost
+    monkeypatch.setattr(exact, "_PIVOTS_EXTRA", pivots - 1)
+    with pytest.raises(SolverDidNotConverge, match=f"within {pivots - 1} pivots"):
+        exact_ws(mu, nu, 0.5)
+
+
+@pytest.mark.parametrize("family, param", [("uniform_translate", 0.7),
+                                           ("uniform_dilate", 1.7)])
+def test_nested_start_leaves_few_pivots(monkeypatch, family, param):
+    # equal weights tie at every match of the nested plan; completing its
+    # forest through one hub atom cost 34,511 degenerate pivots on the first
+    base, transform, _ = FAMILIES[family]
+    mu = discretize(base(), 1000, domain=EXACT_DOMAIN)
+    nu = discretize(transform(param), 1000, domain=EXACT_DOMAIN)
+    calls = count_pivots(monkeypatch)
+    exact_ws(mu, nu, 0.5)
+    assert 1 <= len(calls) <= 4
+
+
+def test_nested_start_places_rounding_leftovers():
+    # the rows sum to 2^-52 more than the columns, and the scan's rounding
+    # leaves the last row apart: a completion arc must join it
+    a = np.array([0.7, 0.5, 0.6])
+    b = np.array([1.1999999999999997, 0.5999999999999999])
+    flows = exact._nested_start(np.array([1.0, 2.0, 3.0]), np.array([0.0, 4.0]), a, b)
+    assert len(flows) == 3 + 2 - 1
+    rows, cols = np.zeros(3), np.zeros(2)
+    for (i, j), f in flows.items():
+        assert f >= 0.0
+        rows[i] += f
+        cols[j] += f
+    assert np.max(np.abs(rows - a)) < 1e-15
+    assert np.max(np.abs(cols - b)) < 1e-15

@@ -1,8 +1,9 @@
 """Property tests of the sampled window and the distance/embedding
 identity over densities drawn anywhere in the dyadic domain, including
 supports touching either end and supports narrower than one grid cell,
-of the embedding's matrix and text round trip, and of the exact solver
-against the LP oracle on a small shared grid.
+of the embedding's matrix and text round trip, of the exact solver
+against the LP oracle on a small shared grid, and of the solver's nested
+starting basis.
 
 The window does not depend on how many cells one evaluator call gets.
 Examples are derandomized, so every run checks the same cases.
@@ -11,7 +12,7 @@ Examples are derandomized, so every run checks the same cases.
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_lp
@@ -20,7 +21,7 @@ from waveot.densities import (_CELL_POINTS, DiscreteMeasure, bump_density, dilat
 from waveot.distance import DistanceConfig, distance_new
 from waveot.embedding import (embed, from_text, to_text, wlot_distance,
                               wlot_distance_matrix)
-from waveot.exact import exact_ws
+from waveot.exact import _nested_start, exact_ws
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     database=None)
@@ -223,3 +224,78 @@ def test_exact_ws_is_symmetric_with_exact_marginals(mu, nu, s):
 @given(grid_measures(), st.sampled_from([1.0, 0.5, 0.25]))
 def test_exact_ws_of_a_measure_with_itself_is_zero(mu, s):
     assert exact_ws(mu, mu, s)[0] == 0.0
+
+
+@st.composite
+def transport_problems(draw):
+    """Rows and columns at distinct integer positions, interleaved at
+    random, with integer weights from 0 to 3 (so ties, degenerate arcs and
+    atoms without mass occur) made balanced by topping up the last atom
+    of the lighter side.  Returns (x, y, a, b)."""
+    pos = draw(st.lists(st.integers(0, 60), min_size=2, max_size=24, unique=True))
+    is_row = draw(st.lists(st.booleans(), min_size=len(pos), max_size=len(pos)))
+    is_row[draw(st.integers(0, len(pos) - 1))] = True
+    is_row[draw(st.integers(0, len(pos) - 1))] ^= all(is_row)
+    pos = np.array(pos, dtype=float)
+    is_row = np.array(is_row)
+    x, y = np.sort(pos[is_row]), np.sort(pos[~is_row])
+    a = np.array(draw(st.lists(st.integers(0, 3), min_size=len(x), max_size=len(x))),
+                 dtype=float)
+    b = np.array(draw(st.lists(st.integers(0, 3), min_size=len(y), max_size=len(y))),
+                 dtype=float)
+    gap = a.sum() - b.sum()
+    (b if gap > 0 else a)[-1] += abs(gap)
+    return x, y, a, b
+
+
+def components(edges, nodes):
+    root = list(range(nodes))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for p, q in edges:
+        root[find(p)] = find(q)
+    return {find(k) for k in range(nodes)}
+
+
+def crossing(arcs):
+    """Two arcs whose spans interleave, or None."""
+    spans = sorted((min(p, q), max(p, q)) for p, q in arcs)
+    for k, (lo, hi) in enumerate(spans):
+        for lo2, hi2 in spans[k + 1:]:
+            if lo < lo2 < hi < hi2:
+                return (lo, hi), (lo2, hi2)
+    return None
+
+
+@SETTINGS
+@given(transport_problems())
+# a row and a column without mass (not the last column, which takes the
+# rows' eps): components of one row and of one column
+@example((np.array([0.0, 2.0, 5.0]), np.array([1.0, 3.0, 4.0]),
+          np.array([2.0, 0.0, 1.0]), np.array([1.0, 0.0, 2.0])))
+# every row before every column, with equal weights: each match ties
+@example((np.arange(5.0), np.arange(5.0) + 10.0, np.ones(5), np.ones(5)))
+def test_nested_start_is_a_spanning_tree_without_crossings(problem):
+    x, y, a, b = problem
+    m, n = len(a), len(b)
+    flows = _nested_start(x, y, a, b)
+    assert len(flows) == m + n - 1
+    assert len(components([(i, m + j) for i, j in flows], m + n)) == 1
+    rows, cols = np.zeros(m), np.zeros(n)
+    for (i, j), f in flows.items():
+        assert f >= 0.0
+        rows[i] += f
+        cols[j] += f
+    assert np.array_equal(rows, a) and np.array_equal(cols, b)
+    assert crossing([(x[i], y[j]) for (i, j), f in flows.items() if f > 0.0]) is None
+    if not a.any():
+        return
+    # optimal plans for s < 1 do not cross either
+    mu = DiscreteMeasure(x, a / a.sum())
+    nu = DiscreteMeasure(y, b / b.sum())
+    plan = exact_ws(mu, nu, 0.5)[1]
+    assert crossing([(x[i], y[j]) for i, j, f in plan.entries if f > 0.0]) is None

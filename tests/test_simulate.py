@@ -28,6 +28,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SimulationSpec(family="uniform_translate", cfg=SMALL_CFG,
                        param_range=(2.0, 1.0))
+    top = SimulationSpec(family="uniform_translate", cfg=SMALL_CFG,
+                         count=simulate._MAX_COUNT)
+    assert len(top.params()) == simulate._MAX_COUNT
+    with pytest.raises(ValueError, match="count must lie"):
+        SimulationSpec(family="uniform_translate", cfg=SMALL_CFG,
+                       count=simulate._MAX_COUNT + 1)
 
 
 def test_default_param_ranges():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._num import abs_power
-from .densities import SampledDensity
+from .densities import _MAX_SAMPLE_POINTS, SampledDensity
 from .errors import InvalidExponent, InvalidFunction, InvalidLevels
 from .filters import WaveletSystem
 
@@ -71,7 +71,9 @@ def _wavelet_values(system: WaveletSystem, phi: np.ndarray,
 def cascade_evaluate(system: WaveletSystem, which: str,
                      refinement_depth: int = DEFAULT_CASCADE_DEPTH) -> SampledDensity:
     """Values of the scaling ('scaling') or wavelet ('wavelet') function on
-    the dyadic grid of spacing 2^-refinement_depth over [0, L-1]."""
+    the dyadic grid of spacing 2^-refinement_depth over [0, L-1].  A grid
+    of more than densities._MAX_SAMPLE_POINTS points is refused before
+    anything is allocated."""
     if which not in ("scaling", "wavelet"):
         raise InvalidFunction(
             f"which must be 'scaling' or 'wavelet', got {which!r}")
@@ -81,6 +83,14 @@ def cascade_evaluate(system: WaveletSystem, which: str,
     g = system.g
     L = len(g)
     width = L - 1
+    # the final grid holds width * 2^depth + 1 points; the first test
+    # keeps the power from being formed for absurd depths
+    if (refinement_depth > _MAX_SAMPLE_POINTS.bit_length()
+            or width * 2 ** refinement_depth + 1 > _MAX_SAMPLE_POINTS):
+        raise InvalidLevels(
+            f"refinement_depth {refinement_depth} needs more than the "
+            f"sampling budget of {_MAX_SAMPLE_POINTS} points for a "
+            f"length-{L} filter")
     phi = _integer_values(system)
     root2 = math.sqrt(2.0)
     for d in range(refinement_depth):

@@ -3,16 +3,18 @@
 The solver is a dense transportation simplex (network simplex specialized
 to the bipartite transportation polytope): a starting basis from the nested
 plan, which is optimal at s = 1 and leaves a few pivots for s < 1, and
-Dantzig pricing that falls back to Bland's smallest-index rule whenever
-a run of degenerate pivots is detected, which guarantees termination
-without cycling.  Each pivot makes one pass over the basis tree, which
-gives the duals and the parent and depth of every node; the entering arc's
-cycle is then read off the parent pointers.  The tree pass reads each
-basic arc's cost from the adjacency lists, which store it when the arc
-enters the basis.  Degenerate bases are carried
-explicitly as zero-flow basic arcs, so marginals stay exact instead of
-being smeared by weight perturbations.  Residual problems past
-_MAX_RESIDUAL_CELLS are refused before anything is allocated.
+Dantzig pricing.  Each basic flow is a pair (value, k) for value + k * eps,
+Orden's perturbation (each row's supply gains eps, the last column's demand
+m * eps), and the leaving arc is the lexicographic minimum of the pairs.
+No perturbed basic flow is zero, so each pivot lowers the perturbed cost
+and no basis repeats; only arcs the start adds where rounding splits its
+plan carry (0.0, 0), and the pivot budget stays as a backstop.  The eps is
+symbolic, so marginals stay exact.  Each pivot makes one pass over the
+basis tree, which gives the duals and the parent and depth of every node;
+the entering arc's cycle is then read off the parent pointers.  The tree
+pass reads each basic arc's cost from the adjacency lists, which store it
+when the arc enters the basis.  Residual problems past _MAX_RESIDUAL_CELLS
+are refused before anything is allocated.
 
 w1_cdf provides the closed-form 1-D W1 value (area between CDFs on the
 merged support grid) used as an independent oracle for s = 1.
@@ -30,7 +32,6 @@ from .errors import (InvalidExponent, InvalidGrid, SolverDidNotConverge,
 __all__ = ["TransportPlan", "exact_ws", "w1_cdf"]
 
 _BALANCE_TOL = 1e-9
-_DEGENERATE_STREAK = 30
 # pivot budget on an m x n residual: _PIVOTS_PER_NODE * (m + n) + _PIVOTS_EXTRA
 _PIVOTS_PER_NODE = 200
 _PIVOTS_EXTRA = 10_000
@@ -111,7 +112,7 @@ def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
         xr, yr = x[ir], y[jr]
         cost = abs_power(xr[:, None] - yr[None, :], s)
         flows = _transport_simplex(cost, _nested_start(xr, yr, a[ir], b[jr]))
-        for (ii, jj), f in flows.items():
+        for (ii, jj), (f, _) in flows.items():
             total += f * cost[ii, jj]
             if f > 0.0:
                 entries.append((int(keep_i[ir[ii]]), int(keep_j[jr[jj]]), float(f)))
@@ -121,18 +122,20 @@ def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
 def _nested_start(x, y, a, b):
     """Starting basis from the nested plan: m + n - 1 arcs keyed by (row,
     col) spanning the rows at x and the columns at y (sorted positions,
-    none shared between the sides).
+    none shared between the sides), each flow a pair (value, k) standing
+    for value + k * eps.
 
     One scan in position order matches each atom against the unmatched
     mass of opposite sign on top of a stack, which holds one sign at a
     time.  The result is the level-by-level plan of F_mu - F_nu: W1-optimal
     and, like every optimal plan for s < 1, free of crossing arcs (McCann
-    1999).  A symbolic eps on the masses keeps remainders from tying, so
-    its arcs, zero-flow ones included, form one tree; union-find joins
-    what rounding or atoms without mass leave apart with zero-flow arcs,
-    each atom to the nearest earlier atom of the other side (or the first
-    one).  Mass the scan cannot place, the rounding gap between the two
-    sums, stays on the atoms of the larger side."""
+    1999).  The symbolic eps on the masses keeps remainders from tying, so
+    its arcs form one tree and every flow it places is positive in the
+    perturbed problem; union-find joins what rounding or atoms without
+    mass leave apart with (0.0, 0) arcs, each atom to the nearest earlier
+    atom of the other side (or the first one).  Mass the scan cannot place,
+    the rounding gap between the two sums, stays on the atoms of the
+    larger side."""
     m, n = len(a), len(b)
     order = np.argsort(np.concatenate([x, y]), kind="stable").tolist()
     # a mass (value, e) stands for value + e * eps: each row with mass gains
@@ -149,7 +152,7 @@ def _nested_start(x, y, a, b):
         while w > empty and stack and (stack[-1] < m) != (k < m):
             top = stack[-1]
             t = min(w, mass[top])
-            flows[(k, top - m) if k < m else (top, k - m)] = t[0]
+            flows[(k, top - m) if k < m else (top, k - m)] = t
             w = (w[0] - t[0], w[1] - t[1])
             rest = mass[top] = (mass[top][0] - t[0], mass[top][1] - t[1])
             if rest <= empty:
@@ -174,7 +177,7 @@ def _nested_start(x, y, a, b):
         q = last[not side]
         if find(k) != find(q):
             root[find(k)] = find(q)
-            flows[(q, k - m) if side else (k, q - m)] = 0.0
+            flows[(q, k - m) if side else (k, q - m)] = empty
         last[side] = k
     assert len(flows) == m + n - 1
     assert len({find(k) for k in range(m + n)}) == 1
@@ -248,9 +251,9 @@ def _cycle(parent, depth, ei, ej, m):
 
 def _transport_simplex(cost, flows):
     """Solve the balanced transportation problem from the spanning-tree
-    basis `flows` (arcs keyed by (row, col), updated in place); returns
-    the optimal basic flows.  Each basic arc's cost is read from `cost`
-    once, when the arc enters the basis."""
+    basis `flows` (arcs keyed by (row, col) to (value, eps count) pairs,
+    updated in place); returns the optimal basic flows.  Each basic arc's
+    cost is read from `cost` once, when the arc enters the basis."""
     m, n = cost.shape
     row_adj = [{} for _ in range(m)]
     col_adj = [{} for _ in range(n)]
@@ -259,8 +262,6 @@ def _transport_simplex(cost, flows):
 
     tol = 1e-12 * max(1.0, float(np.max(cost)))
     reduced = np.empty_like(cost)
-    degenerate_streak = 0
-    use_bland = False
     max_pivots = _PIVOTS_PER_NODE * (m + n) + _PIVOTS_EXTRA
     pivots = 0
 
@@ -269,15 +270,9 @@ def _transport_simplex(cost, flows):
         np.subtract(cost, np.asarray(u)[:, None], out=reduced)
         reduced -= np.asarray(v)[None, :]
 
-        if use_bland:
-            neg = reduced.ravel() < -tol
-            flat = int(np.argmax(neg))
-            if not neg[flat]:
-                return flows
-        else:
-            flat = int(np.argmin(reduced.ravel()))
-            if reduced.ravel()[flat] >= -tol:
-                return flows
+        flat = int(np.argmin(reduced.ravel()))
+        if reduced.ravel()[flat] >= -tol:
+            return flows
         if pivots == max_pivots:
             raise SolverDidNotConverge(
                 f"transportation simplex did not converge within {max_pivots} "
@@ -286,22 +281,16 @@ def _transport_simplex(cost, flows):
         ei, ej = divmod(flat, n)
 
         minus, plus = _cycle(parent, depth, ei, ej, m)
-        # the smallest flow to lose theta leaves, ties to the smallest arc
+        # the lexicographically smallest flow to lose theta leaves, ties
+        # to the smallest arc
         theta, leaving = min((flows[arc], arc) for arc in minus)
-
-        if theta <= tol:
-            degenerate_streak += 1
-            if degenerate_streak >= _DEGENERATE_STREAK:
-                use_bland = True
-        else:
-            degenerate_streak = 0
-            use_bland = False
-
+        t, te = theta
         for arc in minus:
-            nf = flows[arc] - theta
-            flows[arc] = nf if nf > 0.0 else 0.0
+            f, e = flows[arc]
+            flows[arc] = (f - t if f > t else 0.0, e - te)
         for arc in plus:
-            flows[arc] += theta
+            f, e = flows[arc]
+            flows[arc] = (f + t, e + te)
         flows[(ei, ej)] = theta
         row_adj[ei][ej] = col_adj[ej][ei] = cost.item(ei, ej)
         del flows[leaving]

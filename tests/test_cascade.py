@@ -6,7 +6,7 @@ import pytest
 from helpers import trapezoid
 from waveot import cascade
 from waveot.cascade import cascade_evaluate, estimate_constants
-from waveot.errors import InvalidExponent, WaveotError
+from waveot.errors import InvalidExponent, InvalidLevels, WaveotError
 from waveot.filters import build_wavelet_system
 
 
@@ -71,6 +71,24 @@ def test_invalid_inputs():
         estimate_constants(haar, 0.0)
     with pytest.raises(InvalidExponent):
         estimate_constants(haar, 1.5)
+
+
+def test_refinement_depth_budget_checked_before_allocating(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("grid built")
+
+    db2 = build_wavelet_system("db2")
+    monkeypatch.setattr(cascade, "_integer_values", no_grid)
+    for depth in (24, 60, 10**12):
+        with pytest.raises(InvalidLevels, match="sampling budget"):
+            cascade_evaluate(db2, "scaling", depth)
+    # the depth-3 db2 grid has 3 * 2^3 + 1 = 25 points
+    monkeypatch.setattr(cascade, "_MAX_SAMPLE_POINTS", 24)
+    with pytest.raises(InvalidLevels):
+        cascade_evaluate(db2, "wavelet", 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(cascade, "_MAX_SAMPLE_POINTS", 25)
+    assert len(cascade_evaluate(db2, "wavelet", 3).values) == 25
 
 
 def test_haar_constants_closed_form():

@@ -1,9 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from waveot.errors import UnknownWavelet
 from waveot.filters import build_wavelet_system, catalog_names
 
+ROOT = Path(__file__).resolve().parents[1]
 ROOT2 = np.sqrt(2.0)
 
 
@@ -60,3 +65,10 @@ def test_filters_immutable():
     w = build_wavelet_system("db3")
     with pytest.raises(ValueError):
         w.g[0] = 0.0
+
+
+def test_generator_reproduces_the_embedded_tables():
+    pytest.importorskip("mpmath")
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "make_daubechies_tables.py")],
+                         cwd=ROOT, capture_output=True, check=True)
+    assert out.stdout == (ROOT / "src" / "waveot" / "_db_tables.py").read_bytes()

@@ -3,7 +3,7 @@ identity over densities drawn anywhere in the dyadic domain, including
 supports touching either end and supports narrower than one grid cell,
 of the embedding's matrix and text round trip, of the exact solver
 against the LP oracle on a small shared grid, and of the solver's nested
-starting basis.
+starting basis and the eps its flows carry through the pivots.
 
 The window does not depend on how many cells one evaluator call gets.
 Examples are derandomized, so every run checks the same cases.
@@ -21,7 +21,7 @@ from waveot.densities import (_CELL_POINTS, DiscreteMeasure, bump_density, dilat
 from waveot.distance import DistanceConfig, distance_new
 from waveot.embedding import (embed, from_text, to_text, wlot_distance,
                               wlot_distance_matrix)
-from waveot.exact import _nested_start, exact_ws
+from waveot.exact import _nested_start, _transport_simplex, exact_ws
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     database=None)
@@ -227,11 +227,12 @@ def test_exact_ws_of_a_measure_with_itself_is_zero(mu, s):
 
 
 @st.composite
-def transport_problems(draw):
+def transport_problems(draw, min_weight=0):
     """Rows and columns at distinct integer positions, interleaved at
-    random, with integer weights from 0 to 3 (so ties, degenerate arcs and
-    atoms without mass occur) made balanced by topping up the last atom
-    of the lighter side.  Returns (x, y, a, b)."""
+    random, with integer weights from min_weight to 3 (so ties, degenerate
+    arcs and, with min_weight 0, atoms without mass occur) made balanced
+    by topping up the last atom of the lighter side.  Returns (x, y, a,
+    b)."""
     pos = draw(st.lists(st.integers(0, 60), min_size=2, max_size=24, unique=True))
     is_row = draw(st.lists(st.booleans(), min_size=len(pos), max_size=len(pos)))
     is_row[draw(st.integers(0, len(pos) - 1))] = True
@@ -239,10 +240,9 @@ def transport_problems(draw):
     pos = np.array(pos, dtype=float)
     is_row = np.array(is_row)
     x, y = np.sort(pos[is_row]), np.sort(pos[~is_row])
-    a = np.array(draw(st.lists(st.integers(0, 3), min_size=len(x), max_size=len(x))),
-                 dtype=float)
-    b = np.array(draw(st.lists(st.integers(0, 3), min_size=len(y), max_size=len(y))),
-                 dtype=float)
+    weights = st.integers(min_weight, 3)
+    a = np.array(draw(st.lists(weights, min_size=len(x), max_size=len(x))), dtype=float)
+    b = np.array(draw(st.lists(weights, min_size=len(y), max_size=len(y))), dtype=float)
     gap = a.sum() - b.sum()
     (b if gap > 0 else a)[-1] += abs(gap)
     return x, y, a, b
@@ -286,12 +286,12 @@ def test_nested_start_is_a_spanning_tree_without_crossings(problem):
     assert len(flows) == m + n - 1
     assert len(components([(i, m + j) for i, j in flows], m + n)) == 1
     rows, cols = np.zeros(m), np.zeros(n)
-    for (i, j), f in flows.items():
+    for (i, j), (f, _) in flows.items():
         assert f >= 0.0
         rows[i] += f
         cols[j] += f
     assert np.array_equal(rows, a) and np.array_equal(cols, b)
-    assert crossing([(x[i], y[j]) for (i, j), f in flows.items() if f > 0.0]) is None
+    assert crossing([(x[i], y[j]) for (i, j), (f, _) in flows.items() if f > 0.0]) is None
     if not a.any():
         return
     # optimal plans for s < 1 do not cross either
@@ -299,3 +299,17 @@ def test_nested_start_is_a_spanning_tree_without_crossings(problem):
     nu = DiscreteMeasure(y, b / b.sum())
     plan = exact_ws(mu, nu, 0.5)[1]
     assert crossing([(x[i], y[j]) for i, j, f in plan.entries if f > 0.0]) is None
+
+
+@SETTINGS
+@given(transport_problems(min_weight=1), st.sampled_from([1.0, 0.5, 0.25]))
+@example((np.arange(5.0), np.arange(5.0) + 10.0, np.ones(5), np.ones(5)), 0.5)
+def test_every_basic_flow_is_positive_in_eps(problem, s):
+    # every atom has mass and the integer sums balance exactly, so the
+    # scan alone spans the tree and each start flow, eps part included,
+    # is positive; the lexicographic leaving rule keeps every basis so
+    x, y, a, b = problem
+    flows = _nested_start(x, y, a, b)
+    assert all(f > (0.0, 0) for f in flows.values())
+    flows = _transport_simplex(np.abs(x[:, None] - y[None, :]) ** s, flows)
+    assert all(f > (0.0, 0) for f in flows.values())

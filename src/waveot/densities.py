@@ -128,17 +128,6 @@ class SampledDensity:
     def grid(self):
         return (self.offset + np.arange(len(self.values))) * self.spacing
 
-    def __sub__(self, other):
-        """Difference on the union of two windows of the same grid."""
-        if self.spacing != other.spacing:
-            raise InvalidGrid(f"grid spacings differ: {self.spacing} and {other.spacing}")
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.values), other.offset + len(other.values))
-        out = np.zeros(hi - lo)
-        out[self.offset - lo: self.offset - lo + len(self.values)] = self.values
-        out[other.offset - lo: other.offset - lo + len(other.values)] -= other.values
-        return SampledDensity(offset=lo, spacing=self.spacing, values=out)
-
     def trimmed(self):
         """The window without leading and trailing zeros, or None when
         every value is zero."""

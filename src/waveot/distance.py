@@ -1,9 +1,10 @@
 """Wavelet s-Wasserstein distances between densities on the line.
 
-All three formulations run the same pipeline: sample the difference of the
-two densities on the dyadic grid of spacing 2^-(j0+M) over [0, 2^-j0]
-(applying the 2^(-(j0+M)/2) initialization factor), push the vector through
-the zero-extension DWT, and take one weighted l1 norm of the coefficients,
+All three formulations run the same pipeline.  Each density is sampled on
+the dyadic grid of spacing 2^-(j0+M) over [0, 2^-j0] (applying the
+2^(-(j0+M)/2) initialization factor) and pushed through the zero-extension
+DWT on its own; the distance is one weighted l1 norm of the per-level
+differences of the two transforms,
 
     c0 * sum |approximation| + c1 * sum_j 2^(-j(s+1/2)) sum |detail at j|:
 
@@ -15,13 +16,17 @@ the zero-extension DWT, and take one weighted l1 norm of the coefficients,
                  default 3^s (the diameter of the exact solver's domain
                  [0, 3] to the power s), and any finite C1 > 0.
 
-Each density is sampled only on the grid cells meeting its support; the
-difference, formed on the union of the two windows, is trimmed of leading
-and trailing zeros (with the translation offset carried along).  This
-changes no coefficient of the zero-extended signal and keeps memory and
-work proportional to the support, not the 2^M cells of the domain.  Edge
-coefficients produced by the zero extension are genuine coefficients of
-the extended signal and are always included in the sums.
+The transform is linear, so this equals, to rounding, the norm of the
+transform of the sampled difference.  Each density is sampled only on the grid cells
+meeting its support and trimmed of leading and trailing zeros (with the
+translation offset carried along), and a level difference has cells only
+where one of the two levels has coefficients, never for the gap between
+them.  So memory and work follow the two supports, not the 2^M cells of
+the domain or the distance between the supports: u uniform on [0, 1]
+against its translate by 2040 at j0 = -11 and M = 22 peaks at 0.7 MiB by
+tracemalloc.
+Edge coefficients produced by the zero extension are genuine coefficients
+of the extended signal and are always included in the sums.
 """
 
 import math
@@ -111,15 +116,32 @@ def _weighted_l1(j0, details, s, c1=1.0, total=0.0):
     return total
 
 
-def _decompose_difference(p: Density, q: Density, cfg: DistanceConfig, num_levels):
-    """Transform of sampled p - q trimmed to its nonzero window, or None
-    when that difference vanishes identically."""
-    diff = (sample_for_dwt(p, cfg.j0, cfg.M) - sample_for_dwt(q, cfg.j0, cfg.M)).trimmed()
-    if diff is None:
-        return None
-    system = build_wavelet_system(cfg.wavelet)
-    return dwt_decompose(diff.values, system, num_levels, mode="zero",
-                         j_in=cfg.j0 + cfg.M, k_offset=diff.offset)
+def _coefficients(p: Density, cfg: DistanceConfig, num_levels):
+    """The (offset, array) pairs of p's own transform over num_levels
+    levels below the sampling level j0 + M: the approximation, then the
+    detail levels from the coarsest.  array[t] is the coefficient at
+    translation offset + t; a density that samples to zero gives empty
+    arrays."""
+    sp = sample_for_dwt(p, cfg.j0, cfg.M).trimmed()
+    if sp is None:
+        return [(0, np.empty(0))] * (num_levels + 1)
+    pyr = dwt_decompose(sp.values, build_wavelet_system(cfg.wavelet), num_levels,
+                        mode="zero", j_in=cfg.j0 + cfg.M, k_offset=sp.offset)
+    return [(pyr.approx_offset, pyr.approx), *zip(pyr.detail_offsets, pyr.details)]
+
+
+def _level_difference(ou, a, ov, b):
+    """The coefficients of a - b, up to sign, for one level where a starts
+    at translation ou and b at ov: their difference where the two arrays
+    overlap and each array alone elsewhere, with no cell for a gap between
+    them.  The arrays are taken in the order of their offsets, so cells
+    come in translation order and swapping the arguments at most negates
+    the result: its l1 norm is exactly symmetric."""
+    if ov < ou:
+        ou, a, ov, b = ov, b, ou, a
+    hi = max(ov, min(ou + len(a), ov + len(b)))
+    return np.concatenate([a[:ov - ou], a[ov - ou:hi - ou] - b[:hi - ov],
+                           a[hi - ou:], b[hi - ov:]])
 
 
 def distance_new(p: Density, q: Density, cfg: DistanceConfig) -> float:
@@ -147,11 +169,11 @@ def wavelet_distance(p: Density, q: Density, cfg: DistanceConfig) -> float:
         levels, c0, c1 = cfg.j0 + cfg.M, cfg.C0, cfg.C1
         if c0 is None:
             c0 = 0.0 if cfg.formulation == "original" else math.pow(_C0_DIAMETER, cfg.s)
-    pyr = _decompose_difference(p, q, cfg, levels)
-    if pyr is None:
-        return 0.0
-    return _weighted_l1(pyr.j0, pyr.details, cfg.s, c1,
-                        total=c0 * float(np.sum(np.abs(pyr.approx))))
+    # one level difference at a time: the approximation, then the details
+    diffs = (_level_difference(ou, a, ov, b) for (ou, a), (ov, b)
+             in zip(_coefficients(p, cfg, levels), _coefficients(q, cfg, levels)))
+    return _weighted_l1(cfg.j0 + cfg.M - levels, diffs, cfg.s, c1,
+                        total=c0 * float(np.sum(np.abs(next(diffs)))))
 
 
 def distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:

@@ -3,11 +3,14 @@
 A density maps to the detail coefficients of its own DWT, levels j0
 through j0 + M - 1, stored as one (offset, array) pair per level: the
 array holds the coefficients of consecutive translations, the offset is
-the absolute translation of its first element.  This is the layout of
-the transform's own CoefficientPyramid, whose arrays embed keeps, each
-trimmed to its nonzero span.  The weighted l1 metric on these
-vectors reproduces the "new" wavelet distance exactly, so all pairwise
-distances among N measures cost N transforms instead of N(N-1)/2.
+the absolute translation of its first element.  These are the detail
+levels the distance module's coefficient path gives the density, each
+trimmed to its nonzero span, and wlot_distance takes the same per-level
+differences and weighted l1 sum as wavelet_distance.  So the metric on
+these vectors reproduces the "new" wavelet distance (to rounding, as the
+trimmed arrays are summed in another grouping), and all pairwise
+distances among N measures cost N transforms instead of two for each of
+the N(N-1)/2 pairs.
 
 Vectors serialize to a line-based text format: a header line
 ``wlot <wavelet> <j0> <M>`` followed by ``j k value`` triples of the
@@ -22,8 +25,11 @@ from types import MappingProxyType
 
 import numpy as np
 
+# embed reaches sample_for_dwt and dwt_decompose through _coefficients, but
+# both stay importable here: perfbench/tracer.py wraps this import site
 from .densities import Density, sample_for_dwt
-from .distance import DistanceConfig, _level_weight, _weighted_l1
+from .distance import (DistanceConfig, _coefficients, _level_difference, _level_weight,
+                       _weighted_l1)
 from .dwt import _zero_chain, dwt_decompose
 from .errors import (ConfigMismatch, InvalidConfig, InvalidExponent, InvalidGrid,
                      MalformedWlot, ShapeMismatch)
@@ -110,25 +116,8 @@ def embed(p: Density, cfg: DistanceConfig) -> WlotVector:
     if cfg.formulation != "new":
         raise InvalidConfig(
             f"only the 'new' formulation embeds, got {cfg.formulation!r}")
-    sp = sample_for_dwt(p, cfg.j0, cfg.M).trimmed()
-    levels = [(0, ())] * cfg.M
-    if sp is not None:
-        system = build_wavelet_system(cfg.wavelet)
-        pyr = dwt_decompose(sp.values, system, cfg.M, mode="zero",
-                            j_in=cfg.j0 + cfg.M, k_offset=sp.offset)
-        levels = zip(pyr.detail_offsets, pyr.details)
+    levels = _coefficients(p, cfg, cfg.M)[1:]
     return WlotVector(wavelet=cfg.wavelet, j0=cfg.j0, M=cfg.M, levels=levels)
-
-
-def _level_difference(ou, a, ov, b):
-    """The coefficients of a - b for one level, where a starts at
-    translation ou and b at ov: their difference where the two arrays
-    overlap and each array alone elsewhere, with no cell for a gap between
-    them."""
-    lo = max(ou, ov)
-    hi = max(lo, min(ou + len(a), ov + len(b)))
-    return np.concatenate([a[:lo - ou], a[lo - ou:hi - ou] - b[lo - ov:hi - ov],
-                           a[hi - ou:], b[:lo - ov], b[hi - ov:]])
 
 
 def wlot_distance(u: WlotVector, v: WlotVector, s: float) -> float:

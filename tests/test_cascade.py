@@ -91,6 +91,19 @@ def test_refinement_depth_budget_checked_before_allocating(monkeypatch):
     assert len(cascade_evaluate(db2, "wavelet", 3).values) == 25
 
 
+def test_refinement_memory_per_grid_point():
+    # the budget is counted in points, so the bytes held per point bound
+    # what it admits: 20 by tracemalloc (49.5 with index arrays per term)
+    db20 = build_wavelet_system("db20")
+    tracemalloc.start()
+    try:
+        psi = cascade_evaluate(db20, "wavelet", 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * len(psi.values)
+
+
 def test_haar_constants_closed_form():
     # inf_r int |x-r| over [0,1) is 1/4 at r = 1/2, for |phi| = |psi| = 1;
     # trapezoid endpoint handling of the Haar jump costs ~2^-13 relative

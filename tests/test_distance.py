@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,12 @@ from helpers import CodedError
 from waveot import distance
 from waveot.densities import (bump_density, dilate, discretize, sample_for_dwt,
                               translate, uniform_density)
-from waveot.distance import (DistanceConfig, _decompose_difference,
-                             distance_matrix, distance_new, distance_original,
-                             wavelet_distance)
+from waveot.distance import (DistanceConfig, distance_matrix, distance_new,
+                             distance_original, wavelet_distance)
+from waveot.dwt import dwt_decompose
 from waveot.errors import InvalidConfig, InvalidExponent, UnknownWavelet
 from waveot.exact import exact_ws
+from waveot.filters import build_wavelet_system
 from waveot.simulate import EXACT_DOMAIN
 
 CFG = DistanceConfig(s=0.5, j0=-6, M=13, wavelet="db10", formulation="new")
@@ -110,22 +112,38 @@ def test_triangle_inequality():
 
 
 def test_homogeneity_of_weighted_sum():
-    # scaling the sampled difference scales the distance exactly
-    p = uniform_density(0.0, 1.0)
-    q = bump_density(1.0, 0.5)
-    diff = (sample_for_dwt(p, CFG.j0, CFG.M) - sample_for_dwt(q, CFG.j0, CFG.M)).trimmed()
-    pyr = _decompose_difference(p, q, CFG, CFG.M)
-    base = sum(2.0 ** (-(pyr.j0 + i) * (CFG.s + 0.5)) * np.sum(np.abs(d))
-               for i, d in enumerate(pyr.details))
-    from waveot.dwt import dwt_decompose
-    from waveot.filters import build_wavelet_system
+    # scaling a sampled window scales the weighted sum of its transform exactly
+    sp = sample_for_dwt(uniform_density(0.0, 1.0), CFG.j0, CFG.M).trimmed()
     system = build_wavelet_system(CFG.wavelet)
+
+    def weighted_sum(values):
+        pyr = dwt_decompose(values, system, CFG.M, "zero",
+                            j_in=CFG.j0 + CFG.M, k_offset=sp.offset)
+        return sum(2.0 ** (-(pyr.j0 + i) * (CFG.s + 0.5)) * np.sum(np.abs(d))
+                   for i, d in enumerate(pyr.details))
+
+    base = weighted_sum(sp.values)
     lam = 3.7
-    pyr2 = dwt_decompose(lam * diff.values, system, CFG.M, "zero",
-                         j_in=CFG.j0 + CFG.M, k_offset=diff.offset)
-    scaled = sum(2.0 ** (-(pyr2.j0 + i) * (CFG.s + 0.5)) * np.sum(np.abs(d))
-                 for i, d in enumerate(pyr2.details))
+    scaled = weighted_sum(lam * sp.values)
     assert abs(scaled - lam * base) < 1e-9 * max(1.0, scaled)
+
+
+def test_far_apart_supports_cost_memory_of_the_supports():
+    # each density is transformed on its own window and a level difference
+    # has no cell for the gap, so the 2040 * 2^11 cells between the two
+    # supports are never laid out (143.5 MiB when the difference of the
+    # samples was formed on the union of the windows)
+    cfg = DistanceConfig(s=0.5, j0=-11, M=22)
+    u = uniform_density(0.0, 1.0)
+    far = translate(u, 2040.0)
+    tracemalloc.start()
+    try:
+        d = distance_new(u, far, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert d == distance_new(far, u, cfg) > 0.0
 
 
 def test_counterexample_periodicity_of_original():

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from helpers import trapezoid
 from waveot import densities
-from waveot.densities import (_BUMP_BASE_MASS, Density, DiscreteMeasure, SampledDensity,
+from waveot.densities import (_BUMP_BASE_MASS, Density, DiscreteMeasure,
                               _mass, bump_density, dilate, discretize,
                               sample_for_dwt, translate, uniform_density)
 from waveot.errors import (DomainOverflow, InvalidGrid, InvalidInterval,

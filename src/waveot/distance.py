@@ -161,31 +161,52 @@ def distance_original(p: Density, q: Density, cfg: DistanceConfig) -> float:
     return wavelet_distance(p, q, cfg)
 
 
-def wavelet_distance(p: Density, q: Density, cfg: DistanceConfig) -> float:
-    """The distance under the formulation selected by the config."""
+def _levels_and_weights(cfg: DistanceConfig):
+    """The number of levels each density's transform takes, and the
+    weights c0 of the approximation and c1 of the details."""
     if cfg.formulation == "new":
-        levels, c0, c1 = cfg.M, 0.0, 1.0
-    else:
-        levels, c0, c1 = cfg.j0 + cfg.M, cfg.C0, cfg.C1
-        if c0 is None:
-            c0 = 0.0 if cfg.formulation == "original" else math.pow(_C0_DIAMETER, cfg.s)
+        return cfg.M, 0.0, 1.0
+    c0 = cfg.C0
+    if c0 is None:
+        c0 = 0.0 if cfg.formulation == "original" else math.pow(_C0_DIAMETER, cfg.s)
+    return cfg.j0 + cfg.M, c0, cfg.C1
+
+
+def _coefficient_distance(cu, cv, cfg: DistanceConfig):
+    """wavelet_distance from the two densities' _coefficients."""
+    levels, c0, c1 = _levels_and_weights(cfg)
     # one level difference at a time: the approximation, then the details
-    diffs = (_level_difference(ou, a, ov, b) for (ou, a), (ov, b)
-             in zip(_coefficients(p, cfg, levels), _coefficients(q, cfg, levels)))
+    diffs = (_level_difference(ou, a, ov, b) for (ou, a), (ov, b) in zip(cu, cv))
     return _weighted_l1(cfg.j0 + cfg.M - levels, diffs, cfg.s, c1,
                         total=c0 * float(np.sum(np.abs(next(diffs)))))
 
 
+def wavelet_distance(p: Density, q: Density, cfg: DistanceConfig) -> float:
+    """The distance under the formulation selected by the config."""
+    levels = _levels_and_weights(cfg)[0]
+    return _coefficient_distance(_coefficients(p, cfg, levels),
+                                 _coefficients(q, cfg, levels), cfg)
+
+
 def distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
     """Symmetric matrix of pairwise distances under the configured
-    formulation; per-pair failures are re-raised with the pair attached."""
+    formulation, each entry equal to wavelet_distance bit for bit.  Each
+    density is transformed once, at its first pair, and its coefficients
+    are kept until its row is done; per-pair failures are re-raised with
+    the pair attached."""
     n = len(ps)
     out = np.zeros((n, n))
+    levels = _levels_and_weights(cfg)[0]
+    coeffs = [None] * n
     for i in range(n):
         for j in range(i + 1, n):
             try:
-                out[i, j] = out[j, i] = wavelet_distance(ps[i], ps[j], cfg)
+                for k in (i, j):
+                    if coeffs[k] is None:
+                        coeffs[k] = _coefficients(ps[k], cfg, levels)
+                out[i, j] = out[j, i] = _coefficient_distance(coeffs[i], coeffs[j], cfg)
             except Exception as e:
                 add_context(e, f"pair ({i}, {j})")
                 raise
+        coeffs[i] = None
     return out

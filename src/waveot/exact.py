@@ -35,10 +35,10 @@ _BALANCE_TOL = 1e-9
 # pivot budget on an m x n residual: _PIVOTS_PER_NODE * (m + n) + _PIVOTS_EXTRA
 _PIVOTS_PER_NODE = 200
 _PIVOTS_EXTRA = 10_000
-# most residual cells m * n; building the cost matrix peaks at 24 bytes a
-# cell by tracemalloc (the differences, their absolute values and the
-# powers), and the solve then holds the costs and the reduced costs, so
-# about 100 MB at the limit
+# most residual cells m * n; by tracemalloc, building the cost matrix
+# peaks at 8 bytes a cell (abs_power overwrites the differences), and the
+# solve holds the costs, the reduced costs and the basis, 18-20 bytes a
+# cell on 300- and 600-point residuals, so about 80 MB at the limit
 _MAX_RESIDUAL_CELLS = 1 << 22
 
 

@@ -10,7 +10,7 @@ from waveot.densities import (bump_density, dilate, discretize, sample_for_dwt,
                               translate, uniform_density)
 from waveot.distance import (DistanceConfig, distance_matrix, distance_new,
                              distance_original, wavelet_distance)
-from waveot.dwt import dwt_decompose
+from waveot.dwt import decompose_call_count, dwt_decompose
 from waveot.errors import InvalidConfig, InvalidExponent, UnknownWavelet
 from waveot.exact import exact_ws
 from waveot.filters import build_wavelet_system
@@ -215,6 +215,21 @@ def test_distance_matrix_matches_pairwise_and_grows():
     assert np.all(np.diff(mat[0, 1:]) > 0)
 
 
+@pytest.mark.parametrize("formulation", ["new", "original", "alternative"])
+def test_distance_matrix_transforms_each_density_once(formulation):
+    # N transforms for N densities, not two a pair, and every entry is the
+    # pair's wavelet_distance bit for bit
+    cfg = replace(CFG, formulation=formulation)
+    p = uniform_density(0.0, 1.0)
+    ps = [p, translate(p, 0.4), dilate(bump_density(1.0, 0.4), 1.3, 1.0), translate(p, 2.0)]
+    before = decompose_call_count()
+    mat = distance_matrix(ps, cfg)
+    assert decompose_call_count() - before == len(ps)
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            assert mat[i, j] == mat[j, i] == wavelet_distance(ps[i], ps[j], cfg)
+
+
 def test_distance_matrix_error_context():
     p = uniform_density(0.0, 1.0)
     far = translate(p, 80.0)  # outside [0, 2^6]
@@ -223,10 +238,10 @@ def test_distance_matrix_error_context():
 
 
 def test_distance_matrix_context_added_once_without_quotes(monkeypatch):
-    def fail(p, q, cfg):
+    def fail(p, cfg, num_levels):
         raise UnknownWavelet("db99")
 
-    monkeypatch.setattr(distance, "wavelet_distance", fail)
+    monkeypatch.setattr(distance, "_coefficients", fail)
     p = uniform_density(0.0, 1.0)
     with pytest.raises(UnknownWavelet) as exc:
         distance_matrix([p, p], CFG)
@@ -236,10 +251,10 @@ def test_distance_matrix_context_added_once_without_quotes(monkeypatch):
 def test_distance_matrix_keeps_foreign_exception(monkeypatch):
     err = CodedError(7, "solver state")
 
-    def fail(p, q, cfg):
+    def fail(p, cfg, num_levels):
         raise err
 
-    monkeypatch.setattr(distance, "wavelet_distance", fail)
+    monkeypatch.setattr(distance, "_coefficients", fail)
     p = uniform_density(0.0, 1.0)
     with pytest.raises(CodedError) as exc:
         distance_matrix([p, p], CFG)

@@ -3,7 +3,8 @@ identity over densities drawn anywhere in the dyadic domain, including
 supports touching either end and supports narrower than one grid cell,
 of the embedding's matrix and text round trip, of the exact solver
 against the LP oracle on a small shared grid, and of the solver's nested
-starting basis and the eps its flows carry through the pivots.
+starting basis and the eps its flows carry through the pivots, and of
+the in-place abs_power against |x| ** s.
 
 The window does not depend on how many cells one evaluator call gets.
 Examples are derandomized, so every run checks the same cases.
@@ -14,8 +15,10 @@ from unittest import mock
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import brute_force_lp
+from waveot._num import abs_power
 from waveot.densities import (_CELL_POINTS, DiscreteMeasure, bump_density, dilate,
                               sample_for_dwt, translate, uniform_density)
 from waveot.distance import DistanceConfig, distance_new
@@ -323,3 +326,22 @@ def test_every_basic_flow_is_positive_in_eps(problem, s):
     assert all(f > (0.0, 0) for f in flows.values())
     flows = _transport_simplex(np.abs(x[:, None] - y[None, :]) ** s, flows)
     assert all(f > (0.0, 0) for f in flows.values())
+
+
+_SIGNED = np.array([-2.0, -0.0, 0.0, 3.0, 5e-324, 1e-300, -0.7, 1.7e308])
+
+
+@SETTINGS
+@given(hnp.arrays(np.float64, st.integers(0, 300),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.floats(0.0, 1.0, exclude_min=True))
+@example(_SIGNED, 1.0)
+@example(_SIGNED, 0.5)
+@example(_SIGNED, 0.25)
+def test_abs_power_in_place_matches_abs_then_power(x, s):
+    # in place, the power must keep numpy's sqrt (s = 0.5) and identity
+    # (s = 1) paths, which np.abs(x) ** s takes
+    want = np.abs(x) ** s
+    y = x.copy()
+    assert abs_power(y, s) is y
+    assert y.tobytes() == want.tobytes()

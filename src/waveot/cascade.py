@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._num import abs_power
-from .densities import _MAX_SAMPLE_POINTS, SampledDensity
+from .densities import _BLOCK_POINTS, _MAX_SAMPLE_POINTS, SampledDensity
 from .errors import InvalidExponent, InvalidFunction, InvalidLevels
 from .filters import WaveletSystem
 
@@ -54,18 +54,21 @@ def _integer_values(system: WaveletSystem):
     return np.concatenate([v, [0.0]])
 
 
-def _two_scale(phi, filt, shift, first, count):
-    """sqrt(2) sum_k filt[k] phi[first + 2i - k shift] for i < count, with
-    phi zero off its grid: the two-scale relation on every other point of
-    a grid whose spacing is 1/shift, read through strided slices."""
-    out = np.zeros(count)
-    for k, c in enumerate(filt):
-        start = first - k * shift  # index into phi of out[0]
-        lo = max(0, -(start // 2))
-        hi = min(count, (len(phi) - 1 - start) // 2 + 1)
-        if lo < hi:
-            out[lo:hi] += c * phi[start + 2 * lo: start + 2 * hi - 1: 2]
-    out *= math.sqrt(2.0)
+def _two_scale(phi, filt, shift, first, out):
+    """out[i] = sqrt(2) sum_k filt[k] phi[first + 2i - k shift] for every
+    i, with phi zero off its grid: the two-scale relation on every other
+    point of a grid whose spacing is 1/shift, read through strided slices.
+    out arrives zeroed and is filled _BLOCK_POINTS entries at a time, so
+    the only temporary is one block of one term; out is returned."""
+    for b0 in range(0, len(out), _BLOCK_POINTS):
+        block = out[b0: b0 + _BLOCK_POINTS]
+        for k, c in enumerate(filt):
+            start = first + 2 * b0 - k * shift  # index into phi of block[0]
+            lo = max(0, -(start // 2))
+            hi = min(len(block), (len(phi) - 1 - start) // 2 + 1)
+            if lo < hi:
+                block[lo:hi] += c * phi[start + 2 * lo: start + 2 * hi - 1: 2]
+        block *= math.sqrt(2.0)
     return out
 
 
@@ -85,9 +88,10 @@ def cascade_evaluate(system: WaveletSystem, which: str,
     L = len(g)
     width = L - 1
     # the final grid holds width * 2^depth + 1 points; the first test
-    # keeps the power from being formed for absurd depths.  By tracemalloc
-    # the refinement peaks at 18 bytes a final point and the wavelet at 20
-    # (db20 at depth 13), so the budget admits about 670 MB
+    # keeps the power from being formed for absurd depths.  Each step fills
+    # its new points in place, so by tracemalloc the refinement peaks at
+    # 12.4 bytes a final point (the old grid and the new) and the wavelet
+    # at 16.4 (phi and psi), db20 at depth 13: the budget admits about 550 MB
     if (refinement_depth > _MAX_SAMPLE_POINTS.bit_length()
             or width * 2 ** refinement_depth + 1 > _MAX_SAMPLE_POINTS):
         raise InvalidLevels(
@@ -100,10 +104,10 @@ def cascade_evaluate(system: WaveletSystem, which: str,
         # m/2^(d+1) at odd m reads phi at indices m - k*2^d of the old grid
         new = np.zeros(width * 2 ** (d + 1) + 1)
         new[::2] = phi
-        new[1::2] = _two_scale(phi, g, 2 ** d, 1, len(phi) - 1)
+        _two_scale(phi, g, 2 ** d, 1, new[1::2])
         phi = new
     if which == "wavelet":
-        phi = _two_scale(phi, system.h, 2 ** refinement_depth, 0, len(phi))
+        phi = _two_scale(phi, system.h, 2 ** refinement_depth, 0, np.zeros(len(phi)))
 
     return SampledDensity(offset=0, spacing=2.0 ** (-refinement_depth), values=phi)
 
@@ -136,29 +140,38 @@ def _golden_min(f, a, b, tol=1e-8):
     return 0.5 * (a + b)
 
 
-def _centered_moment_inf(grid, weighted, s):
-    """inf over r of sum |x - r|^s * weighted(x), with weighted already
-    carrying the quadrature weights; located by a candidate scan plus
-    golden-section refinement.
+def _centered_moment_inf(spacing, weighted, s):
+    """inf over r of sum |x - r|^s * weighted(x) over the grid x = i *
+    spacing, with weighted already carrying the quadrature weights;
+    located by a candidate scan plus golden-section refinement.
 
     The scan evaluates candidates against the coarse grid in blocks of at
     most _SCAN_BLOCK entries (a single candidate row when one row is
     longer), so its working set is one block, not the full
-    candidate-by-grid matrix; each objective call of the refinement holds
-    one temporary of len(grid), which abs_power and the weighting
-    overwrite in place."""
-    def objective(r):
-        y = abs_power(grid - r, s)
-        y *= weighted
+    candidate-by-grid matrix.  Each objective call forms the grid points,
+    their |x - r|^s and its weighting in place, one _BLOCK_POINTS block at
+    a time, and adds the block sums with math.fsum, so no array of the
+    grid's size is made and the value hardly depends on the block size."""
+    n = len(weighted)
+
+    def block_sum(b0, r):
+        w = weighted[b0: b0 + _BLOCK_POINTS]
+        y = np.arange(b0, b0 + len(w)) * spacing
+        y -= r
+        abs_power(y, s)
+        y *= w
         return float(np.sum(y))
 
-    candidates = np.linspace(grid[0], grid[-1], _R_CANDIDATES)
+    def objective(r):
+        return math.fsum(block_sum(b0, r) for b0 in range(0, n, _BLOCK_POINTS))
+
+    candidates = np.linspace(0.0, (n - 1) * spacing, _R_CANDIDATES)
     step = candidates[1] - candidates[0]
     # locate the basin with a decimated quadrature grid (the objective is
     # an integral, so fine-scale structure washes out), then refine the
     # winner against the full-resolution objective
-    stride = max(1, len(grid) // 4096)
-    coarse_grid = grid[::stride]
+    stride = max(1, n // 4096)
+    coarse_grid = np.arange(0, n, stride) * spacing
     coarse_w = weighted[::stride] * stride
     best_val = np.inf
     best_r = candidates[0]
@@ -188,16 +201,18 @@ def estimate_constants(system: WaveletSystem, s: float) -> HolderConstants:
     """Numerically estimate a11, a12 (centered-moment infima) and a13
     (reciprocal L1 norm) for the given wavelet system and 0 < s <= 1, on
     the dyadic grid of depth DEFAULT_CASCADE_DEPTH.  The weighted |phi| and
-    |psi| overwrite the function values, so the peak is four grid-sized
-    arrays, 4.9 MiB by tracemalloc for db20."""
+    |psi| overwrite the function values and the searches work in blocks,
+    so the peak is phi and psi, two grid-sized arrays: 3.0 MiB by
+    tracemalloc for db20."""
     if not 0.0 < s <= 1.0:
         raise InvalidExponent(f"s must lie in (0, 1], got {s}")
     phi = cascade_evaluate(system, "scaling", DEFAULT_CASCADE_DEPTH)
-    psi = _two_scale(phi.values, system.h, 2 ** DEFAULT_CASCADE_DEPTH, 0, len(phi.values))
-    grid, spacing = phi.grid(), phi.spacing
+    psi = _two_scale(phi.values, system.h, 2 ** DEFAULT_CASCADE_DEPTH, 0,
+                     np.zeros(len(phi.values)))
+    spacing = phi.spacing
     weighted = _weighted_abs(phi.values, spacing)
     l1_phi = float(np.sum(weighted))
-    inf_phi = _centered_moment_inf(grid, weighted, s)
+    inf_phi = _centered_moment_inf(spacing, weighted, s)
     del phi, weighted  # release phi's values before the psi search
-    inf_psi = _centered_moment_inf(grid, _weighted_abs(psi, spacing), s)
+    inf_psi = _centered_moment_inf(spacing, _weighted_abs(psi, spacing), s)
     return HolderConstants(a11=1.0 / inf_phi, a12=1.0 / inf_psi, a13=1.0 / l1_phi)

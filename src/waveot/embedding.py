@@ -27,7 +27,7 @@ import numpy as np
 
 # embed reaches sample_for_dwt and dwt_decompose through _coefficients, but
 # both stay importable here: perfbench/tracer.py wraps this import site
-from .densities import Density, sample_for_dwt
+from .densities import _BLOCK_POINTS, Density, sample_for_dwt
 from .distance import (DistanceConfig, _coefficients, _level_difference, _level_weight,
                        _weighted_l1)
 from .dwt import _zero_chain, dwt_decompose
@@ -39,8 +39,8 @@ __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
            "prune", "write_wlot", "read_wlot", "to_text", "from_text"]
 
 # most float cells one call lays out: the N x K matrix of
-# wlot_distance_matrix (64 MiB, and as much again for the differences of
-# its first row), or the level arrays from_text builds; every vector embed
+# wlot_distance_matrix (64 MiB; its differences are taken a block of rows
+# at a time), or the level arrays from_text builds; every vector embed
 # can sample spans far fewer
 _MAX_CELLS = 1 << 23
 
@@ -151,8 +151,11 @@ def wlot_distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
     """All pairwise distances among N densities with N embeddings.
 
     The embeddings fill one N x K coefficient matrix, K the translations
-    any of them covers, and row i's distances to the later rows are one
-    product of their absolute differences with the K level weights.
+    any of them covers, and row i's distances to the later rows are the
+    products of their absolute differences with the K level weights.  The
+    differences are formed max(1, _BLOCK_POINTS // K) rows at a time in
+    one reused block, so beyond the matrix and the weights the working set
+    is that block.
     Differences are taken before weighting, as in wlot_distance, but the
     sums run in another order, so the two agree to rounding, not bit for
     bit.  The lower triangle mirrors the upper one, so the result is
@@ -176,9 +179,13 @@ def wlot_distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
                 row[base + col: base + col + len(values)] = values
         base += width
     out = np.zeros((n, n))
+    rows = max(1, _BLOCK_POINTS // max(K, 1))  # rows of differences at a time
+    buf = np.empty((min(rows, n), K))
     for i in range(n - 1):
-        diffs = X[i + 1:] - X[i]
-        out[i, i + 1:] = np.abs(diffs, out=diffs) @ weights
+        for b0 in range(i + 1, n, rows):
+            block = X[b0: b0 + rows]
+            diffs = np.subtract(block, X[i], out=buf[:len(block)])
+            out[i, b0: b0 + rows] = np.abs(diffs, out=diffs) @ weights
     return out + out.T
 
 

@@ -93,15 +93,20 @@ def test_refinement_depth_budget_checked_before_allocating(monkeypatch):
 
 def test_refinement_memory_per_grid_point():
     # the budget is counted in points, so the bytes held per point bound
-    # what it admits: 20 by tracemalloc (49.5 with index arrays per term)
+    # what it admits.  Each two-scale step fills its output in place, one
+    # block at a time: the refinement holds the old and the new grid, 12.4
+    # bytes a point by tracemalloc (18 with a half-grid result and its
+    # temporary), and the wavelet phi and psi, 16.4 (20)
     db20 = build_wavelet_system("db20")
-    tracemalloc.start()
-    try:
-        psi = cascade_evaluate(db20, "wavelet", 13)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * len(psi.values)
+    for which, bound in (("scaling", 14), ("wavelet", 18)):
+        tracemalloc.start()
+        try:
+            values = cascade_evaluate(db20, which, 13).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * len(values), which
+        del values
 
 
 def test_haar_constants_closed_form():
@@ -138,10 +143,11 @@ def test_grid_search_matches_midpoint_objective_for_haar():
 
 
 def test_constants_scan_memory_bounded():
-    # the candidate scan works in cache-sized blocks and the weighted |phi|,
-    # |psi| and each objective's values are built in place, so the peak is
-    # four grid-sized arrays (db20: 159,745 points, 1.2 MiB each), 4.9 MiB
-    # by tracemalloc; 11.0 MiB with fresh arrays for each step
+    # the candidate scan works in cache-sized blocks, the weighted |phi|
+    # and |psi| are built in place, and each objective forms its grid and
+    # values one _BLOCK_POINTS block at a time, so the peak is phi and psi
+    # (db20: 159,745 points, 1.2 MiB each) plus a scan block, 3.0 MiB by
+    # tracemalloc; 4.9 MiB with the grid and a grid-sized objective array
     db20 = build_wavelet_system("db20")
     tracemalloc.start()
     try:
@@ -149,7 +155,7 @@ def test_constants_scan_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2 ** 20
+    assert peak < 3.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("block", [4097, 1 << 20])
@@ -161,3 +167,23 @@ def test_constants_independent_of_scan_block(monkeypatch, block):
     got = estimate_constants(db2, 0.5)
     for a, b in [(got.a11, ref.a11), (got.a12, ref.a12), (got.a13, ref.a13)]:
         assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_results_independent_of_block_points(monkeypatch):
+    # the two-scale steps and the objective work _BLOCK_POINTS points at
+    # a time: each grid value takes the same terms in the same order in
+    # any block, and the objective adds its block sums exactly rounded
+    systems = {name: build_wavelet_system(name) for name in ("db2", "db20")}
+    grids = {(name, which): cascade_evaluate(system, which, 8).values
+             for name, system in systems.items() for which in ("scaling", "wavelet")}
+    consts = {name: estimate_constants(system, 0.25) for name, system in systems.items()}
+    # db20's 159,745-point grid in 7-point blocks would take seconds a call
+    for block, names in ((7, ("db2",)), (1 << 20, ("db2", "db20"))):
+        monkeypatch.setattr(cascade, "_BLOCK_POINTS", block)
+        for (name, which), ref in grids.items():
+            got = cascade_evaluate(systems[name], which, 8).values
+            assert got.tobytes() == ref.tobytes(), (block, name, which)
+        for name in names:
+            got, ref = estimate_constants(systems[name], 0.25), consts[name]
+            for a, b in [(got.a11, ref.a11), (got.a12, ref.a12), (got.a13, ref.a13)]:
+                assert abs(a - b) <= 1e-15 * abs(b), (block, name)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -229,6 +230,62 @@ def test_matrix_budget_counts_covered_translations(monkeypatch):
     monkeypatch.setattr(waveot.embedding, "_MAX_CELLS", cells)
     mat = wlot_distance_matrix(ps, CFG)
     assert mat[0, 2] == pytest.approx(wlot_distance(vecs[0], vecs[2], CFG.s), rel=1e-12)
+
+
+def test_matrix_independent_of_row_block(monkeypatch):
+    # one row of differences per block, and every later row in one block
+    ps = [translate(uniform_density(0.0, 1.0), a) for a in (0.0, 0.5, 40.0)]
+    ps += [bump_density(0.6, 0.3), bump_density(1.4, 0.5)]
+    vecs = [embed(p, CFG) for p in ps]
+    results = []
+    for block in (1, 1 << 30):
+        monkeypatch.setattr(waveot.embedding, "_BLOCK_POINTS", block)
+        results.append(wlot_distance_matrix(ps, CFG))
+    one_row, all_rows = results
+    assert np.array_equal(one_row, one_row.T)
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            pair = wlot_distance(vecs[i], vecs[j], CFG.s)
+            assert abs(one_row[i, j] - pair) <= 1e-12 * pair
+            assert abs(one_row[i, j] - all_rows[i, j]) <= 1e-12 * pair
+
+
+def test_matrix_of_no_coefficients():
+    # K = 0 columns: no measures, or measures without detail coefficients
+    # (the Haar details of the uniform density on the whole domain)
+    assert wlot_distance_matrix([], CFG).shape == (0, 0)
+    cfg = DistanceConfig(s=1.0, j0=0, M=4, wavelet="haar")
+    p = uniform_density(0.0, 1.0)
+    assert not any(len(values) for _, values in embed(p, cfg).levels)
+    assert np.array_equal(wlot_distance_matrix([p, p], cfg), np.zeros((2, 2)))
+
+
+def test_matrix_working_set_is_one_block(monkeypatch):
+    # 32 measures (4 translates, each 8 times) over K = 26,253 columns:
+    # X is 6.4 MiB, and row i's differences are taken one row at a time in
+    # one reused block, so the peak exceeds X by the weights and the block,
+    # 0.43 MiB by tracemalloc (12.4 MiB when row 0's 31 differences
+    # were laid out next to those of row 1)
+    cfg = DistanceConfig(s=0.5, j0=-2, M=16, wavelet="db2")
+    distinct = [translate(uniform_density(0.0, 1.0), 0.2 * i) for i in range(4)]
+    vecs = {id(p): embed(p, cfg) for p in distinct}
+    ps = distinct * 8
+    K = sum(len(set().union(*(range(o, o + len(a)) for o, a in level)))
+            for level in zip(*(v.levels for v in vecs.values())))
+    x_bytes = 8 * len(ps) * K
+    assert x_bytes >= 4 * 2 ** 20
+    # the embeddings are made beforehand, so their transients do not count
+    monkeypatch.setattr(waveot.embedding, "embed", lambda p, _cfg: vecs[id(p)])
+    tracemalloc.start()
+    try:
+        mat = wlot_distance_matrix(ps, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x_bytes + 2 ** 20
+    first, second = vecs[id(ps[0])], vecs[id(ps[1])]
+    assert mat[0, 1] == pytest.approx(wlot_distance(first, second, cfg.s), rel=1e-12)
+    assert mat[0, 4] == 0.0
 
 
 def test_level_arrays_are_trimmed_and_read_only():

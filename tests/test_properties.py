@@ -2,9 +2,10 @@
 identity over densities drawn anywhere in the dyadic domain, including
 supports touching either end and supports narrower than one grid cell,
 of the embedding's matrix and text round trip, of the exact solver
-against the LP oracle on a small shared grid, and of the solver's nested
-starting basis and the eps its flows carry through the pivots, and of
-the in-place abs_power against |x| ** s.
+against the LP oracle on a small shared grid and of the triangle
+inequality of its W_s, of the solver's nested starting basis and the eps
+its flows carry through the pivots, and of the in-place abs_power
+against |x| ** s.
 
 The window does not depend on how many cells one evaluator call gets.
 Examples are derandomized, so every run checks the same cases.
@@ -237,6 +238,14 @@ def test_exact_ws_is_symmetric_with_exact_marginals(mu, nu, s):
 @given(grid_measures(), st.sampled_from([1.0, 0.5, 0.25]))
 def test_exact_ws_of_a_measure_with_itself_is_zero(mu, s):
     assert exact_ws(mu, mu, s)[0] == 0.0
+
+
+@SETTINGS
+@given(grid_measures(), grid_measures(), grid_measures(),
+       st.sampled_from([1.0, 0.5, 0.25]))
+def test_exact_ws_triangle_inequality(mu, nu, rho, s):
+    # |x - y|^s is a metric for 0 < s <= 1, so W_s is one on measures
+    assert exact_ws(mu, rho, s)[0] <= exact_ws(mu, nu, s)[0] + exact_ws(nu, rho, s)[0] + 1e-9
 
 
 @st.composite

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainOverflow, InvalidGrid, InvalidInterval, UnbalancedMarginals
+from .errors import (DomainOverflow, InvalidGrid, InvalidInterval, UnbalancedMarginals,
+                     checked_int)
 
 __all__ = [
     "Density", "SampledDensity", "DiscreteMeasure",
@@ -73,12 +74,13 @@ def _mass(f, lo, hi):
 class Density:
     """A probability density with compact support [lo, hi].
 
-    The evaluator accepts scalars or numpy arrays and returns zero outside
-    the support.  Construction fails if the support is not finite or if
-    the mass, by the refined midpoint rule of _mass, deviates from 1 by
-    more than 1e-8.  An integrable singularity at a support end far from 0
-    can fail it: 0.5 / sqrt(x - 1000) on (1000, 1001) measures 5.8e-7 short,
-    as _mass splits no cell below a few float spacings (1.1e-13 there).
+    The evaluator is kept as given and takes a 1-D array of points inside
+    the support; calling the density masks once and is zero outside.
+    Construction fails if the support is not finite or if the mass, by
+    the refined midpoint rule of _mass, deviates from 1 by more than 1e-8.
+    An integrable singularity at a support end far from 0 can fail it:
+    0.5 / sqrt(x - 1000) on (1000, 1001) measures 5.8e-7 short, as _mass
+    splits no cell below a few float spacings (1.1e-13 there).
     """
 
     evaluator: callable
@@ -89,28 +91,22 @@ class Density:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise InvalidInterval(
                 f"support must be finite with lo < hi, got {self.support}")
-        raw = self.evaluator
-
-        # half-open [lo, hi): dyadic grid points landing exactly on the
-        # right support endpoint sample as zero
-        def masked(x):
-            arr = np.atleast_1d(np.asarray(x, dtype=float))
-            inside = (arr >= lo) & (arr < hi)
-            out = np.zeros_like(arr)
-            if np.any(inside):
-                out[inside] = raw(arr[inside])
-            return out[0] if np.ndim(x) == 0 else out
-
-        object.__setattr__(self, "evaluator", masked)
-        # translate and dilate wrap this, so a transformed density masks once
-        object.__setattr__(self, "_unmasked", raw)
-        mass = _mass(masked, lo, hi)
+        mass = _mass(self, lo, hi)
         if not abs(mass - 1.0) <= _MASS_TOL:
             raise InvalidInterval(
                 f"density mass is {mass:.12g}, expected 1 within {_MASS_TOL}")
 
     def __call__(self, x):
-        return self.evaluator(x)
+        """The density at x, a scalar or an array: the evaluator on the
+        points of the half-open support [lo, hi), zero elsewhere, so dyadic
+        grid points landing exactly on hi sample as zero."""
+        lo, hi = self.support
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        inside = (arr >= lo) & (arr < hi)
+        out = np.zeros_like(arr)
+        if np.any(inside):
+            out[inside] = self.evaluator(arr[inside])
+        return out[0] if np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -176,12 +172,13 @@ def uniform_density(lo: float, hi: float) -> Density:
 
 
 def _bump_profile(t):
-    """exp(-1/(1 - t^2)) on (-1, 1), zero elsewhere, for an array t."""
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    u = 1.0 - t[inside] * t[inside]
-    out[inside] = np.exp(-1.0 / u)
-    return out
+    """exp(-1/(1 - t^2)) on (-1, 1), zero elsewhere, for an array t.  In
+    binary64, u = 1 - t^2 > 0 holds exactly when |t| < 1."""
+    u = 1.0 - t * t
+    inside = u > 0
+    out = np.zeros_like(u)
+    np.divide(-1.0, u, out=out, where=inside)
+    return np.exp(out, out=out, where=inside)
 
 
 _BUMP_BASE_MASS = _mass(_bump_profile, -1.0, 1.0)
@@ -206,9 +203,10 @@ def bump_density(center: float, half_width: float) -> Density:
 
 
 def translate(d: Density, a: float) -> Density:
-    """Shift a density by a."""
+    """Shift a density by a.  The new evaluator composes d's, so a chain
+    of transforms is masked once, by its own support, when it is called."""
     lo, hi = d.support
-    inner = d._unmasked
+    inner = d.evaluator
 
     def evaluate(x):
         return inner(x - a)
@@ -221,7 +219,7 @@ def dilate(d: Density, b: float, about: float) -> Density:
     if b <= 0:
         raise InvalidInterval(f"dilation factor must be positive, got {b}")
     lo, hi = d.support
-    inner = d._unmasked
+    inner = d.evaluator
 
     def evaluate(x):
         return inner(about + (x - about) / b) / b
@@ -248,10 +246,13 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
     2^M cells of the domain; every other cell is an exact zero.  Each
     evaluator call gets _BLOCK_POINTS points (256 cells), so the memory
     beyond the result is a few cache-sized blocks for any window.  A window
-    of more than _MAX_SAMPLE_POINTS points is refused before evaluating.
+    of more than _MAX_SAMPLE_POINTS points is refused before evaluating,
+    and one whose every cell averages to zero after it, as discretize
+    refuses a grid that misses the density.
     """
-    if M < 1 or int(M) != M:
-        raise InvalidGrid(f"M must be a positive integer, got {M}")
+    M = checked_int(M, InvalidGrid, f"M must be a positive integer, got {M}", lo=1)
+    # a fractional j0 would put the window on a grid that is not dyadic
+    j0 = checked_int(j0, InvalidGrid, f"j0 must be an integer, got {j0}")
     lo, hi = d.support
     domain_hi = 2.0 ** (-j0)
     if lo < -1e-12 or hi > domain_hi * (1.0 + 1e-12):
@@ -274,7 +275,11 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
     for start in range(0, len(values), block):
         ks = k_lo + np.arange(start, min(start + block, len(values)))
         pts = (ks[:, None] + offs) * spacing
-        values[start: start + len(pts)] = d.evaluator(pts.ravel()).reshape(pts.shape).mean(axis=1)
+        values[start: start + len(pts)] = d(pts.ravel()).reshape(pts.shape).mean(axis=1)
+    if not np.any(values):
+        raise InvalidGrid(
+            f"density on [{lo}, {hi}] carries no mass on the sampling grid of "
+            f"spacing {spacing}; use a larger M")
     values *= 2.0 ** (-(j0 + M) / 2.0)
     return SampledDensity(offset=k_lo, spacing=spacing, values=values)
 
@@ -286,13 +291,14 @@ def discretize(d: Density, num_points: int, domain: tuple = None) -> DiscreteMea
     domain defaults to the density support; pass a shared interval to put
     several measures on one grid for the exact solver.
     """
-    if not 2 <= num_points <= _MAX_SAMPLE_POINTS or int(num_points) != num_points:
-        raise InvalidGrid(f"need 2 to {_MAX_SAMPLE_POINTS} grid points, got {num_points}")
+    num_points = checked_int(
+        num_points, InvalidGrid,
+        f"need 2 to {_MAX_SAMPLE_POINTS} grid points, got {num_points}", 2, _MAX_SAMPLE_POINTS)
     lo, hi = d.support if domain is None else domain
     if not lo < hi:
         raise InvalidInterval(f"invalid grid domain ({lo}, {hi})")
     grid = np.linspace(lo, hi, num_points)
-    w = d.evaluator(grid)
+    w = d(grid)
     total = w.sum()
     if total <= 0:
         raise InvalidGrid("density carries no mass on the requested grid")

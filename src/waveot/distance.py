@@ -36,7 +36,7 @@ import numpy as np
 
 from .densities import Density, sample_for_dwt
 from .dwt import dwt_decompose
-from .errors import InvalidConfig, InvalidExponent, add_context
+from .errors import InvalidConfig, InvalidExponent, add_context, checked_int
 from .filters import build_wavelet_system
 
 __all__ = ["DistanceConfig", "distance_new", "distance_original",
@@ -79,13 +79,11 @@ class DistanceConfig:
             raise InvalidExponent(f"s must lie in (0, 1], got {self.s}")
         if self.formulation not in FORMULATIONS:
             raise InvalidConfig(f"unknown formulation {self.formulation!r}")
-        if not (self.M >= 1 and float(self.M).is_integer()):
-            raise InvalidConfig(f"M must be a positive integer, got {self.M}")
-        if not float(self.j0).is_integer():
-            raise InvalidConfig(f"j0 must be an integer, got {self.j0}")
         # integral floats pass; levels, shifts and the .wlot header need ints
-        object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "j0", int(self.j0))
+        object.__setattr__(self, "M", checked_int(
+            self.M, InvalidConfig, f"M must be a positive integer, got {self.M}", lo=1))
+        object.__setattr__(self, "j0", checked_int(
+            self.j0, InvalidConfig, f"j0 must be an integer, got {self.j0}"))
         if self.j0 < 0 and self.M <= -self.j0:
             raise InvalidConfig("need M > -j0 so the sampling level j0+M is positive")
         if not (self.j0 >= _MIN_J0 and self.j0 + self.M <= _MAX_SAMPLING_LEVEL):
@@ -99,9 +97,6 @@ class DistanceConfig:
             raise InvalidConfig(
                 f"alternative formulation requires finite C0 > 0 and C1 > 0, "
                 f"got C0 = {self.C0}, C1 = {self.C1}")
-        if self.formulation != "new" and self.j0 + self.M < 1:
-            raise InvalidConfig(
-                "original/alternative formulations need j0 + M >= 1 to reach level 0")
 
 
 def _level_weight(j: int, s: float) -> float:
@@ -120,11 +115,8 @@ def _coefficients(p: Density, cfg: DistanceConfig, num_levels):
     """The (offset, array) pairs of p's own transform over num_levels
     levels below the sampling level j0 + M: the approximation, then the
     detail levels from the coarsest.  array[t] is the coefficient at
-    translation offset + t; a density that samples to zero gives empty
-    arrays."""
+    translation offset + t."""
     sp = sample_for_dwt(p, cfg.j0, cfg.M).trimmed()
-    if sp is None:
-        return [(0, np.empty(0))] * (num_levels + 1)
     pyr = dwt_decompose(sp.values, build_wavelet_system(cfg.wavelet), num_levels,
                         mode="zero", j_in=cfg.j0 + cfg.M, k_offset=sp.offset)
     return [(pyr.approx_offset, pyr.approx), *zip(pyr.detail_offsets, pyr.details)]

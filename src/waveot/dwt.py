@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidLevels, ShapeMismatch
+from .errors import EmptyInput, InvalidConfig, InvalidLevels, ShapeMismatch, checked_int
 from .filters import WaveletSystem
 
 __all__ = ["CoefficientPyramid", "dwt_decompose", "dwt_reconstruct",
@@ -114,13 +114,15 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
     ignores offsets).
     """
     global _DECOMPOSE_CALLS
-    if num_levels < 1 or int(num_levels) != num_levels:
-        raise InvalidLevels(f"num_levels must be a positive integer, got {num_levels}")
+    num_levels = checked_int(num_levels, InvalidLevels,
+                             f"num_levels must be a positive integer, got {num_levels}", lo=1)
+    j_in = checked_int(j_in, InvalidConfig, f"j_in must be an integer, got {j_in}")
+    k_offset = checked_int(k_offset, InvalidConfig, f"k_offset must be an integer, got {k_offset}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise EmptyInput("input must be a nonempty 1-D array")
     if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidConfig(f"unknown mode {mode!r}")
     _DECOMPOSE_CALLS += 1
 
     g, h = system.g, system.h
@@ -194,7 +196,7 @@ def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.nd
     for both modes."""
     mode = pyramid.mode
     if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidConfig(f"unknown mode {mode!r}")
     levels = pyramid.levels
     if levels == 0 or pyramid.approx is None or len(pyramid.approx) == 0:
         raise ShapeMismatch("pyramid has no detail levels or empty approximation")

@@ -1,4 +1,8 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the checks that raise
+them for integer arguments."""
+
+import math
+import numbers
 
 
 class WaveotError(Exception):
@@ -45,7 +49,8 @@ class UnbalancedMarginals(WaveotError, ValueError):
 
 
 class InvalidConfig(WaveotError, ValueError):
-    """A distance or sweep configuration violates an invariant."""
+    """A distance, transform, filter or sweep configuration violates an
+    invariant."""
 
 
 class ConfigMismatch(WaveotError, ValueError):
@@ -82,3 +87,14 @@ def add_context(err: BaseException, context: str) -> None:
         err.args = (f"{context}: {err.args[0]}",)
     elif hasattr(err, "add_note"):
         err.add_note(context)
+
+
+def checked_int(value, error, message, lo=-math.inf, hi=math.inf):
+    """value as an int, when it is an integer or a real number with an
+    integral value (so 3.0 passes as 3) in [lo, hi]; otherwise raise
+    error(message)."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        if lo <= value <= hi:
+            return int(value)
+    raise error(message)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._db_tables import DB_SCALING_FILTERS
-from .errors import UnknownWavelet
+from .errors import InvalidConfig, UnknownWavelet
 
 __all__ = ["WaveletSystem", "build_wavelet_system", "catalog_names"]
 
@@ -63,19 +63,19 @@ class WaveletSystem:
 def _validate_filters(name, g, h):
     L = len(g)
     if L % 2 != 0 or L != len(h):
-        raise ValueError(f"{name}: filters must share an even length, got {L}")
+        raise InvalidConfig(f"{name}: filters must share an even length, got {L}")
     if abs(g.sum() - np.sqrt(2.0)) > _IDENTITY_TOL:
-        raise ValueError(f"{name}: low-pass sum is not sqrt(2)")
+        raise InvalidConfig(f"{name}: low-pass sum is not sqrt(2)")
     if abs(h.sum()) > _IDENTITY_TOL:
-        raise ValueError(f"{name}: high-pass sum is not 0")
+        raise InvalidConfig(f"{name}: high-pass sum is not 0")
     for m in range(1, L // 2):
         if abs(np.dot(g[: L - 2 * m], g[2 * m :])) > _IDENTITY_TOL:
-            raise ValueError(f"{name}: shift-orthogonality fails at lag {2 * m}")
+            raise InvalidConfig(f"{name}: shift-orthogonality fails at lag {2 * m}")
     if abs(np.dot(g, g) - 1.0) > _IDENTITY_TOL:
-        raise ValueError(f"{name}: low-pass norm is not 1")
+        raise InvalidConfig(f"{name}: low-pass norm is not 1")
     qmf = ((-1.0) ** np.arange(L)) * g[::-1]
     if np.max(np.abs(h - qmf)) > _IDENTITY_TOL:
-        raise ValueError(f"{name}: quadrature-mirror relation fails")
+        raise InvalidConfig(f"{name}: quadrature-mirror relation fails")
 
 
 def build_wavelet_system(name: str) -> WaveletSystem:

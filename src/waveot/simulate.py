@@ -15,7 +15,7 @@ import numpy as np
 
 from .densities import bump_density, dilate, discretize, translate, uniform_density
 from .distance import DistanceConfig, wavelet_distance
-from .errors import DegenerateFit, InvalidConfig, add_context
+from .errors import DegenerateFit, InvalidConfig, add_context, checked_int
 from .exact import exact_ws
 
 __all__ = ["SimulationSpec", "SimulationRow", "run_simulation",
@@ -77,9 +77,13 @@ class SimulationSpec:
         if self.family not in FAMILIES:
             raise InvalidConfig(f"unknown family {self.family!r}; "
                                 f"choose from {sorted(FAMILIES)}")
-        if not 2 <= self.count <= _MAX_COUNT:
-            raise InvalidConfig(f"count must lie in [2, {_MAX_COUNT}], "
-                                f"got {self.count}")
+        # integral floats pass; np.linspace and discretize need ints
+        object.__setattr__(self, "count", checked_int(
+            self.count, InvalidConfig,
+            f"count must lie in [2, {_MAX_COUNT}], got {self.count}", 2, _MAX_COUNT))
+        object.__setattr__(self, "exact_grid_points", checked_int(
+            self.exact_grid_points, InvalidConfig,
+            f"exact_grid_points must be an integer, got {self.exact_grid_points}"))
         if self.param_range is not None:
             lo, hi = self.param_range
             if not lo < hi:

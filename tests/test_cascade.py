@@ -73,6 +73,16 @@ def test_invalid_inputs():
         estimate_constants(haar, 1.5)
 
 
+def test_integral_float_depth_is_an_int():
+    db2 = build_wavelet_system("db2")
+    ref = cascade_evaluate(db2, "scaling", 3)
+    sd = cascade_evaluate(db2, "scaling", 3.0)
+    assert sd.spacing == ref.spacing and np.array_equal(sd.values, ref.values)
+    for depth in (2.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidLevels):
+            cascade_evaluate(db2, "wavelet", depth)
+
+
 def test_refinement_depth_budget_checked_before_allocating(monkeypatch):
     def no_grid(*args):
         raise AssertionError("grid built")

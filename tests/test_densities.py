@@ -167,12 +167,22 @@ def test_transforms_mask_once_and_return_zero_outside_support():
     assert d(hi) == 0.0 and d(lo - 1.0) == 0.0
 
 
+def test_density_keeps_its_evaluator():
+    def f(x):
+        return np.full_like(x, 2.0)
+
+    d = Density(f, (0.0, 0.5))
+    assert d.evaluator is f and d == Density(f, (0.0, 0.5))
+    assert translate(d, 1.0).evaluator(np.array([1.25])) == 2.0  # unmasked
+    assert np.array_equal(d(np.array([-0.5, 0.0, 0.25, 0.5])), [0.0, 2.0, 2.0, 0.0])
+
+
 def _evaluation_peak(d, n):
     lo, hi = d.support
     x = np.linspace(lo, hi, n, endpoint=False)
     tracemalloc.start()
     try:
-        d.evaluator(x)
+        d(x)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -232,6 +242,29 @@ def test_sample_for_dwt_overflow():
     p = uniform_density(0.0, 4.0)
     with pytest.raises(DomainOverflow):
         sample_for_dwt(p, -1, 4)
+
+
+def test_sample_for_dwt_refuses_a_window_without_mass():
+    # narrower than the gap between two sample points: every cell averages
+    # to zero, as the grid cannot resolve the density
+    for lo in (0.5, 0.7):
+        d = uniform_density(lo, lo + 1e-9)
+        with pytest.raises(InvalidGrid, match="no mass"):
+            sample_for_dwt(d, 0, 4)
+        assert np.count_nonzero(sample_for_dwt(d, 0, 24).values) == 1
+
+
+def test_sample_for_dwt_integer_arguments():
+    d = bump_density(0.5, 0.25)
+    ref = sample_for_dwt(d, -1, 8)
+    for j0, M in ((-1.0, 8), (-1, 8.0), (np.int64(-1), np.float64(8.0))):
+        sd = sample_for_dwt(d, j0, M)
+        assert type(sd.offset) is int and sd.spacing == ref.spacing
+        assert sd.offset == ref.offset and np.array_equal(sd.values, ref.values)
+    # a fractional j0 would sample on a grid that is not dyadic
+    for j0, M in ((-0.5, 4), (0, 8.5), (0, float("nan")), (float("inf"), 4)):
+        with pytest.raises(InvalidGrid, match="integer"):
+            sample_for_dwt(d, j0, M)
 
 
 def test_sample_for_dwt_refuses_windows_past_budget(monkeypatch):
@@ -343,6 +376,19 @@ def test_discretize_errors():
         discretize(p, 1)
     with pytest.raises(InvalidGrid):
         discretize(p, 100, domain=(2.0, 3.0))
+    for domain in ((1.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(InvalidInterval, match="invalid grid domain"):
+            discretize(p, 100, domain=domain)
+
+
+def test_discretize_takes_integral_float_counts():
+    p = bump_density(0.5, 0.5)
+    m = discretize(p, 10.0)
+    assert np.array_equal(m.positions, discretize(p, 10).positions)
+    assert np.array_equal(m.weights, discretize(p, 10).weights)
+    for n in (10.5, float("nan"), float("inf"), "10"):
+        with pytest.raises(InvalidGrid, match="grid points"):
+            discretize(p, n)
 
 
 def test_discretize_refuses_grids_past_budget(monkeypatch):
@@ -356,6 +402,9 @@ def test_discretize_refuses_grids_past_budget(monkeypatch):
 def test_discrete_measure_validation():
     with pytest.raises(InvalidGrid):
         DiscreteMeasure(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
+    for pos, w in (([0.0, 1.0, 2.0], [0.5, 0.5]), ([[0.0, 1.0]], [[0.5, 0.5]]), ([], [])):
+        with pytest.raises(InvalidGrid, match="matching 1-D arrays"):
+            DiscreteMeasure(np.array(pos), np.array(w))
     with pytest.raises(UnbalancedMarginals):
         DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.6]))
     with pytest.raises(UnbalancedMarginals):

@@ -11,7 +11,7 @@ from waveot.densities import (bump_density, dilate, discretize, sample_for_dwt,
 from waveot.distance import (DistanceConfig, distance_matrix, distance_new,
                              distance_original, wavelet_distance)
 from waveot.dwt import decompose_call_count, dwt_decompose
-from waveot.errors import InvalidConfig, InvalidExponent, UnknownWavelet
+from waveot.errors import InvalidConfig, InvalidExponent, InvalidGrid, UnknownWavelet
 from waveot.exact import exact_ws
 from waveot.filters import build_wavelet_system
 from waveot.simulate import EXACT_DOMAIN
@@ -97,6 +97,18 @@ def test_symmetry_and_nonnegativity():
         d_qp = distance_new(q, p, CFG)
         assert d_pq >= 0.0
         assert abs(d_pq - d_qp) < 1e-12 * max(1.0, d_pq)
+
+
+@pytest.mark.parametrize("formulation", ["new", "original", "alternative"])
+def test_densities_the_grid_cannot_resolve_are_refused(formulation):
+    # both sample to all zeros at M = 4, where a distance of 0.0 would be
+    # wrong: the exact W_0.5 is 0.447
+    p, q = uniform_density(0.5, 0.5 + 1e-9), uniform_density(0.7, 0.7 + 1e-9)
+    cfg = DistanceConfig(s=0.5, j0=0, M=4, formulation=formulation)
+    with pytest.raises(InvalidGrid, match="no mass"):
+        wavelet_distance(p, q, cfg)
+    with pytest.raises(InvalidGrid, match=r"pair \(0, 1\)"):
+        distance_matrix([p, q], cfg)
 
 
 def test_triangle_inequality():

@@ -3,7 +3,7 @@ import pytest
 
 from waveot.cascade import cascade_evaluate
 from waveot.dwt import decompose_call_count, dwt_decompose, dwt_reconstruct
-from waveot.errors import EmptyInput, InvalidLevels, ShapeMismatch
+from waveot.errors import EmptyInput, InvalidConfig, InvalidLevels, ShapeMismatch
 from waveot.filters import build_wavelet_system, catalog_names
 
 ROOT2 = np.sqrt(2.0)
@@ -124,6 +124,12 @@ def test_errors():
         dwt_decompose([], haar, 1, "zero")
     with pytest.raises(InvalidLevels):
         dwt_decompose([1.0, 2.0, 3.0], haar, 1, "periodic")
+    with pytest.raises(InvalidConfig, match="unknown mode"):
+        dwt_decompose([1.0, 2.0], haar, 1, mode="foo")
+    pyr = dwt_decompose([1.0, 2.0], haar, 1, "zero")
+    pyr.mode = "foo"
+    with pytest.raises(InvalidConfig, match="unknown mode"):
+        dwt_reconstruct(pyr, haar)
 
 
 def test_shape_mismatch_on_tampered_pyramid():
@@ -132,6 +138,34 @@ def test_shape_mismatch_on_tampered_pyramid():
     pyr.details[0] = pyr.details[0][:-1]
     with pytest.raises(ShapeMismatch):
         dwt_reconstruct(pyr, db2)
+    # an approximation off the geometry the input fixes
+    for field, value in (("approx", pyr.approx[:-1]), ("approx_offset", pyr.approx_offset + 1)):
+        pyr = dwt_decompose(np.arange(32.0), db2, 2, "zero")
+        setattr(pyr, field, value)
+        with pytest.raises(ShapeMismatch, match="approximation"):
+            dwt_reconstruct(pyr, db2)
+
+
+def test_integral_float_levels_and_offsets_are_ints():
+    db2 = build_wavelet_system("db2")
+    x = np.arange(1.0, 9.0)
+    ref = dwt_decompose(x, db2, 2, k_offset=2, j_in=3)
+    for kwargs in ({"num_levels": 2.0}, {"k_offset": 2.0}, {"j_in": 3.0},
+                   {"num_levels": np.float64(2.0), "k_offset": np.int64(2)}):
+        args = {"num_levels": 2, "k_offset": 2, "j_in": 3, **kwargs}
+        pyr = dwt_decompose(x, db2, **args)
+        assert np.array_equal(pyr.approx, ref.approx)
+        assert all(np.array_equal(a, b) for a, b in zip(pyr.details, ref.details))
+        assert (pyr.j0, pyr.approx_offset, pyr.detail_offsets) == \
+            (ref.j0, ref.approx_offset, ref.detail_offsets)
+        assert all(type(v) is int for v in (pyr.j0, pyr.approx_offset, pyr.input_offset,
+                                             *pyr.detail_offsets))
+    for levels in (1.5, float("nan"), float("inf"), "2"):
+        with pytest.raises(InvalidLevels):
+            dwt_decompose(x, db2, levels)
+    for offset in (2.5, float("nan"), None):
+        with pytest.raises(InvalidConfig, match="k_offset"):
+            dwt_decompose(x, db2, 2, k_offset=offset)
 
 
 def test_shape_mismatch_on_empty_pyramid():

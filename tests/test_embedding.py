@@ -11,8 +11,8 @@ from waveot.distance import DistanceConfig, distance_new
 from waveot.dwt import decompose_call_count
 from waveot.embedding import (WlotVector, embed, from_text, prune, read_wlot, to_text,
                               wlot_distance, wlot_distance_matrix, write_wlot)
-from waveot.errors import (ConfigMismatch, InvalidConfig, InvalidGrid, MalformedWlot,
-                           ShapeMismatch)
+from waveot.errors import (ConfigMismatch, InvalidConfig, InvalidExponent, InvalidGrid,
+                           MalformedWlot, ShapeMismatch)
 from waveot.filters import build_wavelet_system
 
 CFG = DistanceConfig(s=0.5, j0=-6, M=13, wavelet="db10", formulation="new")
@@ -76,6 +76,20 @@ def test_embed_refuses_other_formulations():
             embed(ps[0], cfg)
         with pytest.raises(InvalidConfig):
             wlot_distance_matrix(ps, cfg)
+
+
+def test_wlot_distance_refuses_exponents_outside_the_unit_interval():
+    u = embed(uniform_density(0.0, 1.0), CFG)
+    v = embed(bump_density(1.0, 0.5), CFG)
+    for s in (0.0, -0.5, 1.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidExponent):
+            wlot_distance(u, v, s)
+
+
+def test_embed_refuses_a_density_the_grid_cannot_resolve():
+    cfg = DistanceConfig(s=0.5, j0=0, M=4, formulation="new")
+    with pytest.raises(InvalidGrid, match="no mass"):
+        embed(uniform_density(0.5, 0.5 + 1e-9), cfg)
 
 
 def test_config_mismatch():

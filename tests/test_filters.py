@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from waveot.errors import UnknownWavelet
-from waveot.filters import build_wavelet_system, catalog_names
+from waveot.errors import InvalidConfig, UnknownWavelet
+from waveot.filters import WaveletSystem, build_wavelet_system, catalog_names
 
 ROOT = Path(__file__).resolve().parents[1]
 ROOT2 = np.sqrt(2.0)
@@ -72,3 +72,31 @@ def test_generator_reproduces_the_embedded_tables():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "make_daubechies_tables.py")],
                          cwd=ROOT, capture_output=True, check=True)
     assert out.stdout == (ROOT / "src" / "waveot" / "_db_tables.py").read_bytes()
+
+
+def _broken_filters(part):
+    w = build_wavelet_system("db2")
+    g, h = w.g.copy(), w.h.copy()
+    if part == "length":
+        return g[:3], h[:3]
+    if part == "low_sum":
+        return g * 1.01, h
+    if part == "high_sum":
+        return g, h + 0.01
+    if part == "orthogonality":
+        # even and odd taps each sum to 1/sqrt(2) and the norm is 1, so the
+        # lag-2 and lag-4 products cancel, but each is -0.1736 or +0.1736
+        S = 0.9
+        p, r = (S + np.array([1.0, -1.0]) * np.sqrt(S * S - 4 * (S * S - S / ROOT2))) / 2
+        g = np.array([p, 1 / ROOT2, 1 / ROOT2 - S, 0.0, r, 0.0])
+        return g, (-1.0) ** np.arange(6) * g[::-1]
+    return g, -h  # the quadrature-mirror relation
+
+
+@pytest.mark.parametrize("part, message", [
+    ("length", "even length"), ("low_sum", "low-pass sum"), ("high_sum", "high-pass sum"),
+    ("orthogonality", "shift-orthogonality"), ("mirror", "quadrature-mirror")])
+def test_hand_built_system_breaking_an_identity_is_invalid_config(part, message):
+    g, h = _broken_filters(part)
+    with pytest.raises(InvalidConfig, match=f"bad: .*{message}"):
+        WaveletSystem(name="bad", g=g, h=h)

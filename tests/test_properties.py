@@ -1,7 +1,8 @@
 """Property tests of the sampled window and the distance/embedding
 identity over densities drawn anywhere in the dyadic domain, including
 supports touching either end and supports narrower than one grid cell,
-of the embedding's matrix and text round trip, of the exact solver
+of the DWT's inversion at any translation offset, of the embedding's
+linearity in a mixture, matrix and text round trip, of the exact solver
 against the LP oracle on a small shared grid and of the triangle
 inequality of its W_s, of the solver's nested starting basis and the eps
 its flows carry through the pivots, and of the in-place abs_power
@@ -20,12 +21,14 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import brute_force_lp
 from waveot._num import abs_power
-from waveot.densities import (_CELL_POINTS, DiscreteMeasure, bump_density, dilate,
-                              sample_for_dwt, translate, uniform_density)
+from waveot.densities import (_CELL_POINTS, Density, DiscreteMeasure, bump_density,
+                              dilate, sample_for_dwt, translate, uniform_density)
 from waveot.distance import DistanceConfig, distance_new
+from waveot.dwt import dwt_decompose, dwt_reconstruct
 from waveot.embedding import (embed, from_text, to_text, wlot_distance,
                               wlot_distance_matrix)
 from waveot.exact import _nested_start, _transport_simplex, exact_ws
+from waveot.filters import build_wavelet_system, catalog_names
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     database=None)
@@ -74,7 +77,7 @@ def full_grid_samples(d, j0, M):
     spacing = 2.0 ** -(j0 + M)
     offs = (np.arange(64) + 0.5) / 64
     pts = (np.arange(2 ** M)[:, None] + offs[None, :]) * spacing
-    values = d.evaluator(pts.ravel()).reshape(2 ** M, 64).mean(axis=1)
+    values = d(pts.ravel()).reshape(2 ** M, 64).mean(axis=1)
     return values * 2.0 ** (-(j0 + M) / 2.0)
 
 
@@ -133,6 +136,42 @@ def test_embedding_reproduces_distance_and_distance_is_symmetric(case):
     u, v = embed(p, cfg), embed(q, cfg)
     assert wlot_distance(u, v, cfg.s) == wlot_distance(v, u, cfg.s)
     assert abs(wlot_distance(u, v, cfg.s) - d_pq) < 1e-10
+
+
+@SETTINGS
+@given(st.sampled_from(catalog_names()),
+       hnp.arrays(np.float64, st.integers(1, 200), elements=st.floats(-1.0, 1.0)),
+       st.integers(1, 6), st.integers(-2 ** 40, 2 ** 40), st.integers(-2 ** 20, 2 ** 20))
+@example("db20", np.linspace(-1.0, 1.0, 37), 6, 2 ** 40, -(2 ** 20))
+@example("db3", np.linspace(-1.0, 1.0, 37), 5, -(2 ** 40) + 1, 2 ** 20)
+def test_dwt_inverts_at_any_offset(name, x, levels, k_offset, m):
+    system = build_wavelet_system(name)
+    pyr = dwt_decompose(x, system, levels, "zero", k_offset=k_offset)
+    assert np.max(np.abs(dwt_reconstruct(pyr, system) - x)) <= 1e-10
+    # a shift by 2^levels m keeps the parity of every halving, so it only
+    # relabels the coefficients: m 2^i translations at detail level j0 + i
+    moved = dwt_decompose(x, system, levels, "zero", k_offset=k_offset + 2 ** levels * m)
+    assert moved.approx.tobytes() == pyr.approx.tobytes()
+    assert moved.approx_offset == pyr.approx_offset + m
+    for i, (a, b) in enumerate(zip(moved.details, pyr.details)):
+        assert a.tobytes() == b.tobytes()
+        assert moved.detail_offsets[i] == pyr.detail_offsets[i] + m * 2 ** i
+
+
+@SETTINGS
+@given(st.data())
+def test_embedding_is_linear_in_a_mixture(data):
+    j0, M = data.draw(grids())
+    p, q = data.draw(transformed(j0)), data.draw(transformed(j0))
+    alpha = data.draw(st.floats(0.0, 1.0))
+    support = (min(p.support[0], q.support[0]), max(p.support[1], q.support[1]))
+    mix = Density(lambda x: alpha * p(x) + (1.0 - alpha) * q(x), support)
+    cfg = DistanceConfig(s=0.5, j0=j0, M=M,
+                         wavelet=data.draw(st.sampled_from(["haar", "db2", "db10"])))
+    u, up, uq = (embed(d, cfg).entries for d in (mix, p, q))
+    for key in u.keys() | up.keys() | uq.keys():
+        combo = alpha * up.get(key, 0.0) + (1.0 - alpha) * uq.get(key, 0.0)
+        assert abs(u.get(key, 0.0) - combo) <= 1e-10, key
 
 
 @SETTINGS

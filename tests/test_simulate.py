@@ -6,7 +6,7 @@ import pytest
 from helpers import CodedError
 from waveot import simulate
 from waveot.distance import DistanceConfig, distance_original
-from waveot.errors import DegenerateFit, UnknownWavelet
+from waveot.errors import DegenerateFit, InvalidConfig, UnknownWavelet
 from waveot.simulate import (CSV_HEADER, FAMILIES, SimulationRow, SimulationSpec,
                              emit_csv, fit_normalization, run_simulation)
 
@@ -34,6 +34,20 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="count must lie"):
         SimulationSpec(family="uniform_translate", cfg=SMALL_CFG,
                        count=simulate._MAX_COUNT + 1)
+
+
+def test_spec_takes_integral_float_counts():
+    spec = SimulationSpec(family="uniform_translate", cfg=SMALL_CFG, s_values=(1.0,),
+                          count=3.0, exact_grid_points=40.0)
+    assert type(spec.count) is int and type(spec.exact_grid_points) is int
+    ref = SimulationSpec(family="uniform_translate", cfg=SMALL_CFG, s_values=(1.0,),
+                         count=3, exact_grid_points=40)
+    assert spec == ref
+    assert run_simulation(spec) == run_simulation(ref)
+    for kwargs in ({"count": 2.5}, {"count": float("nan")}, {"exact_grid_points": 20.5},
+                   {"exact_grid_points": None}):
+        with pytest.raises(InvalidConfig):
+            SimulationSpec(family="uniform_translate", cfg=SMALL_CFG, **kwargs)
 
 
 def test_default_param_ranges():

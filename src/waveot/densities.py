@@ -30,6 +30,7 @@ _MASS_PASSES = 16          # most passes, the first included
 _MASS_CELL_ERR = 1e-12     # error estimate above which a cell is refined
 _CELL_POINTS = 64          # midpoint-rule points per cell in sample_for_dwt
 _MAX_SAMPLE_POINTS = 1 << 25   # most points sample_for_dwt or discretize evaluates
+_MIN_J0 = -1023            # lowest j0 whose domain length 2^-j0 is a finite double
 
 
 def _mass(f, lo, hi):
@@ -45,6 +46,7 @@ def _mass(f, lo, hi):
     cell holds it.  _BLOCK_POINTS cells per call keep the arrays in cache,
     which makes the first pass two to four times faster than one call.
     Positions are kept relative to lo and rounded once, when f gets them.
+    A negative value at any point evaluated raises InvalidInterval.
     """
     n, width, total = _BLOCK_POINTS, (hi - lo) / _MASS_CELLS, 0.0
     starts = n * width * np.arange(_MASS_CELLS // n)
@@ -53,6 +55,10 @@ def _mass(f, lo, hi):
         for block in np.array_split(starts, -(-len(starts) * n // _BLOCK_POINTS)):
             rel = block[:, None] + offsets * width
             vals = f(lo + rel.ravel()).reshape(rel.shape)
+            if vals.min() < 0.0:
+                k = int(np.argmin(vals))
+                raise InvalidInterval(
+                    f"density is {vals.flat[k]:.6g} < 0 at x = {lo + rel.flat[k]:.17g}")
             err = np.abs(np.diff(vals, 2))
             cells = np.flatnonzero(err > _MASS_CELL_ERR / width)
             mids = vals[:, 1:-1]
@@ -76,8 +82,9 @@ class Density:
 
     The evaluator is kept as given and takes a 1-D array of points inside
     the support; calling the density masks once and is zero outside.
-    Construction fails if the support is not finite or if the mass, by
-    the refined midpoint rule of _mass, deviates from 1 by more than 1e-8.
+    Construction fails if the support is not finite, if the evaluator is
+    negative at a point of the mass check, or if the mass, by the refined
+    midpoint rule of _mass, deviates from 1 by more than 1e-8.
     An integrable singularity at a support end far from 0 can fail it:
     0.5 / sqrt(x - 1000) on (1000, 1001) measures 5.8e-7 short, as _mass
     splits no cell below a few float spacings (1.1e-13 there).
@@ -252,7 +259,8 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
     """
     M = checked_int(M, InvalidGrid, f"M must be a positive integer, got {M}", lo=1)
     # a fractional j0 would put the window on a grid that is not dyadic
-    j0 = checked_int(j0, InvalidGrid, f"j0 must be an integer, got {j0}")
+    j0 = checked_int(j0, InvalidGrid, f"j0 must be an integer >= {_MIN_J0}, got {j0}",
+                     lo=_MIN_J0)
     lo, hi = d.support
     domain_hi = 2.0 ** (-j0)
     if lo < -1e-12 or hi > domain_hi * (1.0 + 1e-12):
@@ -289,7 +297,9 @@ def discretize(d: Density, num_points: int, domain: tuple = None) -> DiscreteMea
     density values, renormalized to unit mass.
 
     domain defaults to the density support; pass a shared interval to put
-    several measures on one grid for the exact solver.
+    several measures on one grid for the exact solver.  The density is
+    evaluated _BLOCK_POINTS points at a time into the weights array, which
+    is then normalized in place.
     """
     num_points = checked_int(
         num_points, InvalidGrid,
@@ -298,8 +308,11 @@ def discretize(d: Density, num_points: int, domain: tuple = None) -> DiscreteMea
     if not lo < hi:
         raise InvalidInterval(f"invalid grid domain ({lo}, {hi})")
     grid = np.linspace(lo, hi, num_points)
-    w = d(grid)
+    w = np.empty_like(grid)
+    for start in range(0, num_points, _BLOCK_POINTS):
+        w[start: start + _BLOCK_POINTS] = d(grid[start: start + _BLOCK_POINTS])
     total = w.sum()
     if total <= 0:
         raise InvalidGrid("density carries no mass on the requested grid")
-    return DiscreteMeasure(positions=grid, weights=w / total)
+    w /= total
+    return DiscreteMeasure(positions=grid, weights=w)

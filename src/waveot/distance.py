@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Density, sample_for_dwt
+from .densities import _MIN_J0, Density, sample_for_dwt
 from .dwt import dwt_decompose
 from .errors import InvalidConfig, InvalidExponent, add_context, checked_int
 from .filters import build_wavelet_system
@@ -47,9 +47,9 @@ FORMULATIONS = ("new", "original", "alternative")
 # diameter of simulate.EXACT_DOMAIN; the alternative formulation's default
 # C0 is its s-th power
 _C0_DIAMETER = 3.0
-# the domain length 2^-j0 and the grid spacing 2^-(j0+M) must be finite,
-# nonzero doubles (the largest power of two and the smallest subnormal)
-_MIN_J0, _MAX_SAMPLING_LEVEL = -1023, 1074
+# the grid spacing 2^-(j0+M) must be a nonzero double (the smallest
+# subnormal); densities._MIN_J0 keeps the domain length 2^-j0 finite
+_MAX_SAMPLING_LEVEL = 1074
 
 
 @dataclass(frozen=True)

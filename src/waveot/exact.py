@@ -9,12 +9,13 @@ m * eps), and the leaving arc is the lexicographic minimum of the pairs.
 No perturbed basic flow is zero, so each pivot lowers the perturbed cost
 and no basis repeats; only arcs the start adds where rounding splits its
 plan carry (0.0, 0), and the pivot budget stays as a backstop.  The eps is
-symbolic, so marginals stay exact.  Each pivot makes one pass over the
-basis tree, which gives the duals and the parent and depth of every node;
-the entering arc's cycle is then read off the parent pointers.  The tree
-pass reads each basic arc's cost from the adjacency lists, which store it
-when the arc enters the basis.  Residual problems past _MAX_RESIDUAL_CELLS
-are refused before anything is allocated.
+symbolic, so marginals stay exact.  The basis tree is one graph over m + n
+nodes, rows 0 .. m - 1 and columns m + j, kept as one adjacency list that
+stores each basic arc's cost when the arc enters the basis.  Each pivot
+makes one pass over it, which gives one array of duals and the parent and
+depth of every node; the entering arc's cycle is then read off the parent
+pointers.  Residual problems past _MAX_RESIDUAL_CELLS are refused before
+anything is allocated.
 
 w1_cdf provides the closed-form 1-D W1 value (area between CDFs on the
 merged support grid) used as an independent oracle for s = 1.
@@ -75,7 +76,7 @@ def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
     """Minimize sum gamma_ij |x_i - y_j|^s over transport plans.
 
     Returns (cost, TransportPlan); the plan indexes the original atoms
-    (zero-weight atoms are pruned before solving and never carry mass).
+    (zero-weight atoms never enter the residual and never carry mass).
 
     Because |x - y|^s is itself a metric for 0 < s <= 1, the optimal value
     depends only on mu - nu, so mass shared at exactly coincident
@@ -87,22 +88,18 @@ def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
         raise InvalidExponent(f"s must lie in (0, 1], got {s}")
     _check_balanced(mu, nu)
 
-    keep_i = np.flatnonzero(mu.weights > 0.0)
-    keep_j = np.flatnonzero(nu.weights > 0.0)
-    x = mu.positions[keep_i]
-    y = nu.positions[keep_j]
-    a = mu.weights[keep_i].copy()
-    b = nu.weights[keep_j].copy()
-
+    x, y = mu.positions, nu.positions
+    a, b = mu.weights.copy(), nu.weights.copy()
     # positions are strictly increasing, so the matches come in ascending order
     _, ci, cj = np.intersect1d(x, y, assume_unique=True, return_indices=True)
     t = np.minimum(a[ci], b[cj])
     a[ci] -= t
     b[cj] -= t
-    entries = list(zip(keep_i[ci].tolist(), keep_j[cj].tolist(), t.tolist()))
+    # an atom without mass matches nothing and never enters the residual
+    matched = t > 0.0
+    entries = list(zip(ci[matched].tolist(), cj[matched].tolist(), t[matched].tolist()))
 
-    ir = np.flatnonzero(a > 0.0)
-    jr = np.flatnonzero(b > 0.0)
+    ir, jr = np.flatnonzero(a > 0.0), np.flatnonzero(b > 0.0)
     total = 0.0
     if len(ir) > 0 and len(jr) > 0:
         if len(ir) * len(jr) > _MAX_RESIDUAL_CELLS:
@@ -115,7 +112,7 @@ def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
         for (ii, jj), (f, _) in flows.items():
             total += f * cost[ii, jj]
             if f > 0.0:
-                entries.append((int(keep_i[ir[ii]]), int(keep_j[jr[jj]]), float(f)))
+                entries.append((int(ir[ii]), int(jr[jj]), float(f)))
     return float(total), TransportPlan(entries=entries, total_cost=float(total))
 
 
@@ -184,68 +181,49 @@ def _nested_start(x, y, a, b):
     return flows
 
 
-def _tree_duals(row_adj, col_adj, m, n):
-    """One pass over the basis tree rooted at row 0: duals with u[0] = 0,
-    and each node's parent and depth (columns encoded as m + j, the
-    root's parent is -1).  row_adj[i] maps each basic column j of row i
-    to the arc's cost and col_adj[j] each basic row; plain-Python
-    traversal for speed."""
-    u = [0.0] * m
-    v = [0.0] * n
-    parent = [-1] * (m + n)
-    depth = [-1] * (m + n)
+def _tree_duals(adj):
+    """One pass over the basis tree rooted at row 0, the nodes numbered
+    rows 0 .. m - 1 and columns m + j: the duals with dual[0] = 0, the row
+    duals then the column duals, and each node's parent and depth (the
+    root's parent is -1).  adj[k] maps each node joined to k by a basic
+    arc to the arc's cost; plain-Python traversal for speed."""
+    size = len(adj)
+    dual = [0.0] * size
+    parent = [-1] * size
+    depth = [-1] * size
     depth[0] = 0
     stack = [0]
     push = stack.append
     while stack:
         k = stack.pop()
         below = depth[k] + 1
-        if k < m:
-            uk = u[k]
-            for j, c in row_adj[k].items():
-                node = m + j
-                if depth[node] < 0:
-                    depth[node] = below
-                    parent[node] = k
-                    v[j] = c - uk
-                    push(node)
-        else:
-            j = k - m
-            vk = v[j]
-            for i, c in col_adj[j].items():
-                if depth[i] < 0:
-                    depth[i] = below
-                    parent[i] = k
-                    u[i] = c - vk
-                    push(i)
-    return u, v, parent, depth
+        dk = dual[k]
+        for node, c in adj[k].items():
+            if depth[node] < 0:
+                depth[node] = below
+                parent[node] = k
+                dual[node] = c - dk
+                push(node)
+    return dual, parent, depth
 
 
 def _cycle(parent, depth, ei, ej, m):
     """Arcs of the tree path that the entering arc (ei, ej) closes into a
     cycle, as (minus, plus): the arcs that lose theta and those that gain
     it.  The path is found by walking up from row ei and column m + ej
-    until the walks meet.  The entering arc gains theta and the path from
-    ei alternates -, +, -, ..., so an arc run from a row to a column loses
-    it: a row's arc to its parent on the ei side, a column's on the ej
-    side."""
+    until the walks meet, the deeper end first and the ei end on ties.
+    The entering arc gains theta and the path from ei alternates -, +, -,
+    ..., so an arc run from a row to a column loses it: a row's arc to its
+    parent on the ei walk, a column's on the ej walk."""
     minus, plus = [], []
-    a, b = ei, m + ej
-    while a != b:
-        if depth[a] >= depth[b]:
-            p = parent[a]
-            if a < m:
-                minus.append((a, p - m))
-            else:
-                plus.append((p, a - m))
-            a = p
-        else:
-            p = parent[b]
-            if b >= m:
-                minus.append((p, b - m))
-            else:
-                plus.append((b, p - m))
-            b = p
+    ends = [ei, m + ej]
+    while ends[0] != ends[1]:
+        side = depth[ends[0]] < depth[ends[1]]
+        k = ends[side]
+        p = parent[k]
+        row = k < m
+        (minus if row != side else plus).append((k, p - m) if row else (p, k - m))
+        ends[side] = p
     return minus, plus
 
 
@@ -255,10 +233,9 @@ def _transport_simplex(cost, flows):
     updated in place); returns the optimal basic flows.  Each basic arc's
     cost is read from `cost` once, when the arc enters the basis."""
     m, n = cost.shape
-    row_adj = [{} for _ in range(m)]
-    col_adj = [{} for _ in range(n)]
+    adj = [{} for _ in range(m + n)]
     for (i, j) in flows:
-        row_adj[i][j] = col_adj[j][i] = cost.item(i, j)
+        adj[i][m + j] = adj[m + j][i] = cost.item(i, j)
 
     tol = 1e-12 * max(1.0, float(np.max(cost)))
     reduced = np.empty_like(cost)
@@ -266,9 +243,9 @@ def _transport_simplex(cost, flows):
     pivots = 0
 
     while True:
-        u, v, parent, depth = _tree_duals(row_adj, col_adj, m, n)
-        np.subtract(cost, np.asarray(u)[:, None], out=reduced)
-        reduced -= np.asarray(v)[None, :]
+        dual, parent, depth = _tree_duals(adj)
+        np.subtract(cost, np.asarray(dual[:m])[:, None], out=reduced)
+        reduced -= np.asarray(dual[m:])[None, :]
 
         flat = int(np.argmin(reduced.ravel()))
         if reduced.ravel()[flat] >= -tol:
@@ -292,7 +269,7 @@ def _transport_simplex(cost, flows):
             f, e = flows[arc]
             flows[arc] = (f + t, e + te)
         flows[(ei, ej)] = theta
-        row_adj[ei][ej] = col_adj[ej][ei] = cost.item(ei, ej)
+        adj[ei][m + ej] = adj[m + ej][ei] = cost.item(ei, ej)
         del flows[leaving]
         li, lj = leaving
-        del row_adj[li][lj], col_adj[lj][li]
+        del adj[li][m + lj], adj[m + lj][li]

@@ -4,11 +4,16 @@ perfbench/tracer.py times layers by replacing package attributes at their
 import sites, and perfbench/workloads.py imports its entry points by name;
 a name dropped from the package would otherwise only fail a traced
 benchmark run.  Likewise the benchmark reads an embedding's entries,
-len() and (wavelet, j0, M).  The benchmark files are read, never changed.
+len() and (wavelet, j0, M), and recomputes an exact solve's residual
+m x n from its inputs.  The benchmark files are read, never changed.
 """
 
 from pathlib import Path
 
+import numpy as np
+
+from waveot import exact
+from waveot.densities import DiscreteMeasure
 from waveot.embedding import from_text, to_text
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -50,3 +55,38 @@ def test_embedding_reads_of_the_benchmark(monkeypatch, tmp_path):
     j, k, value = first.split()
     other = from_text(f"{header}\n{j} {k} {float(value) / 2!r}\n{rest}")
     assert other.entries != vec.entries
+
+
+def test_exact_residual_cells_of_the_benchmark(monkeypatch):
+    # tracer re-derives the residual m x n that exact_ws hands the simplex
+    # from the measures; on atoms without mass and shared positions it
+    # must agree with the cost matrix the simplex gets, or 0 without one
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    shapes = []
+    simplex = exact._transport_simplex
+
+    def recorded(cost, flows):
+        shapes.append(cost.shape)
+        return simplex(cost, flows)
+
+    monkeypatch.setattr(exact, "_transport_simplex", recorded)
+    rng = np.random.default_rng(5)
+
+    def measure(pool):
+        pos = np.sort(rng.choice(pool, int(rng.integers(1, len(pool) + 1)), replace=False))
+        w = rng.integers(0, 4, len(pos)).astype(float)
+        w[rng.integers(len(w))] += 1.0
+        return DiscreteMeasure(pos, w / w.sum())
+
+    solved = 0
+    for _ in range(300):
+        pool = np.arange(float(rng.integers(2, 16)))
+        args = (measure(pool), measure(pool), 0.5)
+        shapes.clear()
+        result = exact.exact_ws(*args)
+        cells = tracer.ATTRS["exact.solve"](args, {}, result)["cells"]
+        assert cells == (shapes[0][0] * shapes[0][1] if shapes else 0)
+        solved += bool(shapes)
+    assert 0 < solved < 300

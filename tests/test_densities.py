@@ -148,6 +148,14 @@ def test_mass_check_rejects_unbounded_support_and_nan():
         Density(lambda x: np.full(np.shape(x), np.nan), (0.0, 1.0))
 
 
+def test_mass_check_rejects_signed_densities():
+    # unit mass, but not a probability
+    with pytest.raises(InvalidInterval, match=r"density is -1 < 0 at x = 0\.5"):
+        Density(lambda x: np.where(x < 0.5, 3.0, -1.0), (0.0, 1.0))
+    with pytest.raises(InvalidInterval, match="< 0"):
+        translate(Density(lambda x: np.where(x < 0.5, 3.0, -1.0), (0.0, 1.0)), 1.0)
+
+
 def test_mass_check_rejects_transforms_past_float_resolution():
     # mass is preserved in exact arithmetic, not in floats: at 1e15 the
     # positions are 0.125 apart, and a bump 1e-14 wide spans about 90 floats
@@ -242,6 +250,14 @@ def test_sample_for_dwt_overflow():
     p = uniform_density(0.0, 4.0)
     with pytest.raises(DomainOverflow):
         sample_for_dwt(p, -1, 4)
+
+
+def test_sample_for_dwt_bounds_j0():
+    # the domain length 2^-j0 overflows below j0 = -1023
+    p = uniform_density(0.0, 1.0)
+    with pytest.raises(InvalidGrid, match="j0 must be an integer >= -1023"):
+        sample_for_dwt(p, -1024, 1100)
+    assert len(sample_for_dwt(p, -1023, 1030).values) == 1 << 7
 
 
 def test_sample_for_dwt_refuses_a_window_without_mass():
@@ -389,6 +405,22 @@ def test_discretize_takes_integral_float_counts():
     for n in (10.5, float("nan"), float("inf"), "10"):
         with pytest.raises(InvalidGrid, match="grid points"):
             discretize(p, n)
+
+
+def test_discretize_evaluates_in_blocks():
+    # the weights are filled a block at a time and normalized in place:
+    # the grid, the weights and the measure's own checks, about 25 bytes a
+    # point, where evaluating the whole grid at once peaks at 50
+    p = bump_density(0.5, 0.5)
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        m = discretize(p, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(m) == n and peak < 28 * n
+    assert np.array_equal(m.weights, p(m.positions) / p(m.positions).sum())
 
 
 def test_discretize_refuses_grids_past_budget(monkeypatch):

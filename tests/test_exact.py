@@ -258,7 +258,19 @@ def test_equal_weights_on_own_supports_terminate(monkeypatch, s):
     calls = count_pivots(monkeypatch)
     cost, _ = exact_ws(mu, nu, s)
     assert abs(cost - brute_force_lp(mu, nu, s)) < 1e-8
-    assert len(calls) - 1 <= 270
+    assert len(calls) - 1 == 178
+
+
+@pytest.mark.parametrize("s, pivots", [(0.5, 552), (0.25, 556)])
+def test_own_support_pivot_counts_are_pinned(monkeypatch, s, pivots):
+    # a 400-point uniform pair shifted by 0.3, each on its own support: the
+    # pivot path is deterministic, so a change of pricing or of the tree
+    # pass that alters it shows here
+    mu = discretize(uniform_density(0.0, 1.0), 400)
+    nu = discretize(uniform_density(0.3, 1.3), 400)
+    calls = count_pivots(monkeypatch)
+    exact_ws(mu, nu, s)
+    assert len(calls) - 1 == pivots
 
 
 def test_nested_start_places_rounding_leftovers():

@@ -131,15 +131,6 @@ class SampledDensity:
     def grid(self):
         return (self.offset + np.arange(len(self.values))) * self.spacing
 
-    def trimmed(self):
-        """The window without leading and trailing zeros, or None when
-        every value is zero."""
-        nz = np.flatnonzero(self.values)
-        if len(nz) == 0:
-            return None
-        return SampledDensity(offset=self.offset + int(nz[0]), spacing=self.spacing,
-                              values=self.values[nz[0]: nz[-1] + 1])
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -236,6 +227,15 @@ def dilate(d: Density, b: float, about: float) -> Density:
     return Density(evaluate, (new_lo, new_hi))
 
 
+def _nonzero_span(values):
+    """(first nonzero, one past the last) of a 1-D array, (0, 0) if all are
+    zero; the mask costs a byte a value, not an index array's eight."""
+    nonzero = values != 0
+    if not nonzero.any():
+        return 0, 0
+    return int(nonzero.argmax()), len(nonzero) - int(nonzero[::-1].argmax())
+
+
 def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
     """DWT initialization on the grid of spacing 2^-(j0+M) over [0, 2^-j0].
 
@@ -249,13 +249,13 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
 
     The density must already live inside the dyadic domain (translating
     it there is the caller's job).  Only the cells meeting the support are
-    evaluated and returned, so memory and work follow the support, not the
-    2^M cells of the domain; every other cell is an exact zero.  Each
-    evaluator call gets _BLOCK_POINTS points (256 cells), so the memory
-    beyond the result is a few cache-sized blocks for any window.  A window
-    of more than _MAX_SAMPLE_POINTS points is refused before evaluating,
-    and one whose every cell averages to zero after it, as discretize
-    refuses a grid that misses the density.
+    evaluated, and the window returned is trimmed to the first and last
+    nonzero cell, so memory and work follow the support, not the 2^M cells
+    of the domain; every other cell is an exact zero.  Each evaluator call
+    gets _BLOCK_POINTS points (256 cells), so the memory beyond the result
+    is a few cache-sized blocks for any window.  A window of more than
+    _MAX_SAMPLE_POINTS points is refused before evaluating, and one without
+    a nonzero cell after it, as discretize refuses a grid missing the density.
     """
     M = checked_int(M, InvalidGrid, f"M must be a positive integer, got {M}", lo=1)
     # a fractional j0 would put the window on a grid that is not dyadic
@@ -284,12 +284,13 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
         ks = k_lo + np.arange(start, min(start + block, len(values)))
         pts = (ks[:, None] + offs) * spacing
         values[start: start + len(pts)] = d(pts.ravel()).reshape(pts.shape).mean(axis=1)
-    if not np.any(values):
+    values *= 2.0 ** (-(j0 + M) / 2.0)
+    start, stop = _nonzero_span(values)
+    if start == stop:
         raise InvalidGrid(
             f"density on [{lo}, {hi}] carries no mass on the sampling grid of "
             f"spacing {spacing}; use a larger M")
-    values *= 2.0 ** (-(j0 + M) / 2.0)
-    return SampledDensity(offset=k_lo, spacing=spacing, values=values)
+    return SampledDensity(offset=k_lo + start, spacing=spacing, values=values[start:stop])
 
 
 def discretize(d: Density, num_points: int, domain: tuple = None) -> DiscreteMeasure:

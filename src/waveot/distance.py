@@ -17,14 +17,14 @@ differences of the two transforms,
                  [0, 3] to the power s), and any finite C1 > 0.
 
 The transform is linear, so this equals, to rounding, the norm of the
-transform of the sampled difference.  Each density is sampled only on the grid cells
-meeting its support and trimmed of leading and trailing zeros (with the
-translation offset carried along), and a level difference has cells only
-where one of the two levels has coefficients, never for the gap between
-them.  So memory and work follow the two supports, not the 2^M cells of
-the domain or the distance between the supports: u uniform on [0, 1]
-against its translate by 2040 at j0 = -11 and M = 22 peaks at 0.7 MiB by
-tracemalloc.
+transform of the sampled difference.  sample_for_dwt samples each density
+on the grid cells meeting its support and trims the window to its first and
+last nonzero cell (the translation offset carried along), and a level
+difference has cells only where one of the two levels has coefficients,
+never for the gap between them.  So memory and work follow the two
+supports, not the 2^M cells of the domain or the distance between the
+supports: u uniform on [0, 1] against its translate by 2040 at j0 = -11 and
+M = 22 peaks at 0.7 MiB by tracemalloc.
 Edge coefficients produced by the zero extension are genuine coefficients
 of the extended signal and are always included in the sums.
 """
@@ -116,7 +116,7 @@ def _coefficients(p: Density, cfg: DistanceConfig, num_levels):
     levels below the sampling level j0 + M: the approximation, then the
     detail levels from the coarsest.  array[t] is the coefficient at
     translation offset + t."""
-    sp = sample_for_dwt(p, cfg.j0, cfg.M).trimmed()
+    sp = sample_for_dwt(p, cfg.j0, cfg.M)
     pyr = dwt_decompose(sp.values, build_wavelet_system(cfg.wavelet), num_levels,
                         mode="zero", j_in=cfg.j0 + cfg.M, k_offset=sp.offset)
     return [(pyr.approx_offset, pyr.approx), *zip(pyr.detail_offsets, pyr.details)]
@@ -192,13 +192,10 @@ def distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
     coeffs = [None] * n
     for i in range(n):
         for j in range(i + 1, n):
-            try:
+            with add_context(f"pair ({i}, {j})"):
                 for k in (i, j):
                     if coeffs[k] is None:
                         coeffs[k] = _coefficients(ps[k], cfg, levels)
                 out[i, j] = out[j, i] = _coefficient_distance(coeffs[i], coeffs[j], cfg)
-            except Exception as e:
-                add_context(e, f"pair ({i}, {j})")
-                raise
         coeffs[i] = None
     return out

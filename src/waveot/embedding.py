@@ -27,12 +27,12 @@ import numpy as np
 
 # embed reaches sample_for_dwt and dwt_decompose through _coefficients, but
 # both stay importable here: perfbench/tracer.py wraps this import site
-from .densities import _BLOCK_POINTS, Density, sample_for_dwt
+from .densities import _BLOCK_POINTS, Density, _nonzero_span, sample_for_dwt
 from .distance import (DistanceConfig, _coefficients, _level_difference, _level_weight,
                        _weighted_l1)
 from .dwt import _zero_chain, dwt_decompose
 from .errors import (ConfigMismatch, InvalidConfig, InvalidExponent, InvalidGrid,
-                     MalformedWlot, ShapeMismatch)
+                     MalformedWlot, ShapeMismatch, add_context)
 from .filters import build_wavelet_system, catalog_names
 
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
@@ -66,14 +66,10 @@ class WlotVector:
         trimmed = []
         for offset, values in self.levels:
             values = np.asarray(values, dtype=float)
-            nz = np.flatnonzero(values)
-            if len(nz) == 0:
-                offset, values = 0, np.empty(0)
-            else:
-                offset = offset + int(nz[0])
-                values = np.ascontiguousarray(values[nz[0]: nz[-1] + 1])
+            start, stop = _nonzero_span(values)
+            values = np.ascontiguousarray(values[start:stop]) if stop else np.empty(0)
             values.setflags(write=False)
-            trimmed.append((offset, values))
+            trimmed.append((offset + start if stop else 0, values))
         if len(trimmed) != self.M:
             raise ShapeMismatch(f"{len(trimmed)} levels for M = {self.M}")
         object.__setattr__(self, "levels", tuple(trimmed))
@@ -160,9 +156,12 @@ def wlot_distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
     sums run in another order, so the two agree to rounding, not bit for
     bit.  The lower triangle mirrors the upper one, so the result is
     exactly symmetric.  A matrix past _MAX_CELLS cells is refused before
-    it is allocated.
+    it is allocated; a failed embed is re-raised naming its measure.
     """
-    vecs = [embed(p, cfg) for p in ps]
+    vecs = []
+    for i, p in enumerate(ps):
+        with add_context(f"measure {i}"):
+            vecs.append(embed(p, cfg))
     n = len(vecs)
     layouts = [_layout([vec.levels[i] for vec in vecs]) for i in range(cfg.M)]
     K = sum(width for _, width in layouts)

@@ -3,6 +3,7 @@ them for integer arguments."""
 
 import math
 import numbers
+from contextlib import contextmanager
 
 
 class WaveotError(Exception):
@@ -73,9 +74,10 @@ class InvalidFunction(WaveotError, ValueError):
     """Cascade asked for neither the 'scaling' nor the 'wavelet' function."""
 
 
-def add_context(err: BaseException, context: str) -> None:
-    """Prefix `context` to the message of `err` in place, for a handler
-    that then re-raises it with a bare `raise`.
+@contextmanager
+def add_context(context: str):
+    """Prefix `context` to the message of an exception raised in the
+    `with` block, in place, and let it propagate.
 
     The exception keeps its type and identity, so callers' `except`
     clauses and the CLI's one-line report see the original error. A
@@ -83,10 +85,14 @@ def add_context(err: BaseException, context: str) -> None:
     prefix; any other exception keeps its arguments, which its type may
     read, and gets the context as a note where Python has notes (3.11+).
     """
-    if isinstance(err, WaveotError) and len(err.args) == 1:
-        err.args = (f"{context}: {err.args[0]}",)
-    elif hasattr(err, "add_note"):
-        err.add_note(context)
+    try:
+        yield
+    except Exception as err:
+        if isinstance(err, WaveotError) and len(err.args) == 1:
+            err.args = (f"{context}: {err.args[0]}",)
+        elif hasattr(err, "add_note"):
+            err.add_note(context)
+        raise
 
 
 def checked_int(value, error, message, lo=-math.inf, hi=math.inf):

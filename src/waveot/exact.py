@@ -53,8 +53,6 @@ class TransportPlan:
 
 def _check_balanced(mu: DiscreteMeasure, nu: DiscreteMeasure):
     for m in (mu, nu):
-        if len(m) == 0:
-            raise UnbalancedMarginals("measures must be nonempty")
         if not abs(m.weights.sum() - 1.0) <= _BALANCE_TOL:
             raise UnbalancedMarginals(
                 f"weights sum to {m.weights.sum():.12g}, expected 1")

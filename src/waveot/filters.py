@@ -56,9 +56,6 @@ class WaveletSystem:
         object.__setattr__(self, "support_length", len(g) - 1)
         _validate_filters(self.name, g, h)
 
-    def __len__(self):
-        return len(self.g)
-
 
 def _validate_filters(name, g, h):
     L = len(g)

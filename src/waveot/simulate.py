@@ -84,6 +84,8 @@ class SimulationSpec:
         object.__setattr__(self, "exact_grid_points", checked_int(
             self.exact_grid_points, InvalidConfig,
             f"exact_grid_points must be an integer, got {self.exact_grid_points}"))
+        for s in self.s_values:  # DistanceConfig refuses a bad exponent
+            replace(self.cfg, s=s)
         if self.param_range is not None:
             lo, hi = self.param_range
             if not lo < hi:
@@ -152,13 +154,10 @@ def run_simulation(spec: SimulationSpec):
         cfg = replace(spec.cfg, s=s)
         cells = []
         for t, d in zip(params, transformed):
-            try:
+            with add_context(f"family {spec.family}, s={s}, param={t}"):
                 wval = wavelet_distance(base, d, cfg)
                 nu = discretize(d, spec.exact_grid_points, domain=EXACT_DOMAIN)
                 eval_, _ = exact_ws(mu0, nu, s)
-            except Exception as e:
-                add_context(e, f"family {spec.family}, s={s}, param={t}")
-                raise
             cells.append((float(t), wval, eval_))
         c = _fit_constant(*zip(*cells))
         for t, wval, eval_ in cells:

@@ -4,16 +4,18 @@ perfbench/tracer.py times layers by replacing package attributes at their
 import sites, and perfbench/workloads.py imports its entry points by name;
 a name dropped from the package would otherwise only fail a traced
 benchmark run.  Likewise the benchmark reads an embedding's entries,
-len() and (wavelet, j0, M), and recomputes an exact solve's residual
-m x n from its inputs.  The benchmark files are read, never changed.
+len() and (wavelet, j0, M), recomputes an exact solve's residual m x n
+from its inputs, and pairs a sweep's calls with its CSV rows.  The
+benchmark files are read, never changed.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from waveot import exact
+from waveot import exact, simulate
 from waveot.densities import DiscreteMeasure
+from waveot.distance import DistanceConfig
 from waveot.embedding import from_text, to_text
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -90,3 +92,33 @@ def test_exact_residual_cells_of_the_benchmark(monkeypatch):
         assert cells == (shapes[0][0] * shapes[0][1] if shapes else 0)
         solved += bool(shapes)
     assert 0 < solved < 300
+
+
+def test_sweep_calls_of_the_benchmark(monkeypatch):
+    # workloads.SweepDilate wraps simulate.wavelet_distance and
+    # simulate.exact_ws: an op runs from a wavelet call to the exact call
+    # after it, and the n-th op is checked against the n-th CSV row.  So a
+    # sweep makes one call of each per row, in row order, each exact call
+    # directly after its wavelet call
+    calls = []
+    wavelet_distance, exact_ws = simulate.wavelet_distance, simulate.exact_ws
+
+    def wavelet_counter(p, q, cfg):
+        value = wavelet_distance(p, q, cfg)
+        calls.append(("wavelet", cfg.s, value))
+        return value
+
+    def exact_counter(mu, nu, s):
+        result = exact_ws(mu, nu, s)
+        calls.append(("exact", s, result[0]))
+        return result
+
+    monkeypatch.setattr(simulate, "wavelet_distance", wavelet_counter)
+    monkeypatch.setattr(simulate, "exact_ws", exact_counter)
+    spec = simulate.SimulationSpec(
+        family="bump_dilate", cfg=DistanceConfig(s=1.0, j0=-9, M=12),
+        s_values=(1.0, 0.5), count=2, exact_grid_points=200)
+    rows = simulate.run_simulation(spec)
+    assert [(r.s, r.param) for r in rows] == [(1.0, 0.5), (1.0, 1.5), (0.5, 0.5), (0.5, 1.5)]
+    assert calls == [call for r in rows for call in (("wavelet", r.s, r.wavelet_value),
+                                                      ("exact", r.s, r.exact_value))]

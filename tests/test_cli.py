@@ -8,6 +8,7 @@ import pytest
 
 import waveot.densities
 import waveot.exact
+import waveot.simulate
 from waveot.cascade import estimate_constants
 from waveot.cli import main
 from waveot.densities import translate, uniform_density
@@ -185,6 +186,20 @@ def test_bad_sweep_spec_reports_and_fails(tmp_path, capsys, bad):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_exponent_in_a_sweep_fails_before_it_starts(tmp_path, capsys, monkeypatch):
+    def unreachable(p, q, cfg):
+        raise AssertionError("a wavelet distance was computed")
+
+    monkeypatch.setattr(waveot.simulate, "wavelet_distance", unreachable)
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--family", "bump_dilate", "--s", "1", "0.5", "1.5",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "1.5" in err
+    assert not out.exists()
 
 
 def test_zero_exact_points_reports_and_fails(tmp_path, capsys):

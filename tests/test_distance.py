@@ -125,7 +125,7 @@ def test_triangle_inequality():
 
 def test_homogeneity_of_weighted_sum():
     # scaling a sampled window scales the weighted sum of its transform exactly
-    sp = sample_for_dwt(uniform_density(0.0, 1.0), CFG.j0, CFG.M).trimmed()
+    sp = sample_for_dwt(uniform_density(0.0, 1.0), CFG.j0, CFG.M)
     system = build_wavelet_system(CFG.wavelet)
 
     def weighted_sum(values):

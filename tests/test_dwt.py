@@ -144,6 +144,11 @@ def test_shape_mismatch_on_tampered_pyramid():
         setattr(pyr, field, value)
         with pytest.raises(ShapeMismatch, match="approximation"):
             dwt_reconstruct(pyr, db2)
+    # a periodic detail level must be as long as the approximation it joins
+    pyr = dwt_decompose(np.arange(32.0), db2, 2, "periodic")
+    pyr.details[0] = pyr.details[0][:-1]
+    with pytest.raises(ShapeMismatch, match="length 7 != 8"):
+        dwt_reconstruct(pyr, db2)
 
 
 def test_integral_float_levels_and_offsets_are_ints():

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 import waveot.embedding
-from helpers import wavelet_part_densities
+from helpers import CodedError, wavelet_part_densities
 from waveot.densities import Density, bump_density, translate, uniform_density
 from waveot.distance import DistanceConfig, distance_new
 from waveot.dwt import decompose_call_count
 from waveot.embedding import (WlotVector, embed, from_text, prune, read_wlot, to_text,
                               wlot_distance, wlot_distance_matrix, write_wlot)
-from waveot.errors import (ConfigMismatch, InvalidConfig, InvalidExponent, InvalidGrid,
-                           MalformedWlot, ShapeMismatch)
+from waveot.errors import (ConfigMismatch, DomainOverflow, InvalidConfig, InvalidExponent,
+                           InvalidGrid, MalformedWlot, ShapeMismatch, UnknownWavelet)
 from waveot.filters import build_wavelet_system
 
 CFG = DistanceConfig(s=0.5, j0=-6, M=13, wavelet="db10", formulation="new")
@@ -272,6 +272,39 @@ def test_matrix_of_no_coefficients():
     p = uniform_density(0.0, 1.0)
     assert not any(len(values) for _, values in embed(p, cfg).levels)
     assert np.array_equal(wlot_distance_matrix([p, p], cfg), np.zeros((2, 2)))
+
+
+def test_matrix_error_context():
+    p = uniform_density(0.0, 1.0)
+    far = translate(p, 80.0)  # outside [0, 2^6]
+    with pytest.raises(DomainOverflow, match=r"^measure 1: support \[80"):
+        wlot_distance_matrix([p, far], CFG)
+
+
+def test_matrix_context_added_once_without_quotes(monkeypatch):
+    def fail(p, cfg):
+        raise UnknownWavelet("db99")
+
+    monkeypatch.setattr(waveot.embedding, "embed", fail)
+    p = uniform_density(0.0, 1.0)
+    with pytest.raises(UnknownWavelet) as exc:
+        wlot_distance_matrix([p, p], CFG)
+    assert str(exc.value) == "measure 0: db99"
+
+
+def test_matrix_keeps_foreign_exception(monkeypatch):
+    err = CodedError(7, "solver state")
+
+    def fail(p, cfg):
+        raise err
+
+    monkeypatch.setattr(waveot.embedding, "embed", fail)
+    p = uniform_density(0.0, 1.0)
+    with pytest.raises(CodedError) as exc:
+        wlot_distance_matrix([p, p], CFG)
+    assert exc.value is err and exc.value.args == (7, "solver state")
+    if hasattr(err, "add_note"):  # Python 3.11+
+        assert err.__notes__ == ["measure 0"]
 
 
 def test_matrix_working_set_is_one_block(monkeypatch):

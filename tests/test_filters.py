@@ -83,6 +83,8 @@ def _broken_filters(part):
         return g * 1.01, h
     if part == "high_sum":
         return g, h + 0.01
+    if part == "norm":  # sums sqrt(2) and 0, but g has norm sqrt(2)
+        return np.array([ROOT2, 0.0]), np.array([1.0, -1.0])
     if part == "orthogonality":
         # even and odd taps each sum to 1/sqrt(2) and the norm is 1, so the
         # lag-2 and lag-4 products cancel, but each is -0.1736 or +0.1736
@@ -95,7 +97,8 @@ def _broken_filters(part):
 
 @pytest.mark.parametrize("part, message", [
     ("length", "even length"), ("low_sum", "low-pass sum"), ("high_sum", "high-pass sum"),
-    ("orthogonality", "shift-orthogonality"), ("mirror", "quadrature-mirror")])
+    ("norm", "low-pass norm"), ("orthogonality", "shift-orthogonality"),
+    ("mirror", "quadrature-mirror")])
 def test_hand_built_system_breaking_an_identity_is_invalid_config(part, message):
     g, h = _broken_filters(part)
     with pytest.raises(InvalidConfig, match=f"bad: .*{message}"):

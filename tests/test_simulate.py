@@ -6,7 +6,7 @@ import pytest
 from helpers import CodedError
 from waveot import simulate
 from waveot.distance import DistanceConfig, distance_original
-from waveot.errors import DegenerateFit, InvalidConfig, UnknownWavelet
+from waveot.errors import DegenerateFit, InvalidConfig, InvalidExponent, UnknownWavelet
 from waveot.simulate import (CSV_HEADER, FAMILIES, SimulationRow, SimulationSpec,
                              emit_csv, fit_normalization, run_simulation)
 
@@ -34,6 +34,17 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="count must lie"):
         SimulationSpec(family="uniform_translate", cfg=SMALL_CFG,
                        count=simulate._MAX_COUNT + 1)
+
+
+def test_spec_refuses_a_bad_exponent_before_the_sweep(monkeypatch):
+    # the sweep used to run the s = 1 and s = 0.5 groups, 8 wavelet
+    # distances and exact solves, before s = 1.5 raised
+    calls = []
+    monkeypatch.setattr(simulate, "wavelet_distance", lambda *args: calls.append(args))
+    with pytest.raises(InvalidExponent, match="got 1.5"):
+        SimulationSpec(family="bump_dilate", cfg=DistanceConfig(s=1.0, j0=-9, M=12),
+                       s_values=(1.0, 0.5, 1.5), count=4)
+    assert calls == []
 
 
 def test_spec_takes_integral_float_counts():

@@ -1,13 +1,15 @@
 """Dyadic evaluation of scaling/wavelet functions and derived constants.
 
 The scaling function is obtained exactly on dyadic grids: its values at
-the integers solve the eigenproblem of the two-scale transfer matrix
-M[i, j] = sqrt(2) g_{2i-j}, and each refinement halving fills in the new
-midpoints through the two-scale relation
+the integers are the eigenvector of eigenvalue 1 of the two-scale
+transfer matrix M[i, j] = sqrt(2) g_{2i-j}, found by one linear solve,
+and each refinement halving fills in the new midpoints through the
+two-scale relation
 
     phi(x) = sqrt(2) * sum_k g_k phi(2x - k).
 
-The wavelet follows from psi(x) = sqrt(2) * sum_k h_k phi(2x - k).  Both
+The wavelet follows from psi(x) = sqrt(2) * sum_k h_k phi(2x - k), which
+reads phi only on the grid one level coarser than psi's.  Both
 functions are supported on [0, L-1] for a length-L filter.
 
 Integrals against these grids use the trapezoid rule.  For every filter of
@@ -23,7 +25,8 @@ import numpy as np
 
 from ._num import abs_power
 from .densities import _BLOCK_POINTS, _MAX_SAMPLE_POINTS, SampledDensity
-from .errors import InvalidExponent, InvalidFunction, InvalidLevels, checked_int
+from .errors import (InvalidConfig, InvalidExponent, InvalidFunction, InvalidLevels,
+                     checked_int)
 from .filters import WaveletSystem
 
 __all__ = ["cascade_evaluate", "estimate_constants", "HolderConstants"]
@@ -40,39 +43,70 @@ _SCAN_BLOCK = 1 << 16
 
 
 def _integer_values(system: WaveletSystem):
-    """phi at the integers 0 .. L-1, normalized so they sum to 1."""
+    """phi at the integers 0 .. L-1, normalized so they sum to 1: the
+    eigenvector of eigenvalue 1 of M.  Each column of M sums to 1 (the
+    even and the odd taps of g each sum to 1/sqrt(2)), so the rows of
+    M - I add up to zero and the last one gives way to the sum condition;
+    the system is singular exactly when eigenvalue 1 is repeated, which
+    leaves phi undetermined."""
     g = system.g
     L = len(g)
     n = L - 1  # unknowns phi(0) .. phi(L-2); phi(L-1) = 0
-    M = np.zeros((n, n))
+    A = -np.eye(n)
     for i in range(n):
         for j in range(n):
             k = 2 * i - j
             if 0 <= k < L:
-                M[i, j] = math.sqrt(2.0) * g[k]
-    eigvals, eigvecs = np.linalg.eig(M)
-    idx = np.argmin(np.abs(eigvals - 1.0))
-    v = np.real(eigvecs[:, idx])
-    v = v / v.sum()
+                A[i, j] += math.sqrt(2.0) * g[k]
+    A[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        v = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        raise InvalidConfig(
+            f"{system.name}: the filter does not determine the scaling "
+            "function (its transfer matrix has eigenvalue 1 more than once)") from None
     return np.concatenate([v, [0.0]])
 
 
-def _two_scale(phi, filt, shift, first, out):
-    """out[i] = sqrt(2) sum_k filt[k] phi[first + 2i - k shift] for every
-    i, with phi zero off its grid: the two-scale relation on every other
-    point of a grid whose spacing is 1/shift, read through strided slices.
-    out arrives zeroed and is filled _BLOCK_POINTS entries at a time, so
-    the only temporary is one block of one term; out is returned."""
+def _two_scale(phi, filt, shift, first, out, _stride=2):
+    """out[i] = sqrt(2) sum_k filt[k] phi[first + _stride i - k shift] for
+    every i, with phi zero off its grid: the two-scale relation read
+    through strided slices.  With the default stride phi is on a grid of
+    spacing 1/shift and out is every other point of it; with stride 1
+    phi is the grid of half out's resolution, whose points are the even
+    points of out's grid.  out arrives zeroed and is filled _BLOCK_POINTS
+    entries at a time, so the only temporary is one block of one term;
+    out is returned."""
     for b0 in range(0, len(out), _BLOCK_POINTS):
         block = out[b0: b0 + _BLOCK_POINTS]
         for k, c in enumerate(filt):
-            start = first + 2 * b0 - k * shift  # index into phi of block[0]
-            lo = max(0, -(start // 2))
-            hi = min(len(block), (len(phi) - 1 - start) // 2 + 1)
+            start = first + _stride * b0 - k * shift  # index into phi of block[0]
+            lo = max(0, -(start // _stride))
+            hi = min(len(block), (len(phi) - 1 - start) // _stride + 1)
             if lo < hi:
-                block[lo:hi] += c * phi[start + 2 * lo: start + 2 * hi - 1: 2]
+                block[lo:hi] += c * phi[start + _stride * lo:
+                                        start + _stride * (hi - 1) + 1: _stride]
         block *= math.sqrt(2.0)
     return out
+
+
+def _refine(phi, g, d):
+    """The depth-(d+1) scaling grid from the depth-d grid phi: the old grid
+    holds the even points of the new one, and the point m/2^(d+1) at odd m
+    reads phi at indices m - k*2^d of the old grid."""
+    new = np.zeros(2 * len(phi) - 1)
+    new[::2] = phi
+    _two_scale(phi, g, 2 ** d, 1, new[1::2])
+    return new
+
+
+def _wavelet(half, h, depth):
+    """psi on the depth grid from phi on the depth - 1 grid, half: psi at
+    i/2^depth reads phi at 2i - k*2^depth of the depth grid, which is
+    half[i - k*2^(depth-1)], so the finest phi grid is never built."""
+    return _two_scale(half, h, 2 ** (depth - 1), 0, np.zeros(2 * len(half) - 1), _stride=1)
 
 
 def cascade_evaluate(system: WaveletSystem, which: str,
@@ -92,9 +126,10 @@ def cascade_evaluate(system: WaveletSystem, which: str,
     width = L - 1
     # the final grid holds width * 2^depth + 1 points; the first test
     # keeps the power from being formed for absurd depths.  Each step fills
-    # its new points in place, so by tracemalloc the refinement peaks at
-    # 12.4 bytes a final point (the old grid and the new) and the wavelet
-    # at 16.4 (phi and psi), db20 at depth 13: the budget admits about 550 MB
+    # its new points in place, and the wavelet is read from the scaling
+    # grid one level coarser, so by tracemalloc both functions peak at
+    # 12.4 bytes a final point (a grid and the one of half its
+    # resolution), db20 at depth 13: the budget admits about 420 MB
     if (refinement_depth > _MAX_SAMPLE_POINTS.bit_length()
             or width * 2 ** refinement_depth + 1 > _MAX_SAMPLE_POINTS):
         raise InvalidLevels(
@@ -102,15 +137,11 @@ def cascade_evaluate(system: WaveletSystem, which: str,
             f"sampling budget of {_MAX_SAMPLE_POINTS} points for a "
             f"length-{L} filter")
     phi = _integer_values(system)
-    for d in range(refinement_depth):
-        # the old grid holds the even points of the new one; the point
-        # m/2^(d+1) at odd m reads phi at indices m - k*2^d of the old grid
-        new = np.zeros(width * 2 ** (d + 1) + 1)
-        new[::2] = phi
-        _two_scale(phi, g, 2 ** d, 1, new[1::2])
-        phi = new
-    if which == "wavelet":
-        phi = _two_scale(phi, system.h, 2 ** refinement_depth, 0, np.zeros(len(phi)))
+    wavelet = which == "wavelet"
+    for d in range(refinement_depth - wavelet):
+        phi = _refine(phi, g, d)
+    if wavelet:
+        phi = _wavelet(phi, system.h, refinement_depth)
 
     return SampledDensity(offset=0, spacing=2.0 ** (-refinement_depth), values=phi)
 
@@ -203,19 +234,21 @@ def _weighted_abs(values, spacing):
 def estimate_constants(system: WaveletSystem, s: float) -> HolderConstants:
     """Numerically estimate a11, a12 (centered-moment infima) and a13
     (reciprocal L1 norm) for the given wavelet system and 0 < s <= 1, on
-    the dyadic grid of depth DEFAULT_CASCADE_DEPTH.  The weighted |phi| and
-    |psi| overwrite the function values and the searches work in blocks,
-    so the peak is phi and psi, two grid-sized arrays: 3.0 MiB by
-    tracemalloc for db20."""
+    the dyadic grid of depth DEFAULT_CASCADE_DEPTH.  phi and psi both come
+    from the scaling grid one level coarser, which is kept until psi is
+    built; the weighted |phi| and |psi| overwrite the function values and
+    the searches work in blocks, so the peak is one and a half grids plus
+    a scan block: 2.4 MiB by tracemalloc for db20."""
     if not 0.0 < s <= 1.0:
         raise InvalidExponent(f"s must lie in (0, 1], got {s}")
-    phi = cascade_evaluate(system, "scaling", DEFAULT_CASCADE_DEPTH)
-    psi = _two_scale(phi.values, system.h, 2 ** DEFAULT_CASCADE_DEPTH, 0,
-                     np.zeros(len(phi.values)))
-    spacing = phi.spacing
-    weighted = _weighted_abs(phi.values, spacing)
+    depth = DEFAULT_CASCADE_DEPTH
+    half = cascade_evaluate(system, "scaling", depth - 1).values
+    spacing = 2.0 ** -depth
+    weighted = _weighted_abs(_refine(half, system.g, depth - 1), spacing)
     l1_phi = float(np.sum(weighted))
     inf_phi = _centered_moment_inf(spacing, weighted, s)
-    del phi, weighted  # release phi's values before the psi search
+    del weighted  # release phi before psi is built
+    psi = _wavelet(half, system.h, depth)
+    del half
     inf_psi = _centered_moment_inf(spacing, _weighted_abs(psi, spacing), s)
     return HolderConstants(a11=1.0 / inf_phi, a12=1.0 / inf_psi, a13=1.0 / l1_phi)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .densities import bump_density, dilate, discretize, translate, uniform_density
+from .densities import (_MAX_SAMPLE_POINTS, bump_density, dilate, discretize, translate,
+                        uniform_density)
 from .distance import DistanceConfig, wavelet_distance
 from .errors import DegenerateFit, InvalidConfig, add_context, checked_int
 from .exact import exact_ws
@@ -81,9 +82,13 @@ class SimulationSpec:
         object.__setattr__(self, "count", checked_int(
             self.count, InvalidConfig,
             f"count must lie in [2, {_MAX_COUNT}], got {self.count}", 2, _MAX_COUNT))
+        # discretize's bound, checked here before any density is built
         object.__setattr__(self, "exact_grid_points", checked_int(
             self.exact_grid_points, InvalidConfig,
-            f"exact_grid_points must be an integer, got {self.exact_grid_points}"))
+            f"exact_grid_points: need 2 to {_MAX_SAMPLE_POINTS} grid points, "
+            f"got {self.exact_grid_points}", 2, _MAX_SAMPLE_POINTS))
+        if not self.s_values:
+            raise InvalidConfig("s_values must hold at least one exponent")
         for s in self.s_values:  # DistanceConfig refuses a bad exponent
             replace(self.cfg, s=s)
         if self.param_range is not None:

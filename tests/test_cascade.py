@@ -6,8 +6,8 @@ import pytest
 from helpers import trapezoid
 from waveot import cascade
 from waveot.cascade import cascade_evaluate, estimate_constants
-from waveot.errors import InvalidExponent, InvalidLevels, WaveotError
-from waveot.filters import build_wavelet_system
+from waveot.errors import InvalidConfig, InvalidExponent, InvalidLevels, WaveotError
+from waveot.filters import WaveletSystem, build_wavelet_system, catalog_names
 
 
 def test_haar_scaling_depth3():
@@ -104,19 +104,90 @@ def test_refinement_depth_budget_checked_before_allocating(monkeypatch):
 def test_refinement_memory_per_grid_point():
     # the budget is counted in points, so the bytes held per point bound
     # what it admits.  Each two-scale step fills its output in place, one
-    # block at a time: the refinement holds the old and the new grid, 12.4
-    # bytes a point by tracemalloc (18 with a half-grid result and its
-    # temporary), and the wavelet phi and psi, 16.4 (20)
+    # block at a time, and psi is read from the scaling grid one level
+    # coarser: the scaling function holds the old and the new grid, the
+    # wavelet the half grid and psi, 12.4 bytes a point each by tracemalloc
+    # (14 with a half-grid result and its temporary; 16.4 for a psi read
+    # from the full phi grid)
     db20 = build_wavelet_system("db20")
-    for which, bound in (("scaling", 14), ("wavelet", 18)):
+    for which in ("scaling", "wavelet"):
         tracemalloc.start()
         try:
             values = cascade_evaluate(db20, which, 13).values
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound * len(values), which
+        assert peak < 14 * len(values), which
         del values
+
+
+@pytest.mark.parametrize("depth", [1, 8, 12])
+@pytest.mark.parametrize("name", ["haar", "db2", "db10", "db20"])
+def test_wavelet_from_the_half_grid_equals_the_full_grid_route(name, depth):
+    # psi at depth D reads phi only at the even points of the depth-D
+    # grid, which are the depth-(D-1) grid
+    system = build_wavelet_system(name)
+    phi = cascade_evaluate(system, "scaling", depth).values
+    full = cascade._two_scale(phi, system.h, 2 ** depth, 0, np.zeros(len(phi)))
+    psi = cascade_evaluate(system, "wavelet", depth)
+    assert psi.spacing == 2.0 ** -depth
+    assert psi.values.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_integer_values_are_the_fixed_point_of_the_transfer_matrix(name):
+    system = build_wavelet_system(name)
+    g = system.g
+    n = len(g) - 1
+    M = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if 0 <= 2 * i - j < len(g):
+                M[i, j] = np.sqrt(2.0) * g[2 * i - j]
+    values = cascade._integer_values(system)
+    assert values[-1] == 0.0 and len(values) == len(g)
+    v = values[:-1]
+    assert np.max(np.abs(M @ v - v)) <= 1e-14
+    assert abs(v.sum() - 1.0) <= 1e-14
+
+
+def test_undetermined_scaling_function_is_refused():
+    # the stretched Haar filter passes every filter identity, but its
+    # transfer matrix has eigenvalue 1 twice: the integer values of its
+    # phi, 1/3 on [0, 3), are one fixed point and not the only one; an
+    # eigensolver may pick phi(k) = [0, 1/2, 1/2, 0] and give a11 = 0.667
+    r = 1.0 / np.sqrt(2.0)
+    stretched = WaveletSystem(name="stretched", g=[r, 0.0, 0.0, r], h=[r, 0.0, 0.0, -r])
+    for call in (lambda: cascade_evaluate(stretched, "scaling", 4),
+                 lambda: cascade_evaluate(stretched, "wavelet", 4),
+                 lambda: estimate_constants(stretched, 1.0)):
+        with pytest.raises(InvalidConfig, match="stretched: .*eigenvalue 1 more than once"):
+            call()
+
+
+# estimate_constants as computed by the transfer matrix's eigenvector and
+# psi from the full depth-12 phi grid; the linear solve moves phi at the
+# integers by at most 2.7e-15, and these by at most 6.3e-16 relative
+_PINNED_CONSTANTS = {
+    ("db2", 1.0): (2.407335696590919, 2.1492967466319977, 0.8467025363481818),
+    ("db2", 0.5): (1.5784866812301541, 1.5086558002016777, 0.8467025363481818),
+    ("db2", 0.25): (1.1925137698845665, 1.1777816988130794, 0.8467025363481818),
+    ("db10", 1.0): (0.6159816644376963, 0.4494672480631561, 0.5657094084756795),
+    ("db10", 0.5): (0.6728496755991888, 0.5278834470848355, 0.5657094084756795),
+    ("db10", 0.25): (0.6432731353330311, 0.5380903646878725, 0.5657094084756795),
+    ("db20", 1.0): (0.3004159693012055, 0.21030615356814777, 0.45815114443327265),
+    ("db20", 0.5): (0.4234055824712493, 0.31689108926659226, 0.45815114443327265),
+    ("db20", 0.25): (0.4607320182567163, 0.36618863194467294, 0.45815114443327265),
+}
+
+
+@pytest.mark.parametrize("name", ["db2", "db10", "db20"])
+def test_constants_match_pinned_values(name):
+    system = build_wavelet_system(name)
+    for s in (1.0, 0.5, 0.25):
+        c = estimate_constants(system, s)
+        for got, ref in zip((c.a11, c.a12, c.a13), _PINNED_CONSTANTS[name, s]):
+            assert abs(got - ref) <= 2e-15 * ref, (name, s)
 
 
 def test_haar_constants_closed_form():
@@ -154,10 +225,12 @@ def test_grid_search_matches_midpoint_objective_for_haar():
 
 def test_constants_scan_memory_bounded():
     # the candidate scan works in cache-sized blocks, the weighted |phi|
-    # and |psi| are built in place, and each objective forms its grid and
-    # values one _BLOCK_POINTS block at a time, so the peak is phi and psi
-    # (db20: 159,745 points, 1.2 MiB each) plus a scan block, 3.0 MiB by
-    # tracemalloc; 4.9 MiB with the grid and a grid-sized objective array
+    # and |psi| are built in place, each objective forms its grid and
+    # values one _BLOCK_POINTS block at a time, and phi and psi are both
+    # read from the half grid, so the peak is one and a half grids (db20:
+    # 159,745 points, 1.2 MiB a grid) plus a scan block, 2.4 MiB by
+    # tracemalloc; 3.0 MiB with phi and psi held together, 4.9 MiB with
+    # the grid and a grid-sized objective array
     db20 = build_wavelet_system("db20")
     tracemalloc.start()
     try:
@@ -165,7 +238,7 @@ def test_constants_scan_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 2 ** 20
+    assert peak < 2.75 * 2 ** 20
 
 
 @pytest.mark.parametrize("block", [4097, 1 << 20])

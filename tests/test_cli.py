@@ -202,6 +202,21 @@ def test_bad_exponent_in_a_sweep_fails_before_it_starts(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def test_bad_exact_points_fail_before_any_density_is_built(tmp_path, capsys, monkeypatch):
+    # refused before the sweep builds its 1000 transforms, 18.7 s of work
+    def unreachable(d):
+        raise AssertionError("a density was built")
+
+    monkeypatch.setattr(waveot.densities.Density, "__post_init__", unreachable)
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--family", "bump_translate", "--s", "1", "--count", "1000",
+                 "--exact-points", "1", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: exact_grid_points: need 2 to 33554432 grid points, got 1\n"
+
+
 def test_zero_exact_points_reports_and_fails(tmp_path, capsys):
     code = main(["simulate", "--family", "uniform_translate", "--s", "1.0",
                  "--j0", "-6", "--levels", "12", "--count", "3",

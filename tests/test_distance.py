@@ -271,7 +271,8 @@ def test_distance_matrix_keeps_foreign_exception(monkeypatch):
     with pytest.raises(CodedError) as exc:
         distance_matrix([p, p], CFG)
     assert exc.value is err and exc.value.args == (7, "solver state")
-    assert getattr(err, "__notes__", ["pair (0, 1)"]) == ["pair (0, 1)"]
+    if hasattr(err, "add_note"):  # Python 3.11+
+        assert err.__notes__ == ["pair (0, 1)"]
 
 
 def test_wavelet_distance_dispatch():

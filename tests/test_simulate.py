@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import CodedError
-from waveot import simulate
+from waveot import densities, simulate
+from waveot.densities import _MAX_SAMPLE_POINTS
 from waveot.distance import DistanceConfig, distance_original
 from waveot.errors import DegenerateFit, InvalidConfig, InvalidExponent, UnknownWavelet
 from waveot.simulate import (CSV_HEADER, FAMILIES, SimulationRow, SimulationSpec,
@@ -45,6 +46,22 @@ def test_spec_refuses_a_bad_exponent_before_the_sweep(monkeypatch):
         SimulationSpec(family="bump_dilate", cfg=DistanceConfig(s=1.0, j0=-9, M=12),
                        s_values=(1.0, 0.5, 1.5), count=4)
     assert calls == []
+
+
+def test_spec_checks_its_bounds_before_any_density_is_built(monkeypatch):
+    # refused before run_simulation builds every transform (1000 of them
+    # take 18.7 s) and before discretize would refuse the grid
+    built = []
+    monkeypatch.setattr(densities.Density, "__post_init__", lambda d: built.append(d))
+    for kwargs, message in (({"s_values": ()}, "at least one exponent"),
+                            ({"exact_grid_points": 1}, "need 2 to 33554432 grid points, got 1"),
+                            ({"exact_grid_points": _MAX_SAMPLE_POINTS + 1}, "grid points")):
+        with pytest.raises(InvalidConfig, match=message):
+            SimulationSpec(family="bump_translate", cfg=SMALL_CFG, count=1000, **kwargs)
+    for points in (2, _MAX_SAMPLE_POINTS):
+        spec = SimulationSpec(family="bump_translate", cfg=SMALL_CFG, exact_grid_points=points)
+        assert spec.exact_grid_points == points
+    assert built == []
 
 
 def test_spec_takes_integral_float_counts():
@@ -179,4 +196,5 @@ def test_run_simulation_error_context(monkeypatch):
     with pytest.raises(CodedError) as exc:
         run_simulation(spec)
     assert exc.value is err and exc.value.args == (7, "solver state")
-    assert getattr(err, "__notes__", [context]) == [context]
+    if hasattr(err, "add_note"):  # Python 3.11+
+        assert err.__notes__ == [context]

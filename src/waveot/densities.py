@@ -44,27 +44,34 @@ def _mass(f, lo, hi):
     pass while a subcell stays a few float spacings wide.  Groups of cells
     are sampled one cell beyond either end, so a jump is seen whichever
     cell holds it.  _BLOCK_POINTS cells per call keep the arrays in cache,
-    which makes the first pass two to four times faster than one call.
+    which makes the first pass two to four times faster than one call;
+    a block's arrays are dropped before the next is made.  For a Density
+    f the mask runs only on blocks that reach outside the support: the
+    first pass's two end blocks and refined blocks holding an end cell.
     Positions are kept relative to lo and rounded once, when f gets them.
     A negative value at any point evaluated raises InvalidInterval.
     """
     n, width, total = _BLOCK_POINTS, (hi - lo) / _MASS_CELLS, 0.0
     starts = n * width * np.arange(_MASS_CELLS // n)
     for npass in range(1, _MASS_PASSES + 1):
-        offsets, flagged = np.arange(-1, n + 1) + 0.5, []
+        step, flagged = (np.arange(-1, n + 1) + 0.5) * width, []
         for block in np.array_split(starts, -(-len(starts) * n // _BLOCK_POINTS)):
-            rel = block[:, None] + offsets * width
-            vals = f(lo + rel.ravel()).reshape(rel.shape)
+            pos = block[:, None] + step
+            pos += lo
+            vals = f(pos.ravel()).reshape(pos.shape)
             if vals.min() < 0.0:
                 k = int(np.argmin(vals))
                 raise InvalidInterval(
-                    f"density is {vals.flat[k]:.6g} < 0 at x = {lo + rel.flat[k]:.17g}")
-            err = np.abs(np.diff(vals, 2))
-            cells = np.flatnonzero(err > _MASS_CELL_ERR / width)
+                    f"density is {vals.flat[k]:.6g} < 0 at x = {pos.flat[k]:.17g}")
+            del pos
+            err = np.diff(vals, 2)
+            cells = np.flatnonzero(np.abs(err, out=err) > _MASS_CELL_ERR / width)
             mids = vals[:, 1:-1]
-            flagged.append((err.flat[cells], rel[:, 1:-1].flat[cells], mids.flat[cells]))
+            centres = block[cells // n] + step[1 + cells % n]
+            flagged.append((err.flat[cells], centres, mids.flat[cells]))
             mids.flat[cells] = 0.0
             total += width * float(np.sum(mids))
+            del vals, mids, err
         err, centres, values = (np.concatenate(parts) for parts in zip(*flagged))
         split = np.zeros(len(err), dtype=bool)
         split[np.argsort(err)[::-1][:_MASS_REFINE]] = npass < _MASS_PASSES
@@ -80,8 +87,12 @@ def _mass(f, lo, hi):
 class Density:
     """A probability density with compact support [lo, hi].
 
-    The evaluator is kept as given and takes a 1-D array of points inside
-    the support; calling the density masks once and is zero outside.
+    The evaluator is kept as given.  It takes a 1-D float array of points
+    inside the support, returns one value per point and never writes to
+    its argument, which may be the caller's own array: discretize hands
+    it views of the positions it returns.  Calling the density is zero
+    outside the support; the mask runs only when the points reach
+    outside it.
     Construction fails if the support is not finite, if the evaluator is
     negative at a point of the mass check, or if the mass, by the refined
     midpoint rule of _mass, deviates from 1 by more than 1e-8.
@@ -106,13 +117,19 @@ class Density:
     def __call__(self, x):
         """The density at x, a scalar or an array: the evaluator on the
         points of the half-open support [lo, hi), zero elsewhere, so dyadic
-        grid points landing exactly on hi sample as zero."""
+        grid points landing exactly on hi sample as zero.  A 1-D array
+        inside [lo, hi) by its min and max goes to the evaluator as it is."""
         lo, hi = self.support
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        inside = (arr >= lo) & (arr < hi)
-        out = np.zeros_like(arr)
-        if np.any(inside):
-            out[inside] = self.evaluator(arr[inside])
+        # a NaN fails both tests, so it takes the mask and samples as zero
+        inside_all = arr.ndim == 1 and arr.size and lo <= arr.min() and arr.max() < hi
+        out = self.evaluator(arr) if inside_all else None
+        if np.shape(out) != arr.shape:  # the mask also broadcasts one value for all
+            inside = (arr >= lo) & (arr < hi)
+            out = np.zeros_like(arr)
+            if np.any(inside):
+                out[inside] = self.evaluator(arr[inside])
+        out = np.asarray(out, dtype=float)
         return out[0] if np.ndim(x) == 0 else out
 
 
@@ -169,14 +186,17 @@ def uniform_density(lo: float, hi: float) -> Density:
     return Density(evaluate, (lo, hi))
 
 
-def _bump_profile(t):
-    """exp(-1/(1 - t^2)) on (-1, 1), zero elsewhere, for an array t.  In
-    binary64, u = 1 - t^2 > 0 holds exactly when |t| < 1."""
-    u = 1.0 - t * t
+def _bump_profile(t, out=None):
+    """exp(-1/(1 - t^2)) on (-1, 1), zero elsewhere, for an array t, into
+    out (which may be t) or a new array.  In binary64, u = 1 - t^2 > 0
+    holds exactly when |t| < 1."""
+    u = np.multiply(t, t, out=out)
+    np.subtract(1.0, u, out=u)
     inside = u > 0
-    out = np.zeros_like(u)
-    np.divide(-1.0, u, out=out, where=inside)
-    return np.exp(out, out=out, where=inside)
+    np.divide(-1.0, u, out=u, where=inside)
+    np.exp(u, out=u, where=inside)
+    np.copyto(u, 0.0, where=~inside)
+    return u
 
 
 _BUMP_BASE_MASS = _mass(_bump_profile, -1.0, 1.0)
@@ -195,14 +215,17 @@ def bump_density(center: float, half_width: float) -> Density:
     scale = 1.0 / (half_width * _BUMP_BASE_MASS)
 
     def evaluate(x):
-        return scale * _bump_profile((np.asarray(x, dtype=float) - center) / half_width)
+        t = np.subtract(x, center)
+        t /= half_width
+        return np.multiply(_bump_profile(t, out=t), scale, out=t)
 
     return Density(evaluate, (center - half_width, center + half_width))
 
 
 def translate(d: Density, a: float) -> Density:
     """Shift a density by a.  The new evaluator composes d's, so a chain
-    of transforms is masked once, by its own support, when it is called."""
+    of transforms is masked by its own support only, and only on blocks
+    of points that reach outside it."""
     lo, hi = d.support
     inner = d.evaluator
 
@@ -220,7 +243,10 @@ def dilate(d: Density, b: float, about: float) -> Density:
     inner = d.evaluator
 
     def evaluate(x):
-        return inner(about + (x - about) / b) / b
+        y = np.subtract(x, about)
+        y /= b
+        y += about
+        return np.divide(inner(y), b, out=y)
 
     new_lo = about + b * (lo - about)
     new_hi = about + b * (hi - about)
@@ -282,7 +308,8 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
     block = _BLOCK_POINTS // _CELL_POINTS
     for start in range(0, len(values), block):
         ks = k_lo + np.arange(start, min(start + block, len(values)))
-        pts = (ks[:, None] + offs) * spacing
+        pts = ks[:, None] + offs
+        pts *= spacing
         values[start: start + len(pts)] = d(pts.ravel()).reshape(pts.shape).mean(axis=1)
     values *= 2.0 ** (-(j0 + M) / 2.0)
     start, stop = _nonzero_span(values)

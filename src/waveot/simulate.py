@@ -10,6 +10,7 @@ normalization constant is fitted per s group.
 """
 
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -35,27 +36,37 @@ CSV_HEADER = ("family,formulation,wavelet,s,j0,M,param,"
               "wavelet_value,exact_value,norm_constant,normalized_value")
 
 
+@cache
+def _base(shape, lo):
+    """The uniform or bump density on [lo, lo + 1], built and mass-checked
+    once per process.  Densities are immutable, so a family's transforms
+    share their base; each transform still runs its own mass check."""
+    if shape == "uniform":
+        return uniform_density(lo, lo + 1.0)
+    return bump_density(lo + 0.5, 0.5)
+
+
 def _uniform_translate(a):
-    return translate(uniform_density(0.0, 1.0), a)
+    return translate(_base("uniform", 0.0), a)
 
 
 def _uniform_dilate(b):
-    return dilate(uniform_density(1.0, 2.0), b, 1.5)
+    return dilate(_base("uniform", 1.0), b, 1.5)
 
 
 def _bump_translate(a):
-    return translate(bump_density(0.5, 0.5), a)
+    return translate(_base("bump", 0.0), a)
 
 
 def _bump_dilate(b):
-    return dilate(bump_density(1.5, 0.5), b, 1.5)
+    return dilate(_base("bump", 1.0), b, 1.5)
 
 
 FAMILIES = {
-    "uniform_translate": (lambda: uniform_density(0.0, 1.0), _uniform_translate, (0.0, 2.0)),
-    "uniform_dilate": (lambda: uniform_density(1.0, 2.0), _uniform_dilate, (0.5, 1.5)),
-    "bump_translate": (lambda: bump_density(0.5, 0.5), _bump_translate, (0.0, 2.0)),
-    "bump_dilate": (lambda: bump_density(1.5, 0.5), _bump_dilate, (0.5, 1.5)),
+    "uniform_translate": (partial(_base, "uniform", 0.0), _uniform_translate, (0.0, 2.0)),
+    "uniform_dilate": (partial(_base, "uniform", 1.0), _uniform_dilate, (0.5, 1.5)),
+    "bump_translate": (partial(_base, "bump", 0.0), _bump_translate, (0.0, 2.0)),
+    "bump_dilate": (partial(_base, "bump", 1.0), _bump_dilate, (0.5, 1.5)),
 }
 
 

@@ -5,8 +5,9 @@ import sites, and perfbench/workloads.py imports its entry points by name;
 a name dropped from the package would otherwise only fail a traced
 benchmark run.  Likewise the benchmark reads an embedding's entries,
 len() and (wavelet, j0, M), recomputes an exact solve's residual m x n
-from its inputs, and pairs a sweep's calls with its CSV rows.  The
-benchmark files are read, never changed.
+from its inputs, pairs a sweep's calls with its CSV rows, and times the
+construction of a family's transform at simulate.translate or
+simulate.dilate.  The benchmark files are read, never changed.
 """
 
 from pathlib import Path
@@ -122,3 +123,28 @@ def test_sweep_calls_of_the_benchmark(monkeypatch):
     assert [(r.s, r.param) for r in rows] == [(1.0, 0.5), (1.0, 1.5), (0.5, 0.5), (0.5, 1.5)]
     assert calls == [call for r in rows for call in (("wavelet", r.s, r.wavelet_value),
                                                       ("exact", r.s, r.exact_value))]
+
+
+def test_family_transforms_are_construct_sites(monkeypatch):
+    # tracer times densities.construct at simulate.translate and
+    # simulate.dilate, and DistanceFull requires that span: each FAMILIES
+    # transform calls one of them exactly once, though its base is cached
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import workloads
+
+    assert "densities.construct" in workloads.DistanceFull.required_spans
+    calls = []
+    for name in ("translate", "dilate"):
+        assert (simulate, name, "densities.construct") in tracer.IMPORT_SITES
+
+        def counted(*args, _name=name, _inner=getattr(simulate, name)):
+            calls.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(simulate, name, counted)
+    for family, (_, transform, (lo, hi)) in simulate.FAMILIES.items():
+        for t in (lo, hi):
+            calls.clear()
+            transform(t)
+            assert len(calls) == 1, (family, t, calls)

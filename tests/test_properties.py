@@ -8,7 +8,9 @@ inequality of its W_s, of the solver's nested starting basis and the eps
 its flows carry through the pivots, and of the in-place abs_power
 against |x| ** s.
 
-The window does not depend on how many cells one evaluator call gets.
+The window does not depend on how many cells one evaluator call gets,
+and a density equals its evaluator masked to the support, bit for bit,
+whether the mask runs or not.
 Examples are derandomized, so every run checks the same cases.
 """
 
@@ -113,6 +115,56 @@ def test_sample_blocks_keep_the_window(data):
         blocked = sample_for_dwt(d, j0, M)
     assert blocked.offset == ref.offset
     assert np.array_equal(blocked.values, ref.values)
+
+
+@st.composite
+def chains(draw):
+    """A uniform or bump density on a drawn interval, then up to three
+    translations and dilations in a drawn order."""
+    lo, width = draw(st.floats(-5.0, 5.0)), draw(st.floats(0.01, 4.0))
+    if draw(st.booleans()):
+        d = uniform_density(lo, lo + width)
+    else:
+        d = bump_density(lo + 0.5 * width, 0.5 * width)
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            d = translate(d, draw(st.floats(-3.0, 3.0)))
+        else:
+            d = dilate(d, draw(st.floats(0.3, 3.0)), draw(st.floats(-3.0, 3.0)))
+    return d
+
+
+# where points are drawn, in support widths from lo
+_REGIONS = {"inside": (0.0, 1.0), "below": (-1.0, 0.0), "above": (1.0, 2.0),
+            "across lo": (-0.5, 0.5), "across hi": (0.5, 1.5)}
+
+
+@st.composite
+def points(draw, support):
+    """1 to 64 points of one region around the support, with its ends, the
+    float below hi and NaN mixed in at times."""
+    lo, hi = support
+    a, b = _REGIONS[draw(st.sampled_from(sorted(_REGIONS)))]
+    x = [lo + (hi - lo) * f for f in draw(st.lists(st.floats(a, b), min_size=1, max_size=64))]
+    x += draw(st.lists(st.sampled_from([lo, hi, np.nextafter(hi, lo), np.nan]), max_size=3))
+    return np.array(draw(st.permutations(x)))
+
+
+@SETTINGS
+@given(st.data())
+def test_density_is_its_masked_evaluator(data):
+    # points inside [lo, hi) by their min and max skip the mask: the values
+    # are those of masking, bit for bit, and the caller's points are kept
+    d = data.draw(chains())
+    x = data.draw(points(d.support))
+    lo, hi = d.support
+    inside = (x >= lo) & (x < hi)
+    want = np.zeros_like(x)
+    want[inside] = d.evaluator(x[inside])
+    before = x.copy()
+    assert d(x).tobytes() == want.tobytes()
+    assert d(x[inside]).tobytes() == want[inside].tobytes()
+    assert x.tobytes() == before.tobytes()
 
 
 @st.composite

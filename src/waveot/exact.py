@@ -2,25 +2,28 @@
 
 The solver is a dense transportation simplex (network simplex specialized
 to the bipartite transportation polytope): a starting basis from the nested
-plan, which is optimal at s = 1 and leaves a few pivots for s < 1, and
-Dantzig pricing.  Each basic flow is a pair (value, k) for value + k * eps,
-Orden's perturbation (each row's supply gains eps, the last column's demand
-m * eps), and the leaving arc is the lexicographic minimum of the pairs.
-No perturbed basic flow is zero, so each pivot lowers the perturbed cost
-and no basis repeats; only arcs the start adds where rounding splits its
-plan carry (0.0, 0), and the pivot budget stays as a backstop.  The eps is
-symbolic, so marginals stay exact.  The basis tree is one graph over m + n
-nodes, rows 0 .. m - 1 and columns m + j, kept as one adjacency list that
-stores each basic arc's cost when the arc enters the basis.  Each pivot
-makes one pass over it, which gives one array of duals and the parent and
-depth of every node; the entering arc's cycle is then read off the parent
-pointers.  Residual problems past _MAX_RESIDUAL_CELLS are refused before
-anything is allocated.
+plan, which is optimal at s = 1 and leaves a few pivots for s < 1 on a
+shared grid, and block pricing over ceil(sqrt(m)) rows at a time.  Each
+basic flow is a pair (value, k) for value + k * eps, Orden's perturbation
+(each row's supply gains eps, the last column's demand m * eps), and the
+leaving arc is the lexicographic minimum of the pairs.  No perturbed basic
+flow is zero, so each pivot lowers the perturbed cost and no basis
+repeats; only arcs the start adds where rounding splits its plan carry
+(0.0, 0), and the pivot budget stays as a backstop.  The eps is symbolic,
+so marginals stay exact.  The basis tree is one graph over m + n nodes,
+rows 0 .. m - 1 and columns m + j, kept as one adjacency list that stores
+each basic arc's cost when the arc enters the basis.  One pass over it
+gives one array of duals and the parent and depth of every node; after a
+pivot only the subtree that the leaving arc cuts off is walked again, and
+the entering arc's cycle is read off the parent pointers.  Residual
+problems past _MAX_RESIDUAL_CELLS are refused before anything is
+allocated.
 
 w1_cdf provides the closed-form 1-D W1 value (area between CDFs on the
 merged support grid) used as an independent oracle for s = 1.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +41,8 @@ _PIVOTS_PER_NODE = 200
 _PIVOTS_EXTRA = 10_000
 # most residual cells m * n; by tracemalloc, building the cost matrix
 # peaks at 8 bytes a cell (abs_power overwrites the differences), and the
-# solve holds the costs, the reduced costs and the basis, 18-20 bytes a
-# cell on 300- and 600-point residuals, so about 80 MB at the limit
+# solve holds the costs, one block of reduced costs and the basis, 11.6-11.9
+# bytes a cell on 300- and 600-point residuals, so under 50 MB at the limit
 _MAX_RESIDUAL_CELLS = 1 << 22
 
 
@@ -179,30 +182,28 @@ def _nested_start(x, y, a, b):
     return flows
 
 
-def _tree_duals(adj):
-    """One pass over the basis tree rooted at row 0, the nodes numbered
-    rows 0 .. m - 1 and columns m + j: the duals with dual[0] = 0, the row
-    duals then the column duals, and each node's parent and depth (the
-    root's parent is -1).  adj[k] maps each node joined to k by a basic
-    arc to the arc's cost; plain-Python traversal for speed."""
-    size = len(adj)
-    dual = [0.0] * size
-    parent = [-1] * size
-    depth = [-1] * size
-    depth[0] = 0
-    stack = [0]
+def _tree_duals(adj, top, dual, parent, depth):
+    """Walk the basis tree below node `top`, whose dual, parent and depth
+    are set, and give each node below its own: the arc's cost minus the
+    parent's dual, the parent, one more than the parent's depth.  Nodes
+    are rows 0 .. m - 1 and columns m + j; adj[k] maps each node joined to
+    k by a basic arc to the arc's cost.  From row 0 with dual 0, parent -1
+    and depth 0 this is the full pass; a node's path from row 0 is unique,
+    so a walk below any `top` gives the full pass's floating-point duals.
+    Plain-Python traversal for speed."""
+    stack = [top]
     push = stack.append
     while stack:
         k = stack.pop()
+        up = parent[k]
         below = depth[k] + 1
         dk = dual[k]
         for node, c in adj[k].items():
-            if depth[node] < 0:
+            if node != up:
                 depth[node] = below
                 parent[node] = k
                 dual[node] = c - dk
                 push(node)
-    return dual, parent, depth
 
 
 def _cycle(parent, depth, ei, ej, m):
@@ -229,24 +230,44 @@ def _transport_simplex(cost, flows):
     """Solve the balanced transportation problem from the spanning-tree
     basis `flows` (arcs keyed by (row, col) to (value, eps count) pairs,
     updated in place); returns the optimal basic flows.  Each basic arc's
-    cost is read from `cost` once, when the arc enters the basis."""
+    cost is read from `cost` once, when the arc enters the basis.
+
+    Pricing takes blocks of ceil(sqrt(m)) rows into one reused buffer,
+    from the block that gave the last entering arc: the most negative arc
+    of the first block with one below -tol enters, and the basis is
+    optimal once a full cycle of blocks finds none (block pivoting,
+    Grigoriadis 1986).  A pivot changes only the subtree that the leaving
+    arc cuts off, so that subtree is hung from the entering arc and walked
+    alone; the duals, parents and depths of the rest stay."""
     m, n = cost.shape
-    adj = [{} for _ in range(m + n)]
+    size = m + n
+    adj = [{} for _ in range(size)]
     for (i, j) in flows:
         adj[i][m + j] = adj[m + j][i] = cost.item(i, j)
+    dual, parent, depth = [0.0] * size, [-1] * size, [0] * size
+    _tree_duals(adj, 0, dual, parent, depth)
 
     tol = 1e-12 * max(1.0, float(np.max(cost)))
-    reduced = np.empty_like(cost)
+    step = math.isqrt(m - 1) + 1
+    blocks = -(-m // step)
+    buffer = np.empty((step, n))
+    block = 0
     max_pivots = _PIVOTS_PER_NODE * (m + n) + _PIVOTS_EXTRA
     pivots = 0
 
     while True:
-        dual, parent, depth = _tree_duals(adj)
-        np.subtract(cost, np.asarray(dual[:m])[:, None], out=reduced)
-        reduced -= np.asarray(dual[m:])[None, :]
-
-        flat = int(np.argmin(reduced.ravel()))
-        if reduced.ravel()[flat] >= -tol:
+        col_dual = np.fromiter(dual[m:], float, n)
+        for _ in range(blocks):
+            lo = block * step
+            hi = min(lo + step, m)
+            reduced = buffer[:hi - lo]
+            np.subtract(cost[lo:hi], np.asarray(dual[lo:hi])[:, None], out=reduced)
+            reduced -= col_dual
+            flat = int(reduced.argmin())
+            if reduced.item(flat) < -tol:
+                break
+            block = (block + 1) % blocks
+        else:
             return flows
         if pivots == max_pivots:
             raise SolverDidNotConverge(
@@ -254,6 +275,7 @@ def _transport_simplex(cost, flows):
                 f"pivots on a {m} x {n} residual problem")
         pivots += 1
         ei, ej = divmod(flat, n)
+        ei += lo
 
         minus, plus = _cycle(parent, depth, ei, ej, m)
         # the lexicographically smallest flow to lose theta leaves, ties
@@ -267,7 +289,12 @@ def _transport_simplex(cost, flows):
             f, e = flows[arc]
             flows[arc] = (f + t, e + te)
         flows[(ei, ej)] = theta
-        adj[ei][m + ej] = adj[m + ej][ei] = cost.item(ei, ej)
+        c = adj[ei][m + ej] = adj[m + ej][ei] = cost.item(ei, ej)
         del flows[leaving]
         li, lj = leaving
         del adj[li][m + lj], adj[m + lj][li]
+        # a leaving arc from row li up to its column lies on the walk from
+        # ei, which it cuts off with row ei; else it cuts off column ej
+        top, up = (ei, m + ej) if parent[li] == m + lj else (m + ej, ei)
+        parent[top], depth[top], dual[top] = up, depth[up] + 1, c - dual[up]
+        _tree_duals(adj, top, dual, parent, depth)

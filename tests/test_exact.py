@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,8 +207,9 @@ def test_residual_budget_checked_before_the_cost_matrix(monkeypatch):
 
 
 def count_pivots(monkeypatch):
-    """Count the basis-tree passes of every solve; a solve of k pivots
-    makes k + 1 of them, the last one proving optimality."""
+    """Count the basis-tree walks of every solve; a solve of k pivots
+    makes k + 1 of them, the full pass from row 0 and one walk below the
+    subtree that each pivot's leaving arc cuts off."""
     calls = []
     tree_duals = exact._tree_duals
 
@@ -249,8 +252,8 @@ def test_nested_start_leaves_few_pivots(monkeypatch, family, param):
 
 @pytest.mark.parametrize("s", [0.5, 0.25])
 def test_equal_weights_on_own_supports_terminate(monkeypatch, s):
-    # each measure discretised on its own support: the start is 178
-    # pivots from optimal, and 177 of them move no value, only eps;
+    # each measure discretised on its own support: block pricing takes
+    # 250 pivots from the start, and 240 of them move no value, only eps;
     # without the eps Dantzig pricing with a fallback to Bland's rule ran
     # through its whole budget of 49,600 pivots here
     mu = discretize(uniform_density(0.0, 1.0), 100)
@@ -258,19 +261,46 @@ def test_equal_weights_on_own_supports_terminate(monkeypatch, s):
     calls = count_pivots(monkeypatch)
     cost, _ = exact_ws(mu, nu, s)
     assert abs(cost - brute_force_lp(mu, nu, s)) < 1e-8
-    assert len(calls) - 1 == 178
+    assert len(calls) - 1 == 250
 
 
-@pytest.mark.parametrize("s, pivots", [(0.5, 552), (0.25, 556)])
+@pytest.mark.parametrize("s, pivots", [(0.5, 740), (0.25, 796)])
 def test_own_support_pivot_counts_are_pinned(monkeypatch, s, pivots):
     # a 400-point uniform pair shifted by 0.3, each on its own support: the
     # pivot path is deterministic, so a change of pricing or of the tree
-    # pass that alters it shows here
+    # pass that alters it shows here (Dantzig pricing over all m x n cells
+    # took 552 and 556 pivots; blocks of ceil(sqrt(m)) rows take more)
     mu = discretize(uniform_density(0.0, 1.0), 400)
     nu = discretize(uniform_density(0.3, 1.3), 400)
     calls = count_pivots(monkeypatch)
     exact_ws(mu, nu, s)
     assert len(calls) - 1 == pivots
+
+
+def test_own_support_pair_of_1000_points(monkeypatch):
+    # Dantzig pricing over all m x n cells and a full tree pass a pivot
+    # took 1,392 pivots and 6.3-6.9 s here on 2 CPUs
+    mu = discretize(uniform_density(0.0, 1.0), 1000)
+    nu = discretize(uniform_density(0.3, 1.3), 1000)
+    calls = count_pivots(monkeypatch)
+    cost, _ = exact_ws(mu, nu, 0.5)
+    assert abs(cost - 0.31123177177140393) <= 1e-12 * 0.31123177177140393
+    assert len(calls) - 1 == 1973
+
+
+def test_solver_memory_per_residual_cell():
+    # the cost matrix is 8 bytes a cell and the basis O(m + n); pricing
+    # over all m x n cells at once held 19 bytes a cell here
+    mu = discretize(uniform_density(0.0, 1.0), 300)
+    nu = discretize(uniform_density(0.3, 1.3), 600)
+    assert np.intersect1d(mu.positions, nu.positions).size == 0
+    tracemalloc.start()
+    try:
+        exact_ws(mu, nu, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 300 * 600
 
 
 def test_nested_start_places_rounding_leftovers():

@@ -5,8 +5,9 @@ of the DWT's inversion at any translation offset, of the embedding's
 linearity in a mixture, matrix and text round trip, of the exact solver
 against the LP oracle on a small shared grid and of the triangle
 inequality of its W_s, of the solver's nested starting basis and the eps
-its flows carry through the pivots, and of the in-place abs_power
-against |x| ** s.
+its flows carry through the pivots, of its subtree dual updates against
+full passes and of its block pricing against the LP oracle on measures
+each on its own support, and of the in-place abs_power against |x| ** s.
 
 The window does not depend on how many cells one evaluator call gets,
 and a density equals its evaluator masked to the support, bit for bit,
@@ -29,6 +30,7 @@ from waveot.distance import DistanceConfig, distance_new
 from waveot.dwt import dwt_decompose, dwt_reconstruct
 from waveot.embedding import (embed, from_text, to_text, wlot_distance,
                               wlot_distance_matrix)
+from waveot import exact
 from waveot.exact import _nested_start, _transport_simplex, exact_ws
 from waveot.filters import build_wavelet_system, catalog_names
 
@@ -427,6 +429,94 @@ def test_every_basic_flow_is_positive_in_eps(problem, s):
     assert all(f > (0.0, 0) for f in flows.values())
     flows = _transport_simplex(np.abs(x[:, None] - y[None, :]) ** s, flows)
     assert all(f > (0.0, 0) for f in flows.values())
+
+
+@st.composite
+def own_support_measures(draw):
+    """(mu, nu): mu on a uniform grid of m points of [0, 1], nu on one of
+    n points of an interval of its own, as discretize lays out a density
+    on its support, with equal weights (which tie at every match) or
+    integer weights 1 to 3.  m and n reach 60, so pricing wraps over up to
+    eight blocks of rows."""
+    def measure(lo, hi):
+        k = draw(st.integers(2, 60))
+        if draw(st.booleans()):
+            w = np.ones(k)
+        else:
+            w = np.array(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)),
+                         dtype=float)
+        return DiscreteMeasure(np.linspace(lo, hi, k), w / w.sum())
+
+    lo = draw(st.sampled_from([0.1, 0.3, 0.5, 1.5]))
+    return measure(0.0, 1.0), measure(lo, lo + draw(st.sampled_from([0.6, 1.0, 1.7])))
+
+
+# a 60-point uniform pair shifted by 0.3: 86 pivots at s = 0.5, over
+# eight blocks of rows
+_SHIFTED_PAIR = (DiscreteMeasure(np.linspace(0.0, 1.0, 60), np.full(60, 1 / 60)),
+                 DiscreteMeasure(np.linspace(0.3, 1.3, 60), np.full(60, 1 / 60)))
+_TREE_DUALS = exact._tree_duals
+
+
+def fresh_tree_duals(adj):
+    """The duals, parents and depths of a full pass from row 0."""
+    size = len(adj)
+    walk = [0.0] * size, [-1] * size, [0] * size
+    _TREE_DUALS(adj, 0, *walk)
+    return walk
+
+
+def assert_walks_match_full_passes(mu, nu, s):
+    """Solve, and after the start and every pivot check the duals,
+    parents and depths the solver keeps against a full pass from row 0,
+    the duals bit for bit."""
+    def checked(adj, top, dual, parent, depth):
+        _TREE_DUALS(adj, top, dual, parent, depth)
+        want = fresh_tree_duals(adj)
+        assert (parent, depth) == want[1:]
+        assert np.array(dual).tobytes() == np.array(want[0]).tobytes()
+
+    with mock.patch.object(exact, "_tree_duals", checked):
+        exact_ws(mu, nu, s)
+
+
+@SETTINGS
+@given(own_support_measures(), st.sampled_from([1.0, 0.5, 0.25]))
+@example(_SHIFTED_PAIR, 0.5)
+def test_subtree_walks_equal_full_passes_on_own_supports(pair, s):
+    assert_walks_match_full_passes(*pair, s)
+
+
+@SETTINGS
+@given(grid_measures(), grid_measures(), st.sampled_from([1.0, 0.5, 0.25]))
+def test_subtree_walks_equal_full_passes_on_a_shared_grid(mu, nu, s):
+    assert_walks_match_full_passes(mu, nu, s)
+
+
+@SETTINGS
+@given(own_support_measures(), st.sampled_from([1.0, 0.5, 0.25]))
+@example(_SHIFTED_PAIR, 0.5)
+def test_block_pricing_returns_an_optimal_basis(pair, s):
+    # every reduced cost over the whole m x n, not only the last block
+    # priced, is above -tol, and the cost is the LP optimum
+    mu, nu = pair
+    solved = []
+
+    def recorded(cost, flows):
+        solved.append((cost, _transport_simplex(cost, flows)))
+        return solved[-1][1]
+
+    with mock.patch.object(exact, "_transport_simplex", recorded):
+        total = exact_ws(mu, nu, s)[0]
+    assert abs(total - brute_force_lp(mu, nu, s)) < 1e-8
+    for cost, flows in solved:
+        m, n = cost.shape
+        adj = [{} for _ in range(m + n)]
+        for i, j in flows:
+            adj[i][m + j] = adj[m + j][i] = cost.item(i, j)
+        dual = np.array(fresh_tree_duals(adj)[0])
+        reduced = cost - dual[:m, None] - dual[None, m:]
+        assert reduced.min() >= -1e-12 * max(1.0, cost.max())
 
 
 _SIGNED = np.array([-2.0, -0.0, 0.0, 3.0, 5e-324, 1e-300, -0.7, 1.7e308])

@@ -18,7 +18,9 @@ nonzero coefficients, sorted by level and translation, with
 17-significant-digit values (bit-exact round trips for finite doubles).
 """
 
+import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -38,10 +40,10 @@ from .filters import build_wavelet_system, catalog_names
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
            "prune", "write_wlot", "read_wlot", "to_text", "from_text"]
 
-# most float cells one call lays out: the N x K matrix of
-# wlot_distance_matrix (64 MiB; its differences are taken a block of rows
-# at a time), or the level arrays from_text builds; every vector embed
-# can sample spans far fewer
+# most float cells one call covers: the N x K coefficient cells of
+# wlot_distance_matrix, which it takes a block at a time but differences
+# each against up to N - 1 rows, so this bounds its work; or the level
+# arrays from_text lays out.  Every vector embed can sample spans far fewer
 _MAX_CELLS = 1 << 23
 
 
@@ -146,17 +148,18 @@ def _layout(level):
 def wlot_distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
     """All pairwise distances among N densities with N embeddings.
 
-    The embeddings fill one N x K coefficient matrix, K the translations
-    any of them covers, and row i's distances to the later rows are the
-    products of their absolute differences with the K level weights.  The
-    differences are formed max(1, _BLOCK_POINTS // K) rows at a time in
-    one reused block, so beyond the matrix and the weights the working set
-    is that block.
+    The K translations any embedding covers, level after level, are taken
+    max(1, _BLOCK_POINTS // N) columns at a time into one reused N-row
+    block, and the absolute differences of the pairs (r, r + d), one d at
+    a time, into a second; each pair gains their product with the block's
+    level weights.  So the N x K coefficient matrix is never laid out, and
+    beyond the embeddings, the K weights and the result the working set is
+    two blocks of about _BLOCK_POINTS cells.
     Differences are taken before weighting, as in wlot_distance, but the
     sums run in another order, so the two agree to rounding, not bit for
     bit.  The lower triangle mirrors the upper one, so the result is
-    exactly symmetric.  A matrix past _MAX_CELLS cells is refused before
-    it is allocated; a failed embed is re-raised naming its measure.
+    exactly symmetric.  More than _MAX_CELLS cells of N x K are refused
+    before any is filled; a failed embed is re-raised naming its measure.
     """
     vecs = []
     for i, p in enumerate(ps):
@@ -164,32 +167,39 @@ def wlot_distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
             vecs.append(embed(p, cfg))
     n = len(vecs)
     layouts = [_layout([vec.levels[i] for vec in vecs]) for i in range(cfg.M)]
-    K = sum(width for _, width in layouts)
+    widths = [width for _, width in layouts]
+    starts, K = np.cumsum([0] + widths).tolist(), sum(widths)
     if n * K > _MAX_CELLS:
         raise InvalidGrid(
-            f"the {n} x {K} coefficient matrix exceeds the budget of {_MAX_CELLS} "
-            "cells; use fewer measures or wlot_distance on pairs")
-    X, weights, base = np.zeros((n, K)), np.empty(K), 0
-    for i, (columns, width) in enumerate(layouts):
-        weights[base: base + width] = _level_weight(cfg.j0 + i, cfg.s)
-        for row, vec, col in zip(X, vecs, columns):
-            if col is not None:
-                values = vec.levels[i][1]
-                row[base + col: base + col + len(values)] = values
-        base += width
+            f"{n} measures over {K} translations exceed the budget of {_MAX_CELLS} "
+            "cells; use fewer measures")
+    weights = np.repeat([_level_weight(cfg.j0 + i, cfg.s) for i in range(cfg.M)], widths)
     out = np.zeros((n, n))
-    rows = max(1, _BLOCK_POINTS // max(K, 1))  # rows of differences at a time
-    buf = np.empty((min(rows, n), K))
-    for i in range(n - 1):
-        for b0 in range(i + 1, n, rows):
-            block = X[b0: b0 + rows]
-            diffs = np.subtract(block, X[i], out=buf[:len(block)])
-            out[i, b0: b0 + rows] = np.abs(diffs, out=diffs) @ weights
+    flat = out.reshape(-1)  # out[r, r + d] is flat[r * (n + 1) + d]
+    cols = max(1, min(K, _BLOCK_POINTS // max(n, 1)))  # columns at a time
+    block, buf = np.empty((n, cols)), np.empty((max(n - 1, 0), cols))
+    for c0 in range(0, K, cols):
+        c1 = min(c0 + cols, K)
+        cells = block[:, :c1 - c0]
+        cells.fill(0.0)
+        # the levels reaching into [c0, c1), the first where starts[i + 1] > c0
+        for i in range(bisect.bisect_right(starts, c0) - 1, bisect.bisect_left(starts, c1)):
+            for row, vec, col in zip(cells, vecs, layouts[i][0]):
+                if col is not None:
+                    lo, values = starts[i] + col, vec.levels[i][1]
+                    a, b = max(lo, c0), min(lo + len(values), c1)
+                    if a < b:
+                        row[a - c0: b - c0] = values[a - lo: b - lo]
+        for d in range(1, n):  # the pairs (r, r + d), every r at once
+            diffs = np.subtract(cells[d:], cells[:-d], out=buf[:n - d, :c1 - c0])
+            flat[d::n + 1][:n - d] += np.abs(diffs, out=diffs) @ weights[c0:c1]
     return out + out.T
 
 
 def prune(vec: WlotVector, eps: float) -> WlotVector:
-    """Drop entries below magnitude eps (lossy; for storage only)."""
+    """Drop entries below magnitude eps, a real number (lossy; for storage only)."""
+    if not isinstance(eps, numbers.Real) or math.isnan(eps):
+        raise InvalidConfig(f"eps must be a real number, got {eps!r}")
     levels = [(offset, np.where(np.abs(values) >= eps, values, 0.0))
               for offset, values in vec.levels]
     return WlotVector(wavelet=vec.wavelet, j0=vec.j0, M=vec.M, levels=levels)

@@ -247,7 +247,8 @@ def test_matrix_budget_counts_covered_translations(monkeypatch):
 
 
 def test_matrix_independent_of_row_block(monkeypatch):
-    # one row of differences per block, and every later row in one block
+    # one column per block, and all K columns in one block: the sums
+    # regroup, but each pair still equals its wlot_distance to rounding
     ps = [translate(uniform_density(0.0, 1.0), a) for a in (0.0, 0.5, 40.0)]
     ps += [bump_density(0.6, 0.3), bump_density(1.4, 0.5)]
     vecs = [embed(p, CFG) for p in ps]
@@ -309,10 +310,11 @@ def test_matrix_keeps_foreign_exception(monkeypatch):
 
 def test_matrix_working_set_is_one_block(monkeypatch):
     # 32 measures (4 translates, each 8 times) over K = 26,253 columns:
-    # X is 6.4 MiB, and row i's differences are taken one row at a time in
-    # one reused block, so the peak exceeds X by the weights and the block,
-    # 0.43 MiB by tracemalloc (12.4 MiB when row 0's 31 differences
-    # were laid out next to those of row 1)
+    # the 32 x K coefficient matrix would take 6.4 MiB, but it is taken
+    # 512 columns at a time into one reused block, and their differences
+    # into a second, so the peak is those two blocks, the K weights and the
+    # result, 0.57 MiB by tracemalloc, and a bound of 1 MiB does not grow
+    # with K
     cfg = DistanceConfig(s=0.5, j0=-2, M=16, wavelet="db2")
     distinct = [translate(uniform_density(0.0, 1.0), 0.2 * i) for i in range(4)]
     vecs = {id(p): embed(p, cfg) for p in distinct}
@@ -329,7 +331,7 @@ def test_matrix_working_set_is_one_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < x_bytes + 2 ** 20
+    assert peak < 2 ** 20
     first, second = vecs[id(ps[0])], vecs[id(ps[1])]
     assert mat[0, 1] == pytest.approx(wlot_distance(first, second, cfg.s), rel=1e-12)
     assert mat[0, 4] == 0.0
@@ -352,6 +354,16 @@ def test_prune():
     assert all(abs(v) >= eps for v in small.entries.values())
     assert len(small) < len(vec)
     assert small.fingerprint == vec.fingerprint
+    assert prune(vec, 0).entries == vec.entries
+
+
+@pytest.mark.parametrize("eps", [float("nan"), "x", None, 1j])
+def test_prune_refuses_a_threshold_that_is_not_a_real_number(eps):
+    # no magnitude is >= NaN, so it would drop every entry, and a string
+    # would escape as numpy's UFuncTypeError
+    vec = embed(bump_density(0.7, 0.3), CFG)
+    with pytest.raises(InvalidConfig, match="^eps must be a real number"):
+        prune(vec, eps)
 
 
 def test_integral_float_levels_write_a_readable_header():

@@ -2,12 +2,14 @@
 identity over densities drawn anywhere in the dyadic domain, including
 supports touching either end and supports narrower than one grid cell,
 of the DWT's inversion at any translation offset, of the embedding's
-linearity in a mixture, matrix and text round trip, of the exact solver
-against the LP oracle on a small shared grid and of the triangle
-inequality of its W_s, of the solver's nested starting basis and the eps
-its flows carry through the pivots, of its subtree dual updates against
-full passes and of its block pricing against the LP oracle on measures
-each on its own support, and of the in-place abs_power against |x| ** s.
+linearity in a mixture, matrix (at any column block) and text round
+trip, of the exact solver against the LP oracle, with symmetric costs and
+exact marginals, on a small shared grid and on measures each on its own
+support, and of the triangle inequality of its W_s, of the solver's
+nested starting basis and the eps its flows carry through the pivots, of
+its subtree dual updates against full passes and of its block pricing
+against the LP oracle on measures each on its own support, and of the
+in-place abs_power against |x| ** s.
 
 The window does not depend on how many cells one evaluator call gets,
 and a density equals its evaluator masked to the support, bit for bit,
@@ -249,6 +251,31 @@ def test_matrix_is_the_pairwise_distances(data):
 
 @SETTINGS
 @given(st.data())
+def test_matrix_is_the_pairwise_distances_at_any_column_block(data):
+    # a block is max(1, _BLOCK_POINTS // N) columns, and in 22 of the 30
+    # cases some level array spans two blocks or more: each pair's sum
+    # over the blocks still equals its wlot_distance
+    j0 = data.draw(st.integers(-3, 1))
+    M = data.draw(st.integers(max(1, 1 - j0), 10))
+    ps = data.draw(st.lists(st.one_of(densities(j0, M), transformed(j0)),
+                            min_size=2, max_size=4))
+    ps.append(ps[0])
+    cfg = DistanceConfig(s=data.draw(st.sampled_from([1.0, 0.5, 0.25])), j0=j0, M=M,
+                         wavelet=data.draw(st.sampled_from(["haar", "db2", "db10"])))
+    # 1 to 2^15 cells, log-uniform, so that most blocks are narrower than K
+    block = data.draw(st.integers(0, 15).flatmap(lambda e: st.integers(1, 2 ** e)))
+    with mock.patch("waveot.embedding._BLOCK_POINTS", block):
+        mat = wlot_distance_matrix(ps, cfg)
+    assert np.array_equal(mat, mat.T) and not np.any(np.diag(mat))
+    vecs = [embed(p, cfg) for p in ps]
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            pair = wlot_distance(vecs[i], vecs[j], cfg.s)
+            assert abs(mat[i, j] - pair) <= 1e-12 * pair
+
+
+@SETTINGS
+@given(st.data())
 def test_text_round_trip_keeps_the_level_arrays(data):
     j0, M = data.draw(grids())
     wavelet = data.draw(st.sampled_from(["haar", "db2", "db10"]))
@@ -455,6 +482,29 @@ def own_support_measures(draw):
 # eight blocks of rows
 _SHIFTED_PAIR = (DiscreteMeasure(np.linspace(0.0, 1.0, 60), np.full(60, 1 / 60)),
                  DiscreteMeasure(np.linspace(0.3, 1.3, 60), np.full(60, 1 / 60)))
+
+
+@SETTINGS
+@given(own_support_measures(), st.sampled_from([1.0, 0.5, 0.25]))
+@example(_SHIFTED_PAIR, 0.5)
+def test_exact_ws_matches_lp_oracle_on_own_supports(pair, s):
+    # the shared grid's problems take 0-2 pivots, these up to 86
+    mu, nu = pair
+    assert abs(exact_ws(mu, nu, s)[0] - brute_force_lp(mu, nu, s)) < 1e-8
+
+
+@SETTINGS
+@given(own_support_measures(), st.sampled_from([1.0, 0.5, 0.25]))
+@example(_SHIFTED_PAIR, 0.5)
+def test_exact_ws_is_symmetric_with_exact_marginals_on_own_supports(pair, s):
+    mu, nu = pair
+    cost, plan = exact_ws(mu, nu, s)
+    assert abs(cost - exact_ws(nu, mu, s)[0]) < 1e-12
+    rows, cols = plan_marginals(plan, mu, nu)
+    assert np.max(np.abs(rows - mu.weights)) < 1e-9
+    assert np.max(np.abs(cols - nu.weights)) < 1e-9
+
+
 _TREE_DUALS = exact._tree_duals
 
 

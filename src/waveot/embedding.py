@@ -22,7 +22,7 @@ import bisect
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -34,17 +34,44 @@ from .distance import (DistanceConfig, _coefficients, _level_difference, _level_
                        _weighted_l1)
 from .dwt import _zero_chain, dwt_decompose
 from .errors import (ConfigMismatch, InvalidConfig, InvalidExponent, InvalidGrid,
-                     MalformedWlot, ShapeMismatch, add_context)
-from .filters import build_wavelet_system, catalog_names
+                     MalformedWlot, ShapeMismatch, UnknownWavelet, add_context, checked_int)
+from .filters import build_wavelet_system
 
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
            "prune", "write_wlot", "read_wlot", "to_text", "from_text"]
 
 # most float cells one call covers: the N x K coefficient cells of
 # wlot_distance_matrix, which it takes a block at a time but differences
-# each against up to N - 1 rows, so this bounds its work; or the level
-# arrays from_text lays out.  Every vector embed can sample spans far fewer
+# each against up to N - 1 rows, so this bounds its work; or the trimmed
+# level arrays of a WlotVector.  Every vector embed can sample spans far fewer
 _MAX_CELLS = 1 << 23
+
+
+@lru_cache(maxsize=64)
+def _cached_grid(wavelet, j0, M):
+    system, cfg = build_wavelet_system(wavelet), DistanceConfig(s=1.0, j0=j0, M=M)
+    windows = _zero_chain(0, 2 ** cfg.M, len(system.g), cfg.M)[:0:-1]
+    return system.name, cfg.j0, cfg.M, tuple(windows)
+
+
+def _grid(wavelet, j0, M):
+    """(wavelet as build_wavelet_system spells it, int j0, int M, each level's
+    (first, length) window over the whole domain), or a WaveotError."""
+    try:
+        return _cached_grid(wavelet, j0, M)
+    except TypeError:  # unhashable, so refused: skip the cache
+        return _cached_grid.__wrapped__(wavelet, j0, M)
+
+
+def _entry_error(windows, j0, j, k, value):
+    """Why value cannot sit at (j, k) in a vector of _grid windows, or None."""
+    if not math.isfinite(value):
+        return f"non-finite value {value}"
+    if not j0 <= j < j0 + len(windows):
+        return f"level {j} outside [{j0}, {j0 + len(windows)})"
+    first, length = windows[j - j0]
+    if not first <= k < first + length:
+        return f"translation {k} outside [{first}, {first + length}) of level {j}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +83,9 @@ class WlotVector:
     the array is zero.  Each array is trimmed to its first and last
     nonzero (an all-zero level is (0, empty)) and read-only, so equal
     vectors have equal levels.  No magnitude threshold is applied at embed
-    time, so distances on embedded vectors are exact.
+    time, so distances on embedded vectors are exact.  A WaveotError
+    refuses any vector from_text would not read back (see _grid and
+    _entry_error); the wavelet is kept as build_wavelet_system spells it.
     """
 
     wavelet: str
@@ -65,16 +94,28 @@ class WlotVector:
     levels: tuple
 
     def __post_init__(self):
-        trimmed = []
-        for offset, values in self.levels:
+        wavelet, j0, M, windows = _grid(self.wavelet, self.j0, self.M)
+        levels, trimmed = tuple(self.levels), []
+        if len(levels) != M:
+            raise ShapeMismatch(f"{len(levels)} levels for M = {M}")
+        for j, (offset, values) in enumerate(levels, start=j0):
+            if type(offset) is not int:  # skips checked_int's cost on embed's offsets
+                offset = checked_int(offset, ShapeMismatch, f"level {j}: bad offset {offset!r}")
             values = np.asarray(values, dtype=float)
+            if values.ndim != 1:
+                raise ShapeMismatch(f"level {j}: {values.ndim}-D values, not 1-D")
             start, stop = _nonzero_span(values)
             values = np.ascontiguousarray(values[start:stop]) if stop else np.empty(0)
             values.setflags(write=False)
+            # the first non-finite value, or the first if all are finite, and the last
+            for t in (int(np.isfinite(values).argmin()), len(values) - 1) if stop else ():
+                if reason := _entry_error(windows, j0, j, offset + start + t, values.item(t)):
+                    raise ShapeMismatch(f"level {j}: {reason}")
             trimmed.append((offset + start if stop else 0, values))
-        if len(trimmed) != self.M:
-            raise ShapeMismatch(f"{len(trimmed)} levels for M = {self.M}")
-        object.__setattr__(self, "levels", tuple(trimmed))
+        if (cells := sum(len(values) for _, values in trimmed)) > _MAX_CELLS:
+            raise InvalidGrid(f"the levels hold {cells} cells, more than {_MAX_CELLS}")
+        for name, value in zip(("wavelet", "j0", "M", "levels"), (wavelet, j0, M, tuple(trimmed))):
+            object.__setattr__(self, name, value)
 
     @property
     def fingerprint(self):
@@ -216,30 +257,21 @@ def to_text(vec: WlotVector) -> str:
 
 def from_text(text: str) -> WlotVector:
     """Parse the output of to_text; MalformedWlot names the first line
-    that breaks the format.
-
-    Each translation k must lie in the window its level has when embed
-    transforms the whole domain, and the levels together may span at most
-    _MAX_CELLS translations, so no line can make the reader allocate more.
-    Lines may come in any order.  A line whose value is 0.0 is accepted
-    and dropped, as every coefficient not listed is zero: entries, len()
-    and to_text of the result omit it."""
+    that breaks the format or WlotVector's rules, and refuses levels that
+    span more than _MAX_CELLS translations before laying any out.  Lines
+    may come in any order.  A line whose value is 0.0 is dropped, as every
+    coefficient not listed is zero: entries, len() and to_text omit it."""
     lines = text.removesuffix("\n").split("\n")
-    try:
+    try:  # a bad tag reads as an unknown wavelet
         tag, wavelet, j0, M = lines[0].split()
-        j0, M = int(j0), int(M)
+        wavelet, j0, M, windows = _grid(wavelet if tag == "wlot" else None, int(j0), int(M))
+    except UnknownWavelet:
+        raise MalformedWlot(f"line 1: bad tag or unknown wavelet in {lines[0]!r}") from None
+    except InvalidConfig as e:  # a ValueError, so caught before one
+        raise MalformedWlot(f"line 1: {e}") from None
     except ValueError:
         raise MalformedWlot(f"line 1: expected 'wlot <wavelet> <j0> <M>', "
                             f"got {lines[0]!r}") from None
-    if tag != "wlot" or wavelet not in catalog_names():
-        raise MalformedWlot(f"line 1: bad tag or unknown wavelet in {lines[0]!r}")
-    try:  # a grid embed can sample, which also bounds the level count
-        DistanceConfig(s=1.0, j0=j0, M=M, wavelet=wavelet)
-    except InvalidConfig as e:
-        raise MalformedWlot(f"line 1: {e}") from None
-    L = len(build_wavelet_system(wavelet).g)
-    # (offset, length) of each level's window, from j0 up
-    windows = _zero_chain(0, 2 ** M, L, M)[:0:-1]
     coeffs, spans, cells = [{} for _ in range(M)], [None] * M, 0
     for line_no, line in enumerate(lines[1:], start=2):
         try:
@@ -248,15 +280,9 @@ def from_text(text: str) -> WlotVector:
         except ValueError:
             raise MalformedWlot(
                 f"line {line_no}: expected 'j k value', got {line!r}") from None
-        if not math.isfinite(val):
-            raise MalformedWlot(f"line {line_no}: non-finite value {val}")
-        if not j0 <= j < j0 + M:
-            raise MalformedWlot(f"line {line_no}: level {j} outside [{j0}, {j0 + M})")
+        if reason := _entry_error(windows, j0, j, k, val):
+            raise MalformedWlot(f"line {line_no}: {reason}")
         i = j - j0
-        offset, length = windows[i]
-        if not offset <= k < offset + length:
-            raise MalformedWlot(f"line {line_no}: translation {k} outside "
-                                f"[{offset}, {offset + length}) of level {j}")
         if k in coeffs[i]:
             raise MalformedWlot(f"line {line_no}: duplicate entry ({j}, {k})")
         old = spans[i] or (k, k - 1)
@@ -266,21 +292,20 @@ def from_text(text: str) -> WlotVector:
             raise MalformedWlot(f"line {line_no}: the levels span more than "
                                 f"{_MAX_CELLS} translations")
         coeffs[i][k] = val
-    levels = [(0, ())] * M
-    for i, (level, span) in enumerate(zip(coeffs, spans)):
-        if span is not None:
-            values = np.zeros(span[1] - span[0] + 1)
-            values[np.fromiter((k - span[0] for k in level), np.intp, len(level))] = \
-                np.fromiter(level.values(), float, len(level))
-            levels[i] = (span[0], values)
+    levels = [(span[0], np.zeros(span[1] - span[0] + 1)) if span else (0, np.zeros(0))
+              for span in spans]
+    for (first, values), level in zip(levels, coeffs):
+        values[np.fromiter((k - first for k in level), np.intp, len(level))] = \
+            np.fromiter(level.values(), float, len(level))
     return WlotVector(wavelet=wavelet, j0=j0, M=M, levels=levels)
 
 
 def write_wlot(vec: WlotVector, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_text(vec))
 
 
 def read_wlot(path) -> WlotVector:
-    with open(path) as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, which no token parses as
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return from_text(fh.read())

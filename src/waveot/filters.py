@@ -79,9 +79,9 @@ def build_wavelet_system(name: str) -> WaveletSystem:
     """Look up a catalog wavelet by name.
 
     Accepts 'haar' (alias 'db1') and 'db2' through 'db20'.  Raises
-    UnknownWavelet for anything else.
+    UnknownWavelet for anything else, a name that is not a str too.
     """
-    key = name.strip().lower()
+    key = name.strip().lower() if isinstance(name, str) else ""
     if key == "haar":
         p = 1
     elif key.startswith("db"):

@@ -372,3 +372,126 @@ def test_integral_float_levels_write_a_readable_header():
     text = to_text(vec)
     assert text.startswith("wlot db10 -9 18\n")
     assert from_text(text).entries == vec.entries
+
+
+# a vector of CFG's grid (db10, j0 = -6, M = 13) with one level given; the
+# others are empty.  Level -6 of db10 over [0, 64] holds translations -18 ... 0
+def one_level(offset, values, j=-6, **header):
+    levels = [(0, [])] * CFG.M
+    levels[j - CFG.j0] = (offset, values)
+    return WlotVector(**{"wavelet": "db10", "j0": CFG.j0, "M": CFG.M, **header},
+                      levels=levels)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_vector_refuses_non_finite_values(value):
+    # these used to construct, give NaN or inf distances and write files
+    # that from_text refused
+    with pytest.raises(ShapeMismatch, match=f"^level -6: non-finite value {value}$"):
+        one_level(0, [value, 1.0])
+    with pytest.raises(ShapeMismatch, match=f"^level 2: non-finite value {value}$"):
+        one_level(5, [0.0, 1.0, value, 2.0, 0.0], j=2)
+
+
+def test_vector_refuses_translations_outside_the_window():
+    assert len(one_level(-18, [1.0])) == len(one_level(0, [1.0])) == 1
+    # zeros outside the window are trimmed before the window is checked
+    offset, values = one_level(-20, [0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 0.0]).levels[0]
+    assert offset == -18 and list(values) == [1.0, 0.0, 0.0, 2.0]
+    for offset, values in ((10 ** 9, [1.0]), (-19, [1.0, 0.0]), (-1, [0.0, 1.0, 1.0])):
+        with pytest.raises(ShapeMismatch, match=r"^level -6: translation -?\d+ outside "
+                                                r"\[-18, 1\) of level -6$"):
+            one_level(offset, values)
+
+
+def test_vector_takes_integral_float_grids_as_ints():
+    # j0 = -6.0 used to make to_text raise TypeError
+    vec = one_level(0, [1.0], j0=-6.0, M=13.0)
+    assert vec.fingerprint == ("db10", -6, 13)
+    assert type(vec.j0) is int and type(vec.M) is int
+    assert to_text(vec) == "wlot db10 -6 13\n-6 0 1\n"
+    with pytest.raises(InvalidConfig, match="^j0 must be an integer"):
+        one_level(0, [1.0], j0=-6.5)
+    with pytest.raises(InvalidConfig, match="^M must be a positive integer"):
+        one_level(0, [1.0], M=13.5)
+
+
+@pytest.mark.parametrize("values", [[[1.0, 2.0]], [[1.0], [2.0]], 5.0])
+def test_vector_refuses_a_level_that_is_not_one_dimensional(values):
+    # a 2-D level used to make to_text raise IndexError
+    with pytest.raises(ShapeMismatch, match="^level -6: [02]-D values, not 1-D$"):
+        one_level(0, values)
+
+
+def test_vector_offsets_are_integers():
+    # a float offset used to make wlot_distance raise TypeError
+    vec = one_level(-1.0, [0.5, 1.0])
+    assert vec.levels[0][0] == -1 and type(vec.levels[0][0]) is int
+    assert wlot_distance(vec, one_level(-1, [0.5, 1.0]), 0.5) == 0.0
+    for offset in (0.5, "0", None, float("nan")):
+        with pytest.raises(ShapeMismatch, match="^level -6: bad offset"):
+            one_level(offset, [1.0])
+
+
+@pytest.mark.parametrize("header, error", [
+    ({"wavelet": "db99"}, UnknownWavelet),
+    ({"wavelet": "sym4"}, UnknownWavelet),
+    ({"wavelet": ["db10"]}, UnknownWavelet),  # unhashable, so never cached
+    ({"wavelet": None}, UnknownWavelet),
+    ({"j0": -1100, "M": 1110}, InvalidConfig),
+    ({"M": 100000000}, InvalidConfig),
+    ({"j0": np.array(-6)}, InvalidConfig),
+])
+def test_vector_refuses_what_from_text_refuses_in_a_header(header, error):
+    # these used to construct and write files that from_text refused; the
+    # header is checked before the levels are counted
+    with pytest.raises(error):
+        WlotVector(**{"wavelet": "db10", "j0": -6, "M": 13, **header},
+                   levels=[(0, [])] * 13)
+
+
+def test_vector_refuses_more_than_max_cells(monkeypatch):
+    monkeypatch.setattr(waveot.embedding, "_MAX_CELLS", 100)
+    levels = [(0, [])] * CFG.M
+    levels[12], levels[11] = (0, np.ones(60)), (0, np.ones(40))
+    assert len(WlotVector(wavelet="db10", j0=CFG.j0, M=CFG.M, levels=levels)) == 100
+    levels[10] = (0, [0.0, 1.0, 0.0])  # trimmed to one cell
+    with pytest.raises(InvalidGrid, match="^the levels hold 101 cells, more than 100$"):
+        WlotVector(wavelet="db10", j0=CFG.j0, M=CFG.M, levels=levels)
+
+
+@pytest.mark.parametrize("spelling, name", [("DB10", "db10"), ("db1", "db1"),
+                                            (" db2", "db2"), ("Haar ", "haar")])
+def test_embed_keeps_the_wavelet_as_the_catalog_spells_it(spelling, name):
+    # "DB10" and "db1" embeddings used to write unreadable files, and " db2"
+    # to come back with another fingerprint
+    p = bump_density(1.5, 0.5)
+    vec = embed(p, replace(CFG, wavelet=spelling))
+    assert vec.fingerprint == (name, CFG.j0, CFG.M)
+    back = from_text(to_text(vec))
+    assert back.fingerprint == vec.fingerprint
+    assert wlot_distance(back, vec, CFG.s) == 0.0
+    assert wlot_distance(vec, embed(p, replace(CFG, wavelet=name)), CFG.s) == 0.0
+
+
+def test_from_text_reads_every_name_the_type_takes():
+    for name, spelled in (("DB10", "db10"), ("db1", "db1"), ("HAAR", "haar")):
+        vec = from_text(f"wlot {name} -6 13\n-6 0 0.25\n")
+        assert vec.fingerprint == (spelled, -6, 13)
+        assert to_text(vec) == f"wlot {spelled} -6 13\n-6 0 0.25\n"
+    with pytest.raises(MalformedWlot, match=r"^line 1: bad tag or unknown wavelet in "
+                                            r"'wlot db99 -6 13'$"):
+        from_text("wlot db99 -6 13\n")
+
+
+def test_read_wlot_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # this used to escape as UnicodeDecodeError
+    path = tmp_path / "bad.wlot"
+    path.write_bytes(b"wlot db10 -6 13\n-6 0 0.25\xff\n")
+    with pytest.raises(MalformedWlot, match="^line 2: "):
+        read_wlot(path)
+    path.write_bytes(b"wlot d\xc3b10 -6 13\n")
+    with pytest.raises(MalformedWlot, match="^line 1: "):
+        read_wlot(path)
+    path.write_bytes(GOOD_WLOT.replace("\n", "\r\n").encode())
+    assert to_text(read_wlot(path)) == GOOD_WLOT

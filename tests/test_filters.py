@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -5,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from waveot.densities import uniform_density
+from waveot.distance import DistanceConfig, wavelet_distance
 from waveot.errors import InvalidConfig, UnknownWavelet
 from waveot.filters import WaveletSystem, build_wavelet_system, catalog_names
 
@@ -54,6 +57,17 @@ def test_unknown_names_rejected():
         build_wavelet_system("sym4")
     with pytest.raises(UnknownWavelet):
         build_wavelet_system("dbx")
+
+
+@pytest.mark.parametrize("name", [5, None, ["db10"], b"db10"])
+def test_names_that_are_not_str_rejected(name):
+    # these used to escape as AttributeError (or TypeError for bytes), and a
+    # DistanceConfig that named one failed every distance that way
+    with pytest.raises(UnknownWavelet, match=f"^{re.escape(str(name))}$"):
+        build_wavelet_system(name)
+    p = uniform_density(0.0, 1.0)
+    with pytest.raises(UnknownWavelet):
+        wavelet_distance(p, p, DistanceConfig(s=0.5, j0=-1, M=4, wavelet=name))
 
 
 def test_db1_is_haar_alias():

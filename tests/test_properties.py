@@ -1,9 +1,11 @@
 """Property tests of the sampled window and the distance/embedding
 identity over densities drawn anywhere in the dyadic domain, including
 supports touching either end and supports narrower than one grid cell,
-of the DWT's inversion at any translation offset, of the embedding's
-linearity in a mixture, matrix (at any column block) and text round
-trip, of the exact solver against the LP oracle, with symmetric costs and
+of the DWT's inversion at any translation offset, of the paper's dilation
+law (dilating by 2^k scales the "new" distance, its embedding's distance
+and exact W_s by 2^(ks)), of the embedding's linearity in a mixture,
+matrix (at any column block) and text round trip, of every hand-built
+WlotVector that constructs reading back from its text, of the exact solver against the LP oracle, with symmetric costs and
 exact marginals, on a small shared grid and on measures each on its own
 support, and of the triangle inequality of its W_s, of the solver's
 nested starting basis and the eps its flows carry through the pivots, of
@@ -17,9 +19,11 @@ whether the mask runs or not.
 Examples are derandomized, so every run checks the same cases.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -27,11 +31,13 @@ from hypothesis.extra import numpy as hnp
 from helpers import brute_force_lp
 from waveot._num import abs_power
 from waveot.densities import (_CELL_POINTS, Density, DiscreteMeasure, bump_density,
-                              dilate, sample_for_dwt, translate, uniform_density)
-from waveot.distance import DistanceConfig, distance_new
-from waveot.dwt import dwt_decompose, dwt_reconstruct
-from waveot.embedding import (embed, from_text, to_text, wlot_distance,
+                              dilate, discretize, sample_for_dwt, translate,
+                              uniform_density)
+from waveot.distance import DistanceConfig, distance_new, wavelet_distance
+from waveot.dwt import _zero_chain, dwt_decompose, dwt_reconstruct
+from waveot.embedding import (WlotVector, embed, from_text, to_text, wlot_distance,
                               wlot_distance_matrix)
+from waveot.errors import InvalidGrid, WaveotError
 from waveot import exact
 from waveot.exact import _nested_start, _transport_simplex, exact_ws
 from waveot.filters import build_wavelet_system, catalog_names
@@ -196,6 +202,62 @@ def test_embedding_reproduces_distance_and_distance_is_symmetric(case):
 
 
 @SETTINGS
+@given(st.data())
+def test_dilation_by_2_to_the_k_scales_the_distances_by_2_to_the_ks(data):
+    # the paper's scaling law: dilating both measures by 2^k about 0 scales
+    # W_s by 2^(ks), and so it scales the "new" distance at (j0 - k, M),
+    # whose domain is 2^k times as wide, its embedding's distance, and exact
+    # W_s on a grid 2^k times as wide, whose positions scale exactly and
+    # whose weights stay the same bit for bit
+    k, s = data.draw(st.integers(-2, 2)), data.draw(st.sampled_from([1.0, 0.5, 0.25]))
+    j0, M = data.draw(grids())
+    M = max(M, k - j0 + 1)  # so the sampling level j0 - k + M is positive
+    p, q = data.draw(densities(j0, M)), data.draw(densities(j0, M))
+    cfg = DistanceConfig(s=s, j0=j0, M=M,
+                         wavelet=data.draw(st.sampled_from(["haar", "db2", "db10"])))
+    wide, dp, dq = replace(cfg, j0=j0 - k), dilate(p, 2.0 ** k, 0.0), dilate(q, 2.0 ** k, 0.0)
+    law = 2.0 ** (k * s)
+
+    def holds(value, dilated):
+        return abs(dilated - law * value) <= 1e-12 * law * value
+
+    try:
+        value = wavelet_distance(p, q, cfg)
+    except InvalidGrid:  # the grid misses a narrow density, and misses it dilated
+        with pytest.raises(InvalidGrid):
+            wavelet_distance(dp, dq, wide)
+        return
+    assert holds(value, wavelet_distance(dp, dq, wide))
+    assert holds(wlot_distance(embed(p, cfg), embed(q, cfg), s),
+                 wlot_distance(embed(dp, wide), embed(dq, wide), s))
+    discrete = []
+    for pair, hi in (((p, q), 2.0 ** -j0), ((dp, dq), 2.0 ** (k - j0))):
+        try:
+            discrete.append([discretize(d, 400, (0.0, hi)) for d in pair])
+        except InvalidGrid:
+            discrete.append(None)
+    if discrete[0] is None:
+        assert discrete[1] is None
+        return
+    for mu, dilated in zip(*discrete):
+        assert np.array_equal(mu.positions * 2.0 ** k, dilated.positions)
+        assert mu.weights.tobytes() == dilated.weights.tobytes()
+    assert holds(exact_ws(*discrete[0], s)[0], exact_ws(*discrete[1], s)[0])
+
+
+def test_original_formulation_breaks_the_dilation_law():
+    # the paper's negative claim: the original formula does not scale as
+    # W_s does.  Here it misses 2^(ks) by a factor of about 4 (308%)
+    p, q, k = uniform_density(0.0, 1.0), bump_density(1.2, 0.5), -2
+    new = DistanceConfig(s=1.0, j0=-3, M=14, wavelet="db10")
+    dp, dq = dilate(p, 2.0 ** k, 0.0), dilate(q, 2.0 ** k, 0.0)
+    for cfg, holds in ((new, True), (replace(new, formulation="original"), False)):
+        ratio = (wavelet_distance(dp, dq, replace(cfg, j0=cfg.j0 - k))
+                 / (2.0 ** (k * cfg.s) * wavelet_distance(p, q, cfg)))
+        assert (abs(ratio - 1.0) <= 1e-12) if holds else (abs(ratio - 1.0) > 0.25)
+
+
+@SETTINGS
 @given(st.sampled_from(catalog_names()),
        hnp.arrays(np.float64, st.integers(1, 200), elements=st.floats(-1.0, 1.0)),
        st.integers(1, 6), st.integers(-2 ** 40, 2 ** 40), st.integers(-2 ** 20, 2 ** 20))
@@ -312,6 +374,72 @@ def test_pinned_wlot_text():
     vec = embed(translate(uniform_density(0.0, 0.7), 0.3), cfg)
     assert to_text(vec) == PINNED_WLOT
     assert to_text(from_text(PINNED_WLOT)) == PINNED_WLOT
+
+
+_SPELLINGS = ["db10", "DB10", " db2", "db1", "haar", "db99"]
+_DEFECTS = [None, None, None, "nan", "inf", "float offset", "half offset", "2-D",
+            "near window"]
+
+
+@st.composite
+def hand_built_vectors(draw):
+    """(arguments of a WlotVector, True if a WaveotError must refuse them,
+    False if they must construct, None if either may happen): a drawn
+    wavelet spelling, j0 and M sometimes as floats, and up to five values
+    on each level, zeros among them, inside the level's window; with one
+    level given at most one defect, such as an offset up to 3 cells past
+    either end of the window."""
+    wavelet = draw(st.sampled_from(_SPELLINGS))
+    j0, M = draw(grids())
+    L = len(build_wavelet_system(wavelet).g) if wavelet != "db99" else 20
+    defect, at = draw(st.sampled_from(_DEFECTS)), draw(st.integers(0, M - 1))
+    levels = []
+    for i, (first, length) in enumerate(_zero_chain(0, 2 ** M, L, M)[:0:-1]):
+        values = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5e-17]) | st.floats(-1.0, 1.0),
+                               max_size=min(5, length)))
+        margin = 3 if i == at and defect == "near window" else 0
+        offset = draw(st.integers(first - margin, first + length - len(values) + margin))
+        if i == at and defect in ("nan", "inf"):
+            values = values + [1.0]
+            values.insert(draw(st.integers(0, len(values))), float(defect))
+        if i == at and defect == "2-D":
+            values = [values]
+        if i == at and defect in ("float offset", "half offset"):
+            offset = float(offset) if defect == "float offset" else offset + 0.5
+        levels.append((offset, values))
+    if draw(st.booleans()):
+        j0, M = float(j0), float(M)
+    if wavelet == "db99" or defect in ("nan", "inf", "half offset", "2-D"):
+        refused = True
+    else:  # an offset near the window is refused if a nonzero value lies past it
+        refused = None if defect == "near window" else False
+    return {"wavelet": wavelet, "j0": j0, "M": M, "levels": levels}, refused
+
+
+@SETTINGS
+@given(hand_built_vectors(), st.sampled_from([1.0, 0.5, 0.25]))
+# a NaN between two finite values, and an integral float grid and offset
+@example(({"wavelet": "db2", "j0": 0, "M": 2,
+           "levels": [(-2, [1.0, float("nan"), 1.0]), (0, [])]}, True), 0.5)
+@example(({"wavelet": "DB10", "j0": -1.0, "M": 3.0,
+           "levels": [(-9.0, [0.0, 1.0]), (0, []), (0, [0.5, -0.25])]}, False), 0.25)
+def test_every_vector_that_constructs_reads_back(case, s):
+    # what WlotVector accepts, from_text reads back: the same fingerprint,
+    # level for level the same arrays, and distance 0 to the original
+    kwargs, refused = case
+    try:
+        vec = WlotVector(**kwargs)
+    except WaveotError:
+        assert refused is not False
+        return
+    assert refused is not True
+    back = from_text(to_text(vec))
+    assert back.fingerprint == vec.fingerprint
+    assert vec.wavelet == build_wavelet_system(kwargs["wavelet"]).name
+    assert type(vec.j0) is type(vec.M) is int
+    for (o, a), (ob, b) in zip(vec.levels, back.levels, strict=True):
+        assert o == ob and np.array_equal(a, b)
+    assert wlot_distance(back, vec, s) == wlot_distance(vec, vec, s) == 0.0
 
 
 # a coarse shared grid, so coincident atoms and degenerate pivots occur

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._num import abs_power
 from .densities import _BLOCK_POINTS, _MAX_SAMPLE_POINTS, SampledDensity
-from .errors import (InvalidConfig, InvalidExponent, InvalidFunction, InvalidLevels,
+from .errors import (InvalidConfig, InvalidFunction, InvalidLevels, check_exponent,
                      checked_int)
 from .filters import WaveletSystem
 
@@ -239,8 +239,7 @@ def estimate_constants(system: WaveletSystem, s: float) -> HolderConstants:
     built; the weighted |phi| and |psi| overwrite the function values and
     the searches work in blocks, so the peak is one and a half grids plus
     a scan block: 2.4 MiB by tracemalloc for db20."""
-    if not 0.0 < s <= 1.0:
-        raise InvalidExponent(f"s must lie in (0, 1], got {s}")
+    check_exponent(s)
     depth = DEFAULT_CASCADE_DEPTH
     half = cascade_evaluate(system, "scaling", depth - 1).values
     spacing = 2.0 ** -depth

@@ -30,13 +30,14 @@ of the extended signal and are always included in the sums.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import _MIN_J0, Density, sample_for_dwt
 from .dwt import dwt_decompose
-from .errors import InvalidConfig, InvalidExponent, add_context, checked_int
+from .errors import InvalidConfig, add_context, check_exponent, checked_int
 from .filters import build_wavelet_system
 
 __all__ = ["DistanceConfig", "distance_new", "distance_original",
@@ -75,8 +76,7 @@ class DistanceConfig:
     C1: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.s <= 1.0:
-            raise InvalidExponent(f"s must lie in (0, 1], got {self.s}")
+        check_exponent(self.s)
         if self.formulation not in FORMULATIONS:
             raise InvalidConfig(f"unknown formulation {self.formulation!r}")
         # integral floats pass; levels, shifts and the .wlot header need ints
@@ -92,8 +92,9 @@ class DistanceConfig:
                 f"domain and the grid spacing are doubles, got j0 = {self.j0}, M = {self.M}")
         if self.formulation == "original" and (self.C0 not in (None, 0.0) or self.C1 != 1.0):
             raise InvalidConfig("original formulation fixes C0 = 0 and C1 = 1")
-        if self.formulation == "alternative" and not (
-                (self.C0 is None or 0.0 < self.C0 < math.inf) and 0.0 < self.C1 < math.inf):
+        weights = (self.C1,) if self.C0 is None else (self.C0, self.C1)
+        if self.formulation == "alternative" and not all(
+                isinstance(c, numbers.Real) and 0.0 < c < math.inf for c in weights):
             raise InvalidConfig(
                 f"alternative formulation requires finite C0 > 0 and C1 > 0, "
                 f"got C0 = {self.C0}, C1 = {self.C1}")

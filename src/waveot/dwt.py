@@ -17,7 +17,9 @@ boundary modes are provided:
   translation lattice.  All distance computations use this mode.
 * "periodic": the vector wraps around; input length must be divisible by
   2 at each level and the transform is orthogonal (used for Parseval
-  checks only).
+  checks only).  A halving is the zero-mode step on the vector wrapped
+  by L - 1 samples, and the inverse folds the zero-mode upsampled sum
+  onto one period, so both modes share one kernel per direction.
 
 Coefficient arrays keep absolute translation offsets so that entries can
 be mapped back to grid positions after any number of halvings, which also
@@ -89,19 +91,13 @@ def _zero_chain(k0, n, L, levels):
     return chain
 
 
-def _analyze_zero(x, k0, filt):
+def _analyze(x, k0, filt):
+    """One zero-mode halving of x, whose first element sits at absolute
+    translation k0: every k with a nonzero product in sum_l x_l f_{l-2k}."""
     L = len(filt)
     c = np.convolve(x, filt[::-1])
     n_start = (L - 1 - k0) % 2
     return c[n_start::2]
-
-
-def _analyze_periodic(x, filt):
-    L = len(filt)
-    n = len(x)
-    reps = (n + L - 1 + n - 1) // n  # wrap enough copies for short signals
-    xe = np.tile(x, reps)[: n + L - 1]
-    return np.convolve(xe, filt[::-1], mode="valid")[::2]
 
 
 def dwt_decompose(x, system: WaveletSystem, num_levels: int,
@@ -126,25 +122,25 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
     _DECOMPOSE_CALLS += 1
 
     g, h = system.g, system.h
+    L = len(g)
     input_length = len(x)
     details = []
     offsets = []
-    off = k_offset
+    off = k_offset if mode == "zero" else 0
     for _ in range(num_levels):
+        n, k0 = len(x), off
         if mode == "zero":
-            d = _analyze_zero(x, off, h)
-            a = _analyze_zero(x, off, g)
-            off, _ = _zero_step_geometry(off, len(x), len(g))
+            off, length = _zero_step_geometry(k0, n, L)
+            first = 0
         else:
-            if len(x) % 2 != 0:
+            if n % 2 != 0:
                 raise InvalidLevels(
                     "periodic mode requires length divisible by 2 at every level")
-            d = _analyze_periodic(x, h)
-            a = _analyze_periodic(x, g)
-            off = 0
+            # output L/2 - 1 + k of the wrapped signal is sum_i x[(2k + i) mod n] f_i
+            x, first, length = np.resize(x, n + L - 1), L // 2 - 1, n // 2
+        d, x = [_analyze(x, k0, f)[first:first + length] for f in (h, g)]
         details.append(d)
         offsets.append(off)
-        x = a
     details.reverse()
     offsets.reverse()
     return CoefficientPyramid(
@@ -159,36 +155,11 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
     )
 
 
-def _synthesize_zero(a, d, off, g, h, parent_off, parent_len):
-    n = len(a)
-    au = np.zeros(2 * n - 1)
-    au[::2] = a
-    du = np.zeros(2 * n - 1)
-    du[::2] = d
-    rec = np.convolve(au, g) + np.convolve(du, h)
-    # rec[t] sits at absolute translation 2*off + t; the parent window is
-    # [parent_off, parent_off + parent_len); anything outside is exactly 0.
-    out = np.zeros(parent_len)
-    lo = max(parent_off, 2 * off)
-    hi = min(parent_off + parent_len, 2 * off + len(rec))
-    if lo < hi:
-        out[lo - parent_off: hi - parent_off] = rec[lo - 2 * off: hi - 2 * off]
-    return out
-
-
-def _synthesize_periodic(a, d, g, h):
-    n = len(a)
-    N = 2 * n
-    au = np.zeros(N)
-    au[::2] = a
-    du = np.zeros(N)
-    du[::2] = d
-    rec = np.convolve(au, g) + np.convolve(du, h)
-    out = np.zeros(N)
-    for start in range(0, len(rec), N):
-        seg = rec[start: start + N]
-        out[: len(seg)] += seg
-    return out
+def _synthesize(a, d, g, h):
+    """sum_k a_k g_{t-2k} + d_k h_{t-2k} for t = 0 ... 2 len(a) + L - 3."""
+    up = np.zeros((2, 2 * len(a) - 1))
+    up[0, ::2], up[1, ::2] = a, d
+    return np.convolve(up[0], g) + np.convolve(up[1], h)
 
 
 def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.ndarray:
@@ -202,29 +173,29 @@ def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.nd
         raise ShapeMismatch("pyramid has no detail levels or empty approximation")
 
     g, h = system.g, system.h
-    L = len(g)
     a = np.asarray(pyramid.approx, dtype=float)
-
     if mode == "zero":
-        chain = _zero_chain(pyramid.input_offset, pyramid.input_length, L, levels)
+        chain = _zero_chain(pyramid.input_offset, pyramid.input_length, len(g), levels)
         if len(a) != chain[levels][1] or pyramid.approx_offset != chain[levels][0]:
             raise ShapeMismatch("approximation array inconsistent with input geometry")
-        for i, d in enumerate(pyramid.details):
+    for i, d in enumerate(pyramid.details):
+        d = np.asarray(d, dtype=float)
+        if mode == "zero":
             expect_off, expect_len = chain[levels - i]
             if len(d) != expect_len or pyramid.detail_offsets[i] != expect_off:
                 raise ShapeMismatch(
                     f"detail level {pyramid.j0 + i}: expected length {expect_len} "
                     f"at offset {expect_off}, got {len(d)} at "
                     f"{pyramid.detail_offsets[i]}")
-            parent_off, parent_len = chain[levels - i - 1]
-            a = _synthesize_zero(a, np.asarray(d, dtype=float),
-                                 expect_off, g, h, parent_off, parent_len)
-        return a
-
-    for i, d in enumerate(pyramid.details):
-        d = np.asarray(d, dtype=float)
-        if len(d) != len(a):
+        elif len(d) != len(a):
             raise ShapeMismatch(
                 f"detail level {pyramid.j0 + i}: length {len(d)} != {len(a)}")
-        a = _synthesize_periodic(a, d, g, h)
+        rec = _synthesize(a, d, g, h)
+        if mode == "zero":
+            # rec[t] sits at translation 2 * expect_off + t; it starts L - 2
+            # or L - 1 cells before the parent window and ends no earlier
+            parent_off, parent_len = chain[levels - i - 1]
+            a = rec[parent_off - 2 * expect_off:][:parent_len]
+        else:  # fold onto one period of 2 len(a)
+            a = np.bincount(np.arange(len(rec)) % (2 * len(a)), rec, 2 * len(a))
     return a

@@ -33,8 +33,8 @@ from .densities import _BLOCK_POINTS, Density, _nonzero_span, sample_for_dwt
 from .distance import (DistanceConfig, _coefficients, _level_difference, _level_weight,
                        _weighted_l1)
 from .dwt import _zero_chain, dwt_decompose
-from .errors import (ConfigMismatch, InvalidConfig, InvalidExponent, InvalidGrid,
-                     MalformedWlot, ShapeMismatch, UnknownWavelet, add_context, checked_int)
+from .errors import (ConfigMismatch, InvalidConfig, InvalidGrid, MalformedWlot, ShapeMismatch,
+                     UnknownWavelet, add_context, check_exponent, checked_int)
 from .filters import build_wavelet_system
 
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
@@ -98,10 +98,17 @@ class WlotVector:
         levels, trimmed = tuple(self.levels), []
         if len(levels) != M:
             raise ShapeMismatch(f"{len(levels)} levels for M = {M}")
-        for j, (offset, values) in enumerate(levels, start=j0):
+        for j, level in enumerate(levels, start=j0):
+            try:
+                offset, values = level
+                values = np.asarray(values)
+            except (TypeError, ValueError):
+                values = None
+            if values is None or values.dtype.kind not in "biuf":  # no str, complex or object
+                raise ShapeMismatch(f"level {j}: not an (offset, real values) pair")
+            values = values.astype(float, copy=False)
             if type(offset) is not int:  # skips checked_int's cost on embed's offsets
                 offset = checked_int(offset, ShapeMismatch, f"level {j}: bad offset {offset!r}")
-            values = np.asarray(values, dtype=float)
             if values.ndim != 1:
                 raise ShapeMismatch(f"level {j}: {values.ndim}-D values, not 1-D")
             start, stop = _nonzero_span(values)
@@ -164,8 +171,7 @@ def wlot_distance(u: WlotVector, v: WlotVector, s: float) -> float:
     if u.fingerprint != v.fingerprint:
         raise ConfigMismatch(
             f"incompatible embeddings: {u.fingerprint} vs {v.fingerprint}")
-    if not 0.0 < s <= 1.0:
-        raise InvalidExponent(f"s must lie in (0, 1], got {s}")
+    check_exponent(s)
     diffs = [_level_difference(ou, a, ov, b)
              for (ou, a), (ov, b) in zip(u.levels, v.levels)]
     return _weighted_l1(u.j0, diffs, s)

@@ -1,5 +1,5 @@
 """Exception types raised across the package, and the checks that raise
-them for integer arguments."""
+them for integer arguments and the distance exponent."""
 
 import math
 import numbers
@@ -104,3 +104,9 @@ def checked_int(value, error, message, lo=-math.inf, hi=math.inf):
         if lo <= value <= hi:
             return int(value)
     raise error(message)
+
+
+def check_exponent(s):
+    """Raise InvalidExponent unless s is a real number in (0, 1]."""
+    if not (isinstance(s, numbers.Real) and 0.0 < s <= 1.0):
+        raise InvalidExponent(f"s must lie in (0, 1], got {s}")

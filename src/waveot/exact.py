@@ -30,8 +30,7 @@ import numpy as np
 
 from ._num import abs_power
 from .densities import DiscreteMeasure
-from .errors import (InvalidExponent, InvalidGrid, SolverDidNotConverge,
-                     UnbalancedMarginals)
+from .errors import InvalidGrid, SolverDidNotConverge, UnbalancedMarginals, check_exponent
 
 __all__ = ["TransportPlan", "exact_ws", "w1_cdf"]
 
@@ -85,8 +84,7 @@ def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
     measures enter the simplex.  This is an exact reduction, and it makes
     solves between discretizations on a common grid fast.
     """
-    if not 0.0 < s <= 1.0:
-        raise InvalidExponent(f"s must lie in (0, 1], got {s}")
+    check_exponent(s)
     _check_balanced(mu, nu)
 
     x, y = mu.positions, nu.positions

@@ -78,8 +78,10 @@ def _validate_filters(name, g, h):
 def build_wavelet_system(name: str) -> WaveletSystem:
     """Look up a catalog wavelet by name.
 
-    Accepts 'haar' (alias 'db1') and 'db2' through 'db20'.  Raises
-    UnknownWavelet for anything else, a name that is not a str too.
+    Accepts 'haar' (alias 'db1') and 'db2' through 'db20', in any case and
+    with surrounding blanks, and names the system as catalog_names spells
+    it.  Raises UnknownWavelet for anything else, a name that is not a str
+    too.
     """
     key = name.strip().lower() if isinstance(name, str) else ""
     if key == "haar":
@@ -95,4 +97,4 @@ def build_wavelet_system(name: str) -> WaveletSystem:
         raise UnknownWavelet(name)
     g = np.array(DB_SCALING_FILTERS[p], dtype=float)
     h = ((-1.0) ** np.arange(len(g))) * g[::-1]
-    return WaveletSystem(name=key, g=g, h=h)
+    return WaveletSystem(name="haar" if p == 1 else f"db{p}", g=g, h=h)

@@ -9,6 +9,7 @@ shared uniform grid over [0, 3] are recorded, and a least-squares
 normalization constant is fitted per s group.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import cache, partial
 
@@ -86,7 +87,7 @@ class SimulationSpec:
     exact_grid_points: int = 1000
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise InvalidConfig(f"unknown family {self.family!r}; "
                                 f"choose from {sorted(FAMILIES)}")
         # integral floats pass; np.linspace and discretize need ints
@@ -98,13 +99,22 @@ class SimulationSpec:
             self.exact_grid_points, InvalidConfig,
             f"exact_grid_points: need 2 to {_MAX_SAMPLE_POINTS} grid points, "
             f"got {self.exact_grid_points}", 2, _MAX_SAMPLE_POINTS))
-        if not self.s_values:
-            raise InvalidConfig("s_values must hold at least one exponent")
-        for s in self.s_values:  # DistanceConfig refuses a bad exponent
+        try:
+            s_values = tuple(self.s_values)
+        except TypeError:
+            s_values = ()
+        if not s_values:
+            raise InvalidConfig(f"s_values must hold at least one exponent, got {self.s_values!r}")
+        for s in s_values:  # DistanceConfig refuses a bad exponent
             replace(self.cfg, s=s)
+        object.__setattr__(self, "s_values", s_values)
         if self.param_range is not None:
-            lo, hi = self.param_range
-            if not lo < hi:
+            try:  # a pair of finite real numbers, lo < hi
+                lo, hi = self.param_range
+                valid = -math.inf < lo < hi < math.inf
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
                 raise InvalidConfig(f"invalid param_range {self.param_range}")
 
     def params(self):

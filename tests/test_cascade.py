@@ -71,6 +71,9 @@ def test_invalid_inputs():
         estimate_constants(haar, 0.0)
     with pytest.raises(InvalidExponent):
         estimate_constants(haar, 1.5)
+    for s in ["0.5", None, 1j]:  # these used to escape as TypeError
+        with pytest.raises(InvalidExponent, match=f"^s must lie in \\(0, 1\\], got {s}$"):
+            estimate_constants(haar, s)
 
 
 def test_integral_float_depth_is_an_int():

@@ -51,6 +51,20 @@ def test_alternative_rejects_bad_weights(weights):
         DistanceConfig(s=0.5, j0=-4, M=10, formulation="alternative", **weights)
 
 
+@pytest.mark.parametrize("s", ["0.5", None, 1j])
+def test_config_refuses_an_exponent_that_is_not_real(s):
+    # these used to escape as TypeError
+    with pytest.raises(InvalidExponent, match=f"^s must lie in \\(0, 1\\], got {s}$"):
+        DistanceConfig(s=s, j0=-3, M=8)
+
+
+@pytest.mark.parametrize("weights", [{"C0": "x"}, {"C1": None}, {"C0": 1j}, {"C1": "2"}])
+def test_alternative_rejects_weights_that_are_not_real(weights):
+    # C0 = "x" and C1 = None used to escape as TypeError
+    with pytest.raises(InvalidConfig, match="finite C0 > 0 and C1 > 0"):
+        DistanceConfig(s=0.5, j0=-4, M=10, formulation="alternative", **weights)
+
+
 def test_default_c0_is_resolved_per_s():
     # an unset C0 means 0 for "original" and diam(EXACT_DOMAIN)^s for
     # "alternative", resolved at use, so replacing s re-resolves it

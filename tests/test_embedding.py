@@ -84,6 +84,9 @@ def test_wlot_distance_refuses_exponents_outside_the_unit_interval():
     for s in (0.0, -0.5, 1.5, float("nan"), float("inf")):
         with pytest.raises(InvalidExponent):
             wlot_distance(u, v, s)
+    for s in ["0.5", None, 1j]:  # these used to escape as TypeError
+        with pytest.raises(InvalidExponent, match=f"^s must lie in \\(0, 1\\], got {s}$"):
+            wlot_distance(u, v, s)
 
 
 def test_embed_refuses_a_density_the_grid_cannot_resolve():
@@ -433,6 +436,16 @@ def test_vector_offsets_are_integers():
             one_level(offset, [1.0])
 
 
+@pytest.mark.parametrize("level", [(0, ["x"]), (0, [1j]), (0, np.array([1j])), (0,), 5,
+                                   (0, [1.0], 2), (0, [[1.0], [2.0, 3.0]])])
+def test_vector_refuses_a_level_that_is_not_an_offset_and_real_values(level):
+    # these used to escape as ValueError or TypeError, and a complex array
+    # to lose its imaginary part with a ComplexWarning
+    levels = [level] + [(0, [])] * (CFG.M - 1)
+    with pytest.raises(ShapeMismatch, match=r"^level -6: not an \(offset, real values\) pair$"):
+        WlotVector(wavelet="db10", j0=CFG.j0, M=CFG.M, levels=levels)
+
+
 @pytest.mark.parametrize("header, error", [
     ({"wavelet": "db99"}, UnknownWavelet),
     ({"wavelet": "sym4"}, UnknownWavelet),
@@ -460,7 +473,7 @@ def test_vector_refuses_more_than_max_cells(monkeypatch):
         WlotVector(wavelet="db10", j0=CFG.j0, M=CFG.M, levels=levels)
 
 
-@pytest.mark.parametrize("spelling, name", [("DB10", "db10"), ("db1", "db1"),
+@pytest.mark.parametrize("spelling, name", [("DB10", "db10"), ("db1", "haar"),
                                             (" db2", "db2"), ("Haar ", "haar")])
 def test_embed_keeps_the_wavelet_as_the_catalog_spells_it(spelling, name):
     # "DB10" and "db1" embeddings used to write unreadable files, and " db2"
@@ -474,8 +487,19 @@ def test_embed_keeps_the_wavelet_as_the_catalog_spells_it(spelling, name):
     assert wlot_distance(vec, embed(p, replace(CFG, wavelet=name)), CFG.s) == 0.0
 
 
+@pytest.mark.parametrize("spelling, name", [("db01", "haar"), ("db010", "db10"),
+                                            ("db+2", "db2"), ("db\u0663", "db3")])
+def test_embed_names_every_spelling_of_a_system_as_the_catalog_does(spelling, name):
+    # "db010" and "db10" embeddings of one density used to refuse each
+    # other with ConfigMismatch
+    p = bump_density(1.5, 0.5)
+    vec = embed(p, replace(CFG, wavelet=spelling))
+    assert vec.fingerprint == (name, CFG.j0, CFG.M)
+    assert wlot_distance(vec, embed(p, replace(CFG, wavelet=name)), CFG.s) == 0.0
+
+
 def test_from_text_reads_every_name_the_type_takes():
-    for name, spelled in (("DB10", "db10"), ("db1", "db1"), ("HAAR", "haar")):
+    for name, spelled in (("DB10", "db10"), ("db1", "haar"), ("HAAR", "haar")):
         vec = from_text(f"wlot {name} -6 13\n-6 0 0.25\n")
         assert vec.fingerprint == (spelled, -6, 13)
         assert to_text(vec) == f"wlot {spelled} -6 13\n-6 0 0.25\n"

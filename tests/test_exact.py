@@ -172,6 +172,9 @@ def test_invalid_exponent():
         exact_ws(delta(0.0), delta(1.0), 0.0)
     with pytest.raises(InvalidExponent):
         exact_ws(delta(0.0), delta(1.0), 1.2)
+    for s in ["0.5", None, 1j]:  # these used to escape as TypeError
+        with pytest.raises(InvalidExponent, match=f"^s must lie in \\(0, 1\\], got {s}$"):
+            exact_ws(delta(0.0), delta(1.0), s)
 
 
 def test_unbalanced_rejected():

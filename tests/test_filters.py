@@ -75,6 +75,17 @@ def test_db1_is_haar_alias():
                           build_wavelet_system("haar").g)
 
 
+@pytest.mark.parametrize("spelling, name", [("db1", "haar"), ("db01", "haar"), ("HAAR ", "haar"),
+                                            ("db010", "db10"), ("db+2", "db2"),
+                                            ("db\u0663", "db3"), (" DB20", "db20")])
+def test_system_is_named_as_the_catalog_spells_it(spelling, name):
+    # the lower-cased key used to be the name, so "db1", "db010" and "db+2"
+    # gave names that are not catalog names
+    system = build_wavelet_system(spelling)
+    assert system.name == name and name in catalog_names()
+    assert np.array_equal(system.g, build_wavelet_system(name).g)
+
+
 def test_filters_immutable():
     w = build_wavelet_system("db3")
     with pytest.raises(ValueError):

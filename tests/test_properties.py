@@ -1,7 +1,8 @@
 """Property tests of the sampled window and the distance/embedding
 identity over densities drawn anywhere in the dyadic domain, including
 supports touching either end and supports narrower than one grid cell,
-of the DWT's inversion at any translation offset, of the paper's dilation
+of the DWT's inversion at any translation offset and of one halving in
+either boundary mode against its defining sum, of the paper's dilation
 law (dilating by 2^k scales the "new" distance, its embedding's distance
 and exact W_s by 2^(ks)), of the embedding's linearity in a mixture,
 matrix (at any column block) and text round trip, of every hand-built
@@ -275,6 +276,37 @@ def test_dwt_inverts_at_any_offset(name, x, levels, k_offset, m):
     for i, (a, b) in enumerate(zip(moved.details, pyr.details)):
         assert a.tobytes() == b.tobytes()
         assert moved.detail_offsets[i] == pyr.detail_offsets[i] + m * 2 ** i
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from(["haar", "db2", "db7", "db20"]),
+       st.sampled_from(["zero", "periodic"]), st.integers(-5, 5))
+def test_one_halving_is_its_definition(data, name, mode, k_offset):
+    # round trips and Parseval would still pass if analysis and synthesis
+    # shifted together, so each coefficient is checked against its sum:
+    # in zero mode sum_l x_l f_{l-2k} over the absolute indices l of x, in
+    # periodic mode sum_i x[(2k + i) mod n] f_i
+    system = build_wavelet_system(name)
+    L = len(system.g)
+    n = data.draw(st.integers(1, 60) if mode == "zero"
+                  else st.integers(1, 30).map(lambda h: 2 * h))
+    x = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    pyr = dwt_decompose(x, system, 1, mode, k_offset=k_offset)
+    for f, coeffs, off in ((system.g, pyr.approx, pyr.approx_offset),
+                           (system.h, pyr.details[0], pyr.detail_offsets[0])):
+        if mode == "periodic":
+            assert off == 0 and len(coeffs) == n // 2
+            for k, c in enumerate(coeffs):
+                assert abs(c - np.dot(x[(2 * k + np.arange(L)) % n], f)) <= 1e-12
+            continue
+        l = np.arange(k_offset, k_offset + n)
+        for k in range(off - 1, off + len(coeffs) + 1):
+            i = l - 2 * k
+            inside = (i >= 0) & (i < L)
+            if off <= k < off + len(coeffs):
+                assert abs(coeffs[k - off] - np.dot(x[inside], f[i[inside]])) <= 1e-12
+            else:  # just outside the window: no product at all
+                assert not inside.any()
 
 
 @SETTINGS

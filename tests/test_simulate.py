@@ -37,6 +37,31 @@ def test_spec_validation():
                        count=simulate._MAX_COUNT + 1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"s_values": 0.5}, {"s_values": None}, {"param_range": (1,)}, {"param_range": 1.0},
+    {"param_range": ("a", "b")}, {"param_range": (0.0, float("inf"))}, {"family": ["x"]},
+    {"family": None}])
+def test_spec_refuses_ill_typed_fields(kwargs):
+    # these used to escape as TypeError or ValueError, or, for the strings
+    # and the infinite range, to fail only once the sweep ran
+    with pytest.raises(InvalidConfig):
+        SimulationSpec(**{"family": "uniform_translate", "cfg": SMALL_CFG, **kwargs})
+
+
+def test_csv_keeps_the_wavelet_as_the_user_spells_it():
+    cfg = replace(SMALL_CFG, wavelet="db1")
+    rows = run_simulation(SimulationSpec(family="uniform_translate", cfg=cfg, s_values=(1.0,),
+                                         count=2, exact_grid_points=40))
+    assert [row.wavelet for row in rows] == ["db1", "db1"]
+
+
+def test_spec_keeps_its_exponents_as_a_tuple():
+    spec = SimulationSpec(family="uniform_translate", cfg=SMALL_CFG, s_values=[1.0, 0.5])
+    assert spec.s_values == (1.0, 0.5)
+    assert spec == SimulationSpec(family="uniform_translate", cfg=SMALL_CFG,
+                                  s_values=(1.0, 0.5))
+
+
 def test_spec_refuses_a_bad_exponent_before_the_sweep(monkeypatch):
     # the sweep used to run the s = 1 and s = 0.5 groups, 8 wavelet
     # distances and exact solves, before s = 1.5 raised

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainOverflow, InvalidGrid, InvalidInterval, UnbalancedMarginals,
-                     checked_int)
+                     checked_int, checked_interval)
 
 __all__ = [
     "Density", "SampledDensity", "DiscreteMeasure",
@@ -93,9 +93,10 @@ class Density:
     it views of the positions it returns.  Calling the density is zero
     outside the support; the mask runs only when the points reach
     outside it.
-    Construction fails if the support is not finite, if the evaluator is
-    negative at a point of the mass check, or if the mass, by the refined
-    midpoint rule of _mass, deviates from 1 by more than 1e-8.
+    Construction fails if the support is not a pair of finite real
+    numbers lo < hi, if the evaluator is negative at a point of the mass
+    check, or if the mass, by the refined midpoint rule of _mass,
+    deviates from 1 by more than 1e-8.
     An integrable singularity at a support end far from 0 can fail it:
     0.5 / sqrt(x - 1000) on (1000, 1001) measures 5.8e-7 short, as _mass
     splits no cell below a few float spacings (1.1e-13 there).
@@ -105,10 +106,8 @@ class Density:
     support: tuple
 
     def __post_init__(self):
-        lo, hi = self.support
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise InvalidInterval(
-                f"support must be finite with lo < hi, got {self.support}")
+        lo, hi = checked_interval(self.support, InvalidInterval,
+                                  f"support must be finite with lo < hi, got {self.support}")
         mass = _mass(self, lo, hi)
         if not abs(mass - 1.0) <= _MASS_TOL:
             raise InvalidInterval(
@@ -176,8 +175,7 @@ class DiscreteMeasure:
 
 def uniform_density(lo: float, hi: float) -> Density:
     """Uniform density on [lo, hi]."""
-    if not lo < hi:
-        raise InvalidInterval(f"need lo < hi, got ({lo}, {hi})")
+    checked_interval((lo, hi), InvalidInterval, f"need finite lo < hi, got ({lo}, {hi})")
     height = 1.0 / (hi - lo)
 
     def evaluate(x):
@@ -332,9 +330,8 @@ def discretize(d: Density, num_points: int, domain: tuple = None) -> DiscreteMea
     num_points = checked_int(
         num_points, InvalidGrid,
         f"need 2 to {_MAX_SAMPLE_POINTS} grid points, got {num_points}", 2, _MAX_SAMPLE_POINTS)
-    lo, hi = d.support if domain is None else domain
-    if not lo < hi:
-        raise InvalidInterval(f"invalid grid domain ({lo}, {hi})")
+    lo, hi = d.support if domain is None else checked_interval(
+        domain, InvalidInterval, f"invalid grid domain {domain}")
     grid = np.linspace(lo, hi, num_points)
     w = np.empty_like(grid)
     for start in range(0, num_points, _BLOCK_POINTS):

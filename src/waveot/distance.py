@@ -45,8 +45,8 @@ __all__ = ["DistanceConfig", "distance_new", "distance_original",
 
 FORMULATIONS = ("new", "original", "alternative")
 
-# diameter of simulate.EXACT_DOMAIN; the alternative formulation's default
-# C0 is its s-th power
+# diameter of the exact solver's shared grid [0, 3] (simulate.EXACT_DOMAIN
+# reads it); the alternative formulation's default C0 is its s-th power
 _C0_DIAMETER = 3.0
 # the grid spacing 2^-(j0+M) must be a nonzero double (the smallest
 # subnormal); densities._MIN_J0 keeps the domain length 2^-j0 finite
@@ -90,11 +90,12 @@ class DistanceConfig:
             raise InvalidConfig(
                 f"need j0 >= {_MIN_J0} and j0 + M <= {_MAX_SAMPLING_LEVEL} so the "
                 f"domain and the grid spacing are doubles, got j0 = {self.j0}, M = {self.M}")
-        if self.formulation == "original" and (self.C0 not in (None, 0.0) or self.C1 != 1.0):
-            raise InvalidConfig("original formulation fixes C0 = 0 and C1 = 1")
         weights = (self.C1,) if self.C0 is None else (self.C0, self.C1)
-        if self.formulation == "alternative" and not all(
-                isinstance(c, numbers.Real) and 0.0 < c < math.inf for c in weights):
+        reals = all(isinstance(c, numbers.Real) for c in weights)
+        if self.formulation == "original" and not (reals and weights in ((1.0,), (0.0, 1.0))):
+            raise InvalidConfig("original formulation fixes C0 = 0 and C1 = 1")
+        if self.formulation == "alternative" and not (
+                reals and all(0.0 < c < math.inf for c in weights)):
             raise InvalidConfig(
                 f"alternative formulation requires finite C0 > 0 and C1 > 0, "
                 f"got C0 = {self.C0}, C1 = {self.C1}")

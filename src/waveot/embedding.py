@@ -95,6 +95,8 @@ class WlotVector:
 
     def __post_init__(self):
         wavelet, j0, M, windows = _grid(self.wavelet, self.j0, self.M)
+        if not np.iterable(self.levels):
+            raise ShapeMismatch(f"levels must be a sequence of {M} levels, got {self.levels!r}")
         levels, trimmed = tuple(self.levels), []
         if len(levels) != M:
             raise ShapeMismatch(f"{len(levels)} levels for M = {M}")

@@ -1,5 +1,5 @@
 """Exception types raised across the package, and the checks that raise
-them for integer arguments and the distance exponent."""
+them for integer arguments, intervals and the distance exponent."""
 
 import math
 import numbers
@@ -104,6 +104,19 @@ def checked_int(value, error, message, lo=-math.inf, hi=math.inf):
         if lo <= value <= hi:
             return int(value)
     raise error(message)
+
+
+def checked_interval(pair, error, message):
+    """pair as (lo, hi), when it is a pair of finite real numbers with
+    lo < hi; otherwise raise error(message)."""
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError):
+        raise error(message) from None
+    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)
+            and -math.inf < lo < hi < math.inf):
+        raise error(message)
+    return lo, hi
 
 
 def check_exponent(s):

@@ -242,8 +242,10 @@ def _transport_simplex(cost, flows):
     adj = [{} for _ in range(size)]
     for (i, j) in flows:
         adj[i][m + j] = adj[m + j][i] = cost.item(i, j)
-    dual, parent, depth = [0.0] * size, [-1] * size, [0] * size
-    _tree_duals(adj, 0, dual, parent, depth)
+    # pricing reads the array; walks write through a view of plain floats, at list speed
+    dual = np.zeros(size)
+    view, parent, depth = memoryview(dual), [-1] * size, [0] * size
+    _tree_duals(adj, 0, view, parent, depth)
 
     tol = 1e-12 * max(1.0, float(np.max(cost)))
     step = math.isqrt(m - 1) + 1
@@ -254,13 +256,12 @@ def _transport_simplex(cost, flows):
     pivots = 0
 
     while True:
-        col_dual = np.fromiter(dual[m:], float, n)
         for _ in range(blocks):
             lo = block * step
             hi = min(lo + step, m)
             reduced = buffer[:hi - lo]
-            np.subtract(cost[lo:hi], np.asarray(dual[lo:hi])[:, None], out=reduced)
-            reduced -= col_dual
+            np.subtract(cost[lo:hi], dual[lo:hi, None], out=reduced)
+            reduced -= dual[m:]
             flat = int(reduced.argmin())
             if reduced.item(flat) < -tol:
                 break
@@ -294,5 +295,5 @@ def _transport_simplex(cost, flows):
         # a leaving arc from row li up to its column lies on the walk from
         # ei, which it cuts off with row ei; else it cuts off column ej
         top, up = (ei, m + ej) if parent[li] == m + lj else (m + ej, ei)
-        parent[top], depth[top], dual[top] = up, depth[up] + 1, c - dual[up]
-        _tree_duals(adj, top, dual, parent, depth)
+        parent[top], depth[top], view[top] = up, depth[up] + 1, c - view[up]
+        _tree_duals(adj, top, view, parent, depth)

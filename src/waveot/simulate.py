@@ -9,32 +9,28 @@ shared uniform grid over [0, 3] are recorded, and a least-squares
 normalization constant is fitted per s group.
 """
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 
 import numpy as np
 
 from .densities import (_MAX_SAMPLE_POINTS, bump_density, dilate, discretize, translate,
                         uniform_density)
-from .distance import DistanceConfig, wavelet_distance
-from .errors import DegenerateFit, InvalidConfig, add_context, checked_int
+from .distance import _C0_DIAMETER, DistanceConfig, wavelet_distance
+from .errors import DegenerateFit, InvalidConfig, add_context, checked_int, checked_interval
 from .exact import exact_ws
 
 __all__ = ["SimulationSpec", "SimulationRow", "run_simulation",
            "fit_normalization", "emit_csv", "FAMILIES",
            "EXACT_DOMAIN", "CSV_HEADER"]
 
-EXACT_DOMAIN = (0.0, 3.0)
+EXACT_DOMAIN = (0.0, _C0_DIAMETER)
 
 # most parameters in one sweep: each costs a wavelet distance and an exact
 # solve for every s, 10 to 20 ms together at the CLI defaults, so 10^5 of
 # them over the three default exponents already run for over an hour;
 # larger counts are refused before np.linspace allocates them
 _MAX_COUNT = 100_000
-
-CSV_HEADER = ("family,formulation,wavelet,s,j0,M,param,"
-              "wavelet_value,exact_value,norm_constant,normalized_value")
 
 
 @cache
@@ -47,27 +43,22 @@ def _base(shape, lo):
     return bump_density(lo + 0.5, 0.5)
 
 
-def _uniform_translate(a):
-    return translate(_base("uniform", 0.0), a)
-
-
-def _uniform_dilate(b):
-    return dilate(_base("uniform", 1.0), b, 1.5)
-
-
-def _bump_translate(a):
-    return translate(_base("bump", 0.0), a)
-
-
-def _bump_dilate(b):
-    return dilate(_base("bump", 1.0), b, 1.5)
+def _transform(shape, lo, move, t):
+    """The base on [lo, lo + 1], translated by t or dilated by t about its centre."""
+    if move == "translate":
+        return translate(_base(shape, lo), t)
+    return dilate(_base(shape, lo), t, lo + 0.5)
 
 
 FAMILIES = {
-    "uniform_translate": (partial(_base, "uniform", 0.0), _uniform_translate, (0.0, 2.0)),
-    "uniform_dilate": (partial(_base, "uniform", 1.0), _uniform_dilate, (0.5, 1.5)),
-    "bump_translate": (partial(_base, "bump", 0.0), _bump_translate, (0.0, 2.0)),
-    "bump_dilate": (partial(_base, "bump", 1.0), _bump_dilate, (0.5, 1.5)),
+    "uniform_translate": (partial(_base, "uniform", 0.0),
+                          partial(_transform, "uniform", 0.0, "translate"), (0.0, 2.0)),
+    "uniform_dilate": (partial(_base, "uniform", 1.0),
+                       partial(_transform, "uniform", 1.0, "dilate"), (0.5, 1.5)),
+    "bump_translate": (partial(_base, "bump", 0.0),
+                       partial(_transform, "bump", 0.0, "translate"), (0.0, 2.0)),
+    "bump_dilate": (partial(_base, "bump", 1.0),
+                    partial(_transform, "bump", 1.0, "dilate"), (0.5, 1.5)),
 }
 
 
@@ -105,21 +96,17 @@ class SimulationSpec:
             s_values = ()
         if not s_values:
             raise InvalidConfig(f"s_values must hold at least one exponent, got {self.s_values!r}")
+        if not isinstance(self.cfg, DistanceConfig):
+            raise InvalidConfig(f"cfg must be a DistanceConfig, got {self.cfg!r}")
         for s in s_values:  # DistanceConfig refuses a bad exponent
             replace(self.cfg, s=s)
         object.__setattr__(self, "s_values", s_values)
         if self.param_range is not None:
-            try:  # a pair of finite real numbers, lo < hi
-                lo, hi = self.param_range
-                valid = -math.inf < lo < hi < math.inf
-            except (TypeError, ValueError):
-                valid = False
-            if not valid:
-                raise InvalidConfig(f"invalid param_range {self.param_range}")
+            checked_interval(self.param_range, InvalidConfig,
+                             f"invalid param_range {self.param_range}")
 
     def params(self):
-        lo, hi = self.param_range if self.param_range is not None \
-            else FAMILIES[self.family][2]
+        lo, hi = FAMILIES[self.family][2] if self.param_range is None else self.param_range
         return np.linspace(lo, hi, self.count)
 
 
@@ -138,6 +125,9 @@ class SimulationRow:
     exact_value: float
     norm_constant: float
     normalized_value: float
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SimulationRow))
 
 
 def _fit_constant(params, wavelet_values, exact_values):
@@ -195,18 +185,13 @@ def run_simulation(spec: SimulationSpec):
     return rows
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def emit_csv(rows, path) -> None:
-    """Write rows in input order; identical rows give identical bytes."""
+    """Write rows in input order, one column per SimulationRow field,
+    numbers as %.12g; identical rows give identical bytes."""
+    columns = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join([
-            r.family, r.formulation, r.wavelet, _fmt(r.s), str(r.j0),
-            str(r.M), _fmt(r.param), _fmt(r.wavelet_value),
-            _fmt(r.exact_value), _fmt(r.norm_constant),
-            _fmt(r.normalized_value)]))
+        values = (getattr(r, c) for c in columns)
+        lines.append(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in values))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -493,3 +493,25 @@ def test_discrete_measure_validation():
     for w in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]):
         with pytest.raises(UnbalancedMarginals, match="finite"):
             DiscreteMeasure(np.array([0.0, 1.0]), np.array(w))
+
+
+@pytest.mark.parametrize("support", [("a", "b"), None, (0, 1, 2), (0.0,), (1.0, math.nan)])
+def test_density_refuses_a_support_that_is_not_a_pair_of_reals(support):
+    # None and the strings used to escape as TypeError, three ends as ValueError
+    with pytest.raises(InvalidInterval, match="^support must be finite with lo < hi, got "):
+        Density(lambda x: np.ones_like(x), support)
+
+
+@pytest.mark.parametrize("domain", [("a", "b"), (0.0,), (0.0, math.inf), (math.nan, 1.0), 3.0])
+def test_discretize_refuses_a_domain_that_is_not_a_pair_of_finite_reals(domain):
+    # the strings used to escape as numpy's DTypePromotionError and (0.0,)
+    # as ValueError; (0.0, inf) warned from linspace before it was refused
+    with pytest.raises(InvalidInterval, match="^invalid grid domain "):
+        discretize(uniform_density(0.0, 1.0), 10, domain=domain)
+
+
+def test_uniform_density_refuses_ends_that_are_not_finite_reals():
+    # "a" used to escape as TypeError from the comparison
+    for lo, hi in (("a", 1.0), (0.0, math.inf), (0.0, None)):
+        with pytest.raises(InvalidInterval, match="^need finite lo < hi"):
+            uniform_density(lo, hi)

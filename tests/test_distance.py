@@ -313,3 +313,13 @@ def test_config_keeps_integral_levels_as_ints(kwargs):
 def test_config_rejects_non_integral_levels(kwargs):
     with pytest.raises(InvalidConfig):
         DistanceConfig(s=0.5, **kwargs)
+
+
+@pytest.mark.parametrize("weights", [{"C0": np.array([1.0, 2.0])}, {"C1": np.array([1.0, 2.0])},
+                                     {"C0": "0"}, {"C1": None}])
+def test_original_refuses_weights_that_are_not_real(weights):
+    # the arrays used to escape as numpy's ambiguous-truth ValueError
+    with pytest.raises(InvalidConfig, match="^original formulation fixes C0 = 0 and C1 = 1$"):
+        DistanceConfig(s=0.5, j0=-3, M=8, formulation="original", **weights)
+    # "new" ignores the weights, as before
+    DistanceConfig(s=0.5, j0=-3, M=8, **weights)

@@ -519,3 +519,10 @@ def test_read_wlot_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
         read_wlot(path)
     path.write_bytes(GOOD_WLOT.replace("\n", "\r\n").encode())
     assert to_text(read_wlot(path)) == GOOD_WLOT
+
+
+@pytest.mark.parametrize("levels", [None, 5])
+def test_vector_refuses_levels_that_are_not_a_sequence(levels):
+    # these used to escape as TypeError from tuple()
+    with pytest.raises(ShapeMismatch, match=f"^levels must be a sequence of 13 levels, got {levels}$"):
+        WlotVector(wavelet="db10", j0=-6, M=13, levels=levels)

@@ -5,7 +5,8 @@ import pytest
 
 from helpers import CodedError
 from waveot import densities, simulate
-from waveot.densities import _MAX_SAMPLE_POINTS
+from waveot.densities import (_MAX_SAMPLE_POINTS, bump_density, dilate, sample_for_dwt,
+                              translate, uniform_density)
 from waveot.distance import DistanceConfig, distance_original
 from waveot.errors import DegenerateFit, InvalidConfig, InvalidExponent, UnknownWavelet
 from waveot.simulate import (CSV_HEADER, FAMILIES, SimulationRow, SimulationSpec,
@@ -223,3 +224,47 @@ def test_run_simulation_error_context(monkeypatch):
     assert exc.value is err and exc.value.args == (7, "solver state")
     if hasattr(err, "add_note"):  # Python 3.11+
         assert err.__notes__ == [context]
+
+
+def test_spec_refuses_a_cfg_that_is_not_a_distance_config():
+    # these used to escape as TypeError from dataclasses.replace
+    for cfg in (None, "x"):
+        with pytest.raises(InvalidConfig, match="cfg must be a DistanceConfig"):
+            SimulationSpec(family="bump_dilate", cfg=cfg)
+
+
+def test_csv_header_is_pinned():
+    assert CSV_HEADER == ("family,formulation,wavelet,s,j0,M,param,"
+                          "wavelet_value,exact_value,norm_constant,normalized_value")
+
+
+def test_emit_csv_formats_each_column(tmp_path):
+    # the widest grid a config allows, and values that need all twelve
+    # significant digits or an exponent
+    row = SimulationRow(family="bump_dilate", formulation="alternative", wavelet="DB10",
+                        s=0.25, j0=-1023, M=2097, param=0.1 + 0.2, wavelet_value=1.0 / 3.0,
+                        exact_value=1.2345678901234e-20, norm_constant=123456789012345.0,
+                        normalized_value=-2.5)
+    path = tmp_path / "row.csv"
+    emit_csv([row, make_row(1.5, 2.0 / 3.0, 6.02214076e23)], path)
+    assert path.read_text().split("\n")[1:] == [
+        "bump_dilate,alternative,DB10,0.25,-1023,2097,0.3,0.333333333333,"
+        "1.23456789012e-20,1.23456789012e+14,-2.5",
+        "uniform_translate,new,db10,1,-8,14,1.5,0.666666666667,6.02214076e+23,0,0",
+        ""]
+
+
+@pytest.mark.parametrize("family, explicit", [
+    ("uniform_translate", lambda t: translate(uniform_density(0.0, 1.0), t)),
+    ("uniform_dilate", lambda t: dilate(uniform_density(1.0, 2.0), t, 1.5)),
+    ("bump_translate", lambda t: translate(bump_density(0.5, 0.5), t)),
+    ("bump_dilate", lambda t: dilate(bump_density(1.5, 0.5), t, 1.5)),
+])
+def test_family_transforms_are_the_paper_sweeps(family, explicit):
+    # each family translates or dilates its base about the base's centre
+    _, transform, (lo, hi) = FAMILIES[family]
+    for t in (lo, hi):
+        got, want = transform(t), explicit(t)
+        assert got.support == want.support
+        a, b = sample_for_dwt(got, -2, 10), sample_for_dwt(want, -2, 10)
+        assert a.offset == b.offset and a.values.tobytes() == b.values.tobytes()

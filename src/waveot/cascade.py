@@ -76,11 +76,14 @@ def _two_scale(phi, filt, shift, first, out, _stride=2):
     through strided slices.  With the default stride phi is on a grid of
     spacing 1/shift and out is every other point of it; with stride 1
     phi is the grid of half out's resolution, whose points are the even
-    points of out's grid.  out arrives zeroed and is filled _BLOCK_POINTS
-    entries at a time, so the only temporary is one block of one term;
-    out is returned."""
-    for b0 in range(0, len(out), _BLOCK_POINTS):
-        block = out[b0: b0 + _BLOCK_POINTS]
+    points of out's grid.  out is filled _BLOCK_POINTS entries at a time,
+    from the last block down, each summed in one reused buffer before it
+    is written, so out may start where phi does: block [b0, b1) reads phi
+    only below b1, which no block has written yet.  out is returned."""
+    buf = np.empty(min(len(out), _BLOCK_POINTS))
+    for b0 in reversed(range(0, len(out), _BLOCK_POINTS)):
+        block = buf[: len(out[b0: b0 + _BLOCK_POINTS])]
+        block.fill(0.0)
         for k, c in enumerate(filt):
             start = first + _stride * b0 - k * shift  # index into phi of block[0]
             lo = max(0, -(start // _stride))
@@ -89,24 +92,20 @@ def _two_scale(phi, filt, shift, first, out, _stride=2):
                 block[lo:hi] += c * phi[start + _stride * lo:
                                         start + _stride * (hi - 1) + 1: _stride]
         block *= math.sqrt(2.0)
+        out[b0: b0 + len(block)] = block
     return out
 
 
-def _refine(phi, g, d):
-    """The depth-(d+1) scaling grid from the depth-d grid phi: the old grid
-    holds the even points of the new one, and the point m/2^(d+1) at odd m
-    reads phi at indices m - k*2^d of the old grid."""
-    new = np.zeros(2 * len(phi) - 1)
-    new[::2] = phi
-    _two_scale(phi, g, 2 ** d, 1, new[1::2])
-    return new
-
-
-def _wavelet(half, h, depth):
-    """psi on the depth grid from phi on the depth - 1 grid, half: psi at
-    i/2^depth reads phi at 2i - k*2^depth of the depth grid, which is
-    half[i - k*2^(depth-1)], so the finest phi grid is never built."""
-    return _two_scale(half, h, 2 ** (depth - 1), 0, np.zeros(2 * len(half) - 1), _stride=1)
+def _wavelet(grid, h, depth):
+    """psi on the depth grid, in place over phi on it: psi at i/2^depth
+    reads phi at 2i - k*2^depth, the even points, which is the depth - 1
+    grid.  Those move to the front, one block at a time, and psi is built
+    over them."""
+    half = (len(grid) + 1) // 2
+    for b0 in range(0, half, _BLOCK_POINTS):
+        b1 = min(b0 + _BLOCK_POINTS, half)
+        grid[b0: b1] = grid[2 * b0: 2 * b1: 2]
+    return _two_scale(grid[:half], h, 2 ** (depth - 1), 0, grid, _stride=1)
 
 
 def cascade_evaluate(system: WaveletSystem, which: str,
@@ -125,25 +124,27 @@ def cascade_evaluate(system: WaveletSystem, which: str,
     L = len(g)
     width = L - 1
     # the final grid holds width * 2^depth + 1 points; the first test
-    # keeps the power from being formed for absurd depths.  Each step fills
-    # its new points in place, and the wavelet is read from the scaling
-    # grid one level coarser, so by tracemalloc both functions peak at
-    # 12.4 bytes a final point (a grid and the one of half its
-    # resolution), db20 at depth 13: the budget admits about 420 MB
+    # keeps the power from being formed for absurd depths.  The depth-d
+    # grid is every 2^(depth-d)-th point of it, so each step fills its
+    # midpoints in place, and the wavelet is built over the scaling grid
+    # one level coarser: by tracemalloc both functions hold the grid and
+    # two blocks, 8.8 bytes a final point for db20 at depth 13 (8.1 at
+    # depth 16), so the budget admits about 270 MB
     if (refinement_depth > _MAX_SAMPLE_POINTS.bit_length()
             or width * 2 ** refinement_depth + 1 > _MAX_SAMPLE_POINTS):
         raise InvalidLevels(
             f"refinement_depth {refinement_depth} needs more than the "
             f"sampling budget of {_MAX_SAMPLE_POINTS} points for a "
             f"length-{L} filter")
-    phi = _integer_values(system)
+    grid = np.zeros(width * 2 ** refinement_depth + 1)
+    grid[:: 2 ** refinement_depth] = _integer_values(system)
     wavelet = which == "wavelet"
     for d in range(refinement_depth - wavelet):
-        phi = _refine(phi, g, d)
+        step = 2 ** (refinement_depth - d)
+        _two_scale(grid[::step], g, 2 ** d, 1, grid[step // 2:: step])
     if wavelet:
-        phi = _wavelet(phi, system.h, refinement_depth)
-
-    return SampledDensity(offset=0, spacing=2.0 ** (-refinement_depth), values=phi)
+        _wavelet(grid, system.h, refinement_depth)
+    return SampledDensity(offset=0, spacing=2.0 ** (-refinement_depth), values=grid)
 
 
 @dataclass(frozen=True)
@@ -174,30 +175,42 @@ def _golden_min(f, a, b, tol=1e-8):
     return 0.5 * (a + b)
 
 
-def _centered_moment_inf(spacing, weighted, s):
-    """inf over r of sum |x - r|^s * weighted(x) over the grid x = i *
-    spacing, with weighted already carrying the quadrature weights;
-    located by a candidate scan plus golden-section refinement.
+def _weighted_sum(values, spacing, term):
+    """The trapezoid rule for the integral of term(x) |f(x)| over the grid
+    x = i * spacing of the values f, where term maps an array of grid
+    points to their factors (>= 0) and may overwrite it.  The weights are
+    applied one _BLOCK_POINTS block at a time, ends halved, and the block
+    sums are added with math.fsum, so no array of the grid's size is made
+    and the value hardly depends on the block size; the spacing, a power
+    of two, scales the sum to the same bits as it would each term."""
+    n = len(values)
+    sums = []
+    for b0 in range(0, n, _BLOCK_POINTS):
+        y = term(np.arange(b0, min(b0 + _BLOCK_POINTS, n), dtype=float) * spacing)
+        y *= values[b0: b0 + len(y)]
+        np.abs(y, out=y)
+        if b0 == 0:
+            y[0] *= 0.5
+        if b0 + len(y) == n:
+            y[-1] *= 0.5
+        sums.append(float(np.sum(y)))
+    return spacing * math.fsum(sums)
+
+
+def _centered_moment_inf(spacing, values, s):
+    """inf over r of the trapezoid integral of |x - r|^s |f(x)| over the
+    grid x = i * spacing of the values f; located by a candidate scan plus
+    golden-section refinement.
 
     The scan evaluates candidates against the coarse grid in blocks of at
     most _SCAN_BLOCK entries (a single candidate row when one row is
-    longer), so its working set is one block, not the full
-    candidate-by-grid matrix.  Each objective call forms the grid points,
-    their |x - r|^s and its weighting in place, one _BLOCK_POINTS block at
-    a time, and adds the block sums with math.fsum, so no array of the
-    grid's size is made and the value hardly depends on the block size."""
-    n = len(weighted)
-
-    def block_sum(b0, r):
-        w = weighted[b0: b0 + _BLOCK_POINTS]
-        y = np.arange(b0, b0 + len(w)) * spacing
-        y -= r
-        abs_power(y, s)
-        y *= w
-        return float(np.sum(y))
+    longer), written into one reused array, so its working set is one
+    block, not the full candidate-by-grid matrix.  Each objective call
+    goes through _weighted_sum, one _BLOCK_POINTS block at a time."""
+    n = len(values)
 
     def objective(r):
-        return math.fsum(block_sum(b0, r) for b0 in range(0, n, _BLOCK_POINTS))
+        return _weighted_sum(values, spacing, lambda y: abs_power(np.subtract(y, r, out=y), s))
 
     candidates = np.linspace(0.0, (n - 1) * spacing, _R_CANDIDATES)
     step = candidates[1] - candidates[0]
@@ -206,48 +219,38 @@ def _centered_moment_inf(spacing, weighted, s):
     # winner against the full-resolution objective
     stride = max(1, n // 4096)
     coarse_grid = np.arange(0, n, stride) * spacing
-    coarse_w = weighted[::stride] * stride
+    coarse_w = np.abs(values[::stride]) * (stride * spacing)
+    # both ends are on the decimated grid: at depth 12, n - 1 = (L - 1) 2^12
+    # and the stride n // 4096 is L - 1
+    coarse_w[[0, -1]] *= 0.5
     best_val = np.inf
     best_r = candidates[0]
     rows = max(1, _SCAN_BLOCK // len(coarse_grid))
+    block = np.empty((min(rows, len(candidates)), len(coarse_grid)))
     for start in range(0, len(candidates), rows):
         rs = candidates[start: start + rows]
-        vals = abs_power(coarse_grid[None, :] - rs[:, None], s) @ coarse_w
+        vals = abs_power(np.subtract(coarse_grid, rs[:, None], out=block[:len(rs)]), s) @ coarse_w
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = float(vals[i])
             best_r = float(rs[i])
+    del block  # freed before the objective makes its blocks
     r = _golden_min(objective, best_r - 2 * step, best_r + 2 * step)
     return min(objective(r), objective(best_r))
-
-
-def _weighted_abs(values, spacing):
-    """|values| times the trapezoid weights of the given spacing, in place
-    over values.  The spacing and the end weight 1/2 are powers of two, so
-    every product is exact."""
-    np.abs(values, out=values)
-    values *= spacing
-    values[[0, -1]] *= 0.5
-    return values
 
 
 def estimate_constants(system: WaveletSystem, s: float) -> HolderConstants:
     """Numerically estimate a11, a12 (centered-moment infima) and a13
     (reciprocal L1 norm) for the given wavelet system and 0 < s <= 1, on
-    the dyadic grid of depth DEFAULT_CASCADE_DEPTH.  phi and psi both come
-    from the scaling grid one level coarser, which is kept until psi is
-    built; the weighted |phi| and |psi| overwrite the function values and
-    the searches work in blocks, so the peak is one and a half grids plus
-    a scan block: 2.4 MiB by tracemalloc for db20."""
+    the dyadic grid of depth DEFAULT_CASCADE_DEPTH.  The trapezoid weights
+    are applied block by block as the sums are formed, and psi is built
+    in place over phi once phi's constants are taken, so the peak is one
+    grid plus a scan block: 1.8 MiB by tracemalloc for db20."""
     check_exponent(s)
     depth = DEFAULT_CASCADE_DEPTH
-    half = cascade_evaluate(system, "scaling", depth - 1).values
+    grid = cascade_evaluate(system, "scaling", depth).values
     spacing = 2.0 ** -depth
-    weighted = _weighted_abs(_refine(half, system.g, depth - 1), spacing)
-    l1_phi = float(np.sum(weighted))
-    inf_phi = _centered_moment_inf(spacing, weighted, s)
-    del weighted  # release phi before psi is built
-    psi = _wavelet(half, system.h, depth)
-    del half
-    inf_psi = _centered_moment_inf(spacing, _weighted_abs(psi, spacing), s)
+    l1_phi = _weighted_sum(grid, spacing, np.ones_like)
+    inf_phi = _centered_moment_inf(spacing, grid, s)
+    inf_psi = _centered_moment_inf(spacing, _wavelet(grid, system.h, depth), s)
     return HolderConstants(a11=1.0 / inf_phi, a12=1.0 / inf_psi, a13=1.0 / l1_phi)

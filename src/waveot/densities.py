@@ -8,6 +8,7 @@ rule on 2^18 equal cells of the support, refined around jumps.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +209,9 @@ def bump_density(center: float, half_width: float) -> Density:
     profile's mass by the same midpoint rule the Density constructor uses,
     never a hard-coded literal.
     """
-    if half_width <= 0:
+    if not isinstance(center, numbers.Real):
+        raise InvalidInterval(f"center must be a real number, got {center}")
+    if not (isinstance(half_width, numbers.Real) and half_width > 0):
         raise InvalidInterval(f"half_width must be positive, got {half_width}")
     scale = 1.0 / (half_width * _BUMP_BASE_MASS)
 
@@ -224,6 +227,8 @@ def translate(d: Density, a: float) -> Density:
     """Shift a density by a.  The new evaluator composes d's, so a chain
     of transforms is masked by its own support only, and only on blocks
     of points that reach outside it."""
+    if not isinstance(a, numbers.Real):
+        raise InvalidInterval(f"shift must be a real number, got {a}")
     lo, hi = d.support
     inner = d.evaluator
 
@@ -235,8 +240,10 @@ def translate(d: Density, a: float) -> Density:
 
 def dilate(d: Density, b: float, about: float) -> Density:
     """Dilate a density by factor b > 0 about a point, preserving mass."""
-    if b <= 0:
+    if not (isinstance(b, numbers.Real) and b > 0):
         raise InvalidInterval(f"dilation factor must be positive, got {b}")
+    if not isinstance(about, numbers.Real):
+        raise InvalidInterval(f"dilation centre must be a real number, got {about}")
     lo, hi = d.support
     inner = d.evaluator
 

@@ -106,12 +106,11 @@ def test_refinement_depth_budget_checked_before_allocating(monkeypatch):
 
 def test_refinement_memory_per_grid_point():
     # the budget is counted in points, so the bytes held per point bound
-    # what it admits.  Each two-scale step fills its output in place, one
-    # block at a time, and psi is read from the scaling grid one level
-    # coarser: the scaling function holds the old and the new grid, the
-    # wavelet the half grid and psi, 12.4 bytes a point each by tracemalloc
-    # (14 with a half-grid result and its temporary; 16.4 for a psi read
-    # from the full phi grid)
+    # what it admits.  Both functions are refined in one final-size grid,
+    # each step writing its midpoints in place, and psi is built over the
+    # scaling grid one level coarser in that same grid, so each holds one
+    # grid plus two 2^14-point blocks: 8.8 bytes a point by tracemalloc
+    # (12.4 with a new grid each step, or a separate half grid for psi)
     db20 = build_wavelet_system("db20")
     for which in ("scaling", "wavelet"):
         tracemalloc.start()
@@ -120,7 +119,7 @@ def test_refinement_memory_per_grid_point():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14 * len(values), which
+        assert peak < 9 * len(values), which
         del values
 
 
@@ -227,13 +226,12 @@ def test_grid_search_matches_midpoint_objective_for_haar():
 
 
 def test_constants_scan_memory_bounded():
-    # the candidate scan works in cache-sized blocks, the weighted |phi|
-    # and |psi| are built in place, each objective forms its grid and
-    # values one _BLOCK_POINTS block at a time, and phi and psi are both
-    # read from the half grid, so the peak is one and a half grids (db20:
-    # 159,745 points, 1.2 MiB a grid) plus a scan block, 2.4 MiB by
-    # tracemalloc; 3.0 MiB with phi and psi held together, 4.9 MiB with
-    # the grid and a grid-sized objective array
+    # the trapezoid weights are applied block by block as each sum is
+    # formed, psi is built in place over phi, and the candidate scan
+    # writes its cache-sized blocks into one reused array, so the peak is
+    # one grid (db20: 159,745 points, 1.2 MiB) plus a scan block (0.5 MiB),
+    # 1.8 MiB by tracemalloc; 2.4 MiB with a weighted copy and the half
+    # grid kept for psi, 3.0 MiB with phi and psi held together
     db20 = build_wavelet_system("db20")
     tracemalloc.start()
     try:
@@ -241,7 +239,7 @@ def test_constants_scan_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.75 * 2 ** 20
+    assert peak < 2.0 * 2 ** 20
 
 
 @pytest.mark.parametrize("block", [4097, 1 << 20])

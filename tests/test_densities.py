@@ -515,3 +515,19 @@ def test_uniform_density_refuses_ends_that_are_not_finite_reals():
     for lo, hi in (("a", 1.0), (0.0, math.inf), (0.0, None)):
         with pytest.raises(InvalidInterval, match="^need finite lo < hi"):
             uniform_density(lo, hi)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda u: translate(u, "x"), "^shift must be a real number"),
+    (lambda u: translate(u, None), "^shift must be a real number"),
+    (lambda u: dilate(u, "x", 0.5), "^dilation factor must be positive"),
+    (lambda u: dilate(u, 1j, 0.5), "^dilation factor must be positive"),
+    (lambda u: dilate(u, 2.0, "x"), "^dilation centre must be a real number"),
+    (lambda u: bump_density("x", 0.5), "^center must be a real number"),
+    (lambda u: bump_density(0.5, "x"), "^half_width must be positive"),
+], ids=["translate-str", "translate-none", "dilate-factor-str", "dilate-factor-complex",
+        "dilate-about-str", "bump-center-str", "bump-width-str"])
+def test_transforms_refuse_arguments_that_are_not_reals(make, message):
+    # each used to escape as TypeError from the support arithmetic
+    with pytest.raises(InvalidInterval, match=message):
+        make(uniform_density(0.0, 1.0))

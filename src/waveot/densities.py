@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainOverflow, InvalidGrid, InvalidInterval, UnbalancedMarginals,
-                     checked_int, checked_interval)
+                     checked_int, checked_interval, checked_reals)
 
 __all__ = [
     "Density", "SampledDensity", "DiscreteMeasure",
@@ -95,9 +95,10 @@ class Density:
     outside the support; the mask runs only when the points reach
     outside it.
     Construction fails if the support is not a pair of finite real
-    numbers lo < hi, if the evaluator is negative at a point of the mass
-    check, or if the mass, by the refined midpoint rule of _mass,
-    deviates from 1 by more than 1e-8.
+    numbers lo < hi, which is stored as the tuple (lo, hi), if the
+    evaluator returns neither one value nor one value per point or is
+    negative at a point of the mass check, or if the mass, by the refined
+    midpoint rule of _mass, deviates from 1 by more than 1e-8.
     An integrable singularity at a support end far from 0 can fail it:
     0.5 / sqrt(x - 1000) on (1000, 1001) measures 5.8e-7 short, as _mass
     splits no cell below a few float spacings (1.1e-13 there).
@@ -109,6 +110,7 @@ class Density:
     def __post_init__(self):
         lo, hi = checked_interval(self.support, InvalidInterval,
                                   f"support must be finite with lo < hi, got {self.support}")
+        object.__setattr__(self, "support", (lo, hi))  # so hash and == work on any pair
         mass = _mass(self, lo, hi)
         if not abs(mass - 1.0) <= _MASS_TOL:
             raise InvalidInterval(
@@ -127,8 +129,12 @@ class Density:
         if np.shape(out) != arr.shape:  # the mask also broadcasts one value for all
             inside = (arr >= lo) & (arr < hi)
             out = np.zeros_like(arr)
-            if np.any(inside):
-                out[inside] = self.evaluator(arr[inside])
+            if count := int(np.count_nonzero(inside)):
+                values = self.evaluator(arr[inside])
+                if np.shape(values) not in ((), (1,), (count,)):
+                    raise InvalidInterval(f"the evaluator returned shape {np.shape(values)} "
+                                          f"for {count} points, not one value or one per point")
+                out[inside] = values
         out = np.asarray(out, dtype=float)
         return out[0] if np.ndim(x) == 0 else out
 
@@ -157,8 +163,8 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        pos = checked_reals(self.positions, InvalidGrid, "positions must be real numbers")
+        w = checked_reals(self.weights, UnbalancedMarginals, "weights must be real numbers")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
         if pos.ndim != 1 or pos.shape != w.shape or pos.size == 0:

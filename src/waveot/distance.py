@@ -17,27 +17,32 @@ differences of the two transforms,
                  [0, 3] to the power s), and any finite C1 > 0.
 
 The transform is linear, so this equals, to rounding, the norm of the
-transform of the sampled difference.  sample_for_dwt samples each density
-on the grid cells meeting its support and trims the window to its first and
-last nonzero cell (the translation offset carried along), and a level
-difference has cells only where one of the two levels has coefficients,
-never for the gap between them.  So memory and work follow the two
-supports, not the 2^M cells of the domain or the distance between the
-supports: u uniform on [0, 1] against its translate by 2040 at j0 = -11 and
-M = 22 peaks at 0.7 MiB by tracemalloc.
+transform of the sampled difference.  One routine, _pairwise, forms every
+level difference and weighted sum in the package: wavelet_distance and
+embedding.wlot_distance call it on one pair, distance_matrix on each pair,
+and embedding.wlot_distance_matrix once on all of its embeddings.
+sample_for_dwt samples each density on the grid cells meeting its support
+and trims the window to its first and last nonzero cell (the translation
+offset carried along), and _pairwise lays a level out only over the
+translations where some row has coefficients, never over the gap between
+them.  So memory and work follow the two supports, not the 2^M cells of
+the domain or the distance between the supports: u uniform on [0, 1]
+against its translate by 2040 at j0 = -11 and M = 22 peaks at 0.4 MiB by
+tracemalloc.
 Edge coefficients produced by the zero extension are genuine coefficients
 of the extended signal and are always included in the sums.
 """
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import _MIN_J0, Density, sample_for_dwt
+from .densities import _BLOCK_POINTS, _MIN_J0, Density, sample_for_dwt
 from .dwt import dwt_decompose
-from .errors import InvalidConfig, add_context, check_exponent, checked_int
+from .errors import InvalidConfig, InvalidGrid, add_context, check_exponent, checked_int
 from .filters import build_wavelet_system
 
 __all__ = ["DistanceConfig", "distance_new", "distance_original",
@@ -51,6 +56,12 @@ _C0_DIAMETER = 3.0
 # the grid spacing 2^-(j0+M) must be a nonzero double (the smallest
 # subnormal); densities._MIN_J0 keeps the domain length 2^-j0 finite
 _MAX_SAMPLING_LEVEL = 1074
+# most float cells one call covers: the N x N result of distance_matrix or
+# wlot_distance_matrix; the N x K coefficient cells of wlot_distance_matrix,
+# which _pairwise takes a block at a time but differences each against up
+# to N - 1 rows, so this bounds its work; or the trimmed level arrays of a
+# WlotVector.  Every vector embed can sample spans far fewer
+_MAX_CELLS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -101,18 +112,6 @@ class DistanceConfig:
                 f"got C0 = {self.C0}, C1 = {self.C1}")
 
 
-def _level_weight(j: int, s: float) -> float:
-    return 2.0 ** (-j * (s + 0.5))
-
-
-def _weighted_l1(j0, details, s, c1=1.0, total=0.0):
-    """total + sum_i c1 2^(-j(s+1/2)) sum |details[i]| with j = j0 + i,
-    added level by level from the coarsest."""
-    for j, d in enumerate(details, start=j0):
-        total += c1 * _level_weight(j, s) * float(np.sum(np.abs(d)))
-    return total
-
-
 def _coefficients(p: Density, cfg: DistanceConfig, num_levels):
     """The (offset, array) pairs of p's own transform over num_levels
     levels below the sampling level j0 + M: the approximation, then the
@@ -122,20 +121,6 @@ def _coefficients(p: Density, cfg: DistanceConfig, num_levels):
     pyr = dwt_decompose(sp.values, build_wavelet_system(cfg.wavelet), num_levels,
                         mode="zero", j_in=cfg.j0 + cfg.M, k_offset=sp.offset)
     return [(pyr.approx_offset, pyr.approx), *zip(pyr.detail_offsets, pyr.details)]
-
-
-def _level_difference(ou, a, ov, b):
-    """The coefficients of a - b, up to sign, for one level where a starts
-    at translation ou and b at ov: their difference where the two arrays
-    overlap and each array alone elsewhere, with no cell for a gap between
-    them.  The arrays are taken in the order of their offsets, so cells
-    come in translation order and swapping the arguments at most negates
-    the result: its l1 norm is exactly symmetric."""
-    if ov < ou:
-        ou, a, ov, b = ov, b, ou, a
-    hi = max(ov, min(ou + len(a), ov + len(b)))
-    return np.concatenate([a[:ov - ou], a[ov - ou:hi - ou] - b[:hi - ov],
-                           a[hi - ou:], b[hi - ov:]])
 
 
 def distance_new(p: Density, q: Density, cfg: DistanceConfig) -> float:
@@ -156,30 +141,99 @@ def distance_original(p: Density, q: Density, cfg: DistanceConfig) -> float:
 
 
 def _levels_and_weights(cfg: DistanceConfig):
-    """The number of levels each density's transform takes, and the
-    weights c0 of the approximation and c1 of the details."""
+    """The number of levels each density's transform takes, and one weight
+    for each of its _coefficients' levels: c0 for the approximation, then
+    c1 2^(-j(s+1/2)) for the details at j, from the coarsest."""
     if cfg.formulation == "new":
-        return cfg.M, 0.0, 1.0
-    c0 = cfg.C0
-    if c0 is None:
-        c0 = 0.0 if cfg.formulation == "original" else math.pow(_C0_DIAMETER, cfg.s)
-    return cfg.j0 + cfg.M, c0, cfg.C1
+        levels, c0, c1 = cfg.M, 0.0, 1.0
+    else:
+        c0 = cfg.C0
+        if c0 is None:
+            c0 = 0.0 if cfg.formulation == "original" else math.pow(_C0_DIAMETER, cfg.s)
+        levels, c1 = cfg.j0 + cfg.M, cfg.C1
+    j0 = cfg.j0 + cfg.M - levels
+    return levels, [c0] + [c1 * 2.0 ** (-j * (cfg.s + 0.5)) for j in range(j0, j0 + levels)]
 
 
-def _coefficient_distance(cu, cv, cfg: DistanceConfig):
-    """wavelet_distance from the two densities' _coefficients."""
-    levels, c0, c1 = _levels_and_weights(cfg)
-    # one level difference at a time: the approximation, then the details
-    diffs = (_level_difference(ou, a, ov, b) for (ou, a), (ov, b) in zip(cu, cv))
-    return _weighted_l1(cfg.j0 + cfg.M - levels, diffs, cfg.s, c1,
-                        total=c0 * float(np.sum(np.abs(next(diffs)))))
+def _layout(level):
+    """Columns of one level's (offset, array) pairs laid side by side
+    over the union of their windows, gaps left out: the column of each
+    array's first element (None for an empty array) and the width."""
+    spans = sorted((o, o + len(a), n) for n, (o, a) in enumerate(level) if len(a))
+    columns, width = [None] * len(level), 0
+    start = end = spans[0][0] if spans else 0
+    for offset, stop, n in spans:
+        if offset > end:  # a gap: close the segment [start, end)
+            width, start = width + end - start, offset
+        end = max(end, stop)
+        columns[n] = width + offset - start
+    return columns, width + end - start
+
+
+def _pairwise(rows, weights, budget=math.inf):
+    """The N x N matrix of sum_i weights[i] sum |u_i - v_i| over the pairs
+    (u, v) of the N rows, each a sequence of one (offset, array) pair per
+    weight: array[t] is the coefficient at translation offset + t, and
+    every coefficient outside it is zero.
+
+    The K translations any row covers, level after level, gaps between
+    windows left out, are taken max(1, _BLOCK_POINTS // N) columns at a
+    time into one reused N-row block, and the absolute differences of the
+    pairs (r, r + d), one d at a time, into a second; each pair gains
+    their product with the block's weights, in both triangles.  So the
+    N x K coefficient matrix is never laid out, and beyond the rows, the
+    K weights and the result the working set is two blocks of about
+    _BLOCK_POINTS cells.  The result is exactly symmetric with a zero
+    diagonal, and more than budget cells of N x K are refused before any
+    is filled.
+    """
+    n = len(rows)
+    layouts = [_layout([row[i] for row in rows]) for i in range(len(weights))]
+    widths = [width for _, width in layouts]
+    starts, K = np.cumsum([0] + widths).tolist(), sum(widths)
+    if n * K > budget:
+        raise InvalidGrid(
+            f"{n} measures over {K} translations exceed the budget of {budget} "
+            "cells; use fewer measures")
+    weights = np.repeat(weights, widths)
+    out = np.zeros((n, n))
+    # out[r, r + d] is flat[r * (n + 1) + d], and out[r + d, r] is flat[d * n + r * (n + 1)]
+    flat = out.reshape(-1)
+    cols = max(1, min(K, _BLOCK_POINTS // max(n, 1)))  # columns at a time
+    block, buf = np.empty((n, cols)), np.empty((max(n - 1, 0), cols))
+    for c0 in range(0, K, cols):
+        c1 = min(c0 + cols, K)
+        cells = block[:, :c1 - c0]
+        cells.fill(0.0)
+        # the levels reaching into [c0, c1), the first where starts[i + 1] > c0
+        for i in range(bisect.bisect_right(starts, c0) - 1, bisect.bisect_left(starts, c1)):
+            for cell_row, row, col in zip(cells, rows, layouts[i][0]):
+                if col is not None:
+                    lo, values = starts[i] + col, row[i][1]
+                    a, b = max(lo, c0), min(lo + len(values), c1)
+                    if a < b:
+                        cell_row[a - c0: b - c0] = values[a - lo: b - lo]
+        for d in range(1, n):  # the pairs (r, r + d), every r at once
+            diffs = np.subtract(cells[d:], cells[:-d], out=buf[:n - d, :c1 - c0])
+            sums = np.abs(diffs, out=diffs) @ weights[c0:c1]
+            flat[d::n + 1][:n - d] += sums
+            flat[d * n::n + 1] += sums
+    return out
+
+
+def _matrix_size(ps, budget):
+    """len(ps), refused with InvalidGrid when N x N exceeds budget cells."""
+    if (n := len(ps)) * n > budget:
+        raise InvalidGrid(f"{n} measures need {n * n} matrix cells, more than the budget "
+                          f"of {budget}; use fewer measures")
+    return n
 
 
 def wavelet_distance(p: Density, q: Density, cfg: DistanceConfig) -> float:
     """The distance under the formulation selected by the config."""
-    levels = _levels_and_weights(cfg)[0]
-    return _coefficient_distance(_coefficients(p, cfg, levels),
-                                 _coefficients(q, cfg, levels), cfg)
+    levels, weights = _levels_and_weights(cfg)
+    rows = [_coefficients(p, cfg, levels), _coefficients(q, cfg, levels)]
+    return float(_pairwise(rows, weights)[0, 1])
 
 
 def distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
@@ -187,10 +241,11 @@ def distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
     formulation, each entry equal to wavelet_distance bit for bit.  Each
     density is transformed once, at its first pair, and its coefficients
     are kept until its row is done; per-pair failures are re-raised with
-    the pair attached."""
-    n = len(ps)
+    the pair attached.  More than _MAX_CELLS cells of N x N are refused
+    before the first transform."""
+    n = _matrix_size(ps, _MAX_CELLS)
     out = np.zeros((n, n))
-    levels = _levels_and_weights(cfg)[0]
+    levels, weights = _levels_and_weights(cfg)
     coeffs = [None] * n
     for i in range(n):
         for j in range(i + 1, n):
@@ -198,6 +253,6 @@ def distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
                 for k in (i, j):
                     if coeffs[k] is None:
                         coeffs[k] = _coefficients(ps[k], cfg, levels)
-                out[i, j] = out[j, i] = _coefficient_distance(coeffs[i], coeffs[j], cfg)
+                out[i, j] = out[j, i] = _pairwise([coeffs[i], coeffs[j]], weights)[0, 1]
         coeffs[i] = None
     return out

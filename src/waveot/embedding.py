@@ -5,12 +5,13 @@ through j0 + M - 1, stored as one (offset, array) pair per level: the
 array holds the coefficients of consecutive translations, the offset is
 the absolute translation of its first element.  These are the detail
 levels the distance module's coefficient path gives the density, each
-trimmed to its nonzero span, and wlot_distance takes the same per-level
-differences and weighted l1 sum as wavelet_distance.  So the metric on
-these vectors reproduces the "new" wavelet distance (to rounding, as the
-trimmed arrays are summed in another grouping), and all pairwise
-distances among N measures cost N transforms instead of two for each of
-the N(N-1)/2 pairs.
+trimmed to its nonzero span.  wlot_distance and wlot_distance_matrix hand
+them to distance._pairwise, the one routine that forms wavelet_distance's
+level differences and weighted l1 sum.  So the metric on these vectors
+reproduces the "new" wavelet distance (to rounding, as the approximation
+level is left out and the sums are grouped in other blocks), and all
+pairwise distances among N measures cost N transforms instead of two for
+each of the N(N-1)/2 pairs.
 
 Vectors serialize to a line-based text format: a header line
 ``wlot <wavelet> <j0> <M>`` followed by ``j k value`` triples of the
@@ -18,7 +19,6 @@ nonzero coefficients, sorted by level and translation, with
 17-significant-digit values (bit-exact round trips for finite doubles).
 """
 
-import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,23 +29,16 @@ import numpy as np
 
 # embed reaches sample_for_dwt and dwt_decompose through _coefficients, but
 # both stay importable here: perfbench/tracer.py wraps this import site
-from .densities import _BLOCK_POINTS, Density, _nonzero_span, sample_for_dwt
-from .distance import (DistanceConfig, _coefficients, _level_difference, _level_weight,
-                       _weighted_l1)
+from .densities import Density, _nonzero_span, sample_for_dwt
+from .distance import (_MAX_CELLS, DistanceConfig, _coefficients, _levels_and_weights,
+                       _matrix_size, _pairwise)
 from .dwt import _zero_chain, dwt_decompose
 from .errors import (ConfigMismatch, InvalidConfig, InvalidGrid, MalformedWlot, ShapeMismatch,
-                     UnknownWavelet, add_context, check_exponent, checked_int)
+                     UnknownWavelet, add_context, checked_int, checked_reals)
 from .filters import build_wavelet_system
 
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
            "prune", "write_wlot", "read_wlot", "to_text", "from_text"]
-
-# most float cells one call covers: the N x K coefficient cells of
-# wlot_distance_matrix, which it takes a block at a time but differences
-# each against up to N - 1 rows, so this bounds its work; or the trimmed
-# level arrays of a WlotVector.  Every vector embed can sample spans far fewer
-_MAX_CELLS = 1 << 23
-
 
 @lru_cache(maxsize=64)
 def _cached_grid(wavelet, j0, M):
@@ -103,12 +96,10 @@ class WlotVector:
         for j, level in enumerate(levels, start=j0):
             try:
                 offset, values = level
-                values = np.asarray(values)
             except (TypeError, ValueError):
-                values = None
-            if values is None or values.dtype.kind not in "biuf":  # no str, complex or object
-                raise ShapeMismatch(f"level {j}: not an (offset, real values) pair")
-            values = values.astype(float, copy=False)
+                values = None  # not real values either
+            values = checked_reals(values, ShapeMismatch,
+                                   f"level {j}: not an (offset, real values) pair")
             if type(offset) is not int:  # skips checked_int's cost on embed's offsets
                 offset = checked_int(offset, ShapeMismatch, f"level {j}: bad offset {offset!r}")
             if values.ndim != 1:
@@ -173,76 +164,25 @@ def wlot_distance(u: WlotVector, v: WlotVector, s: float) -> float:
     if u.fingerprint != v.fingerprint:
         raise ConfigMismatch(
             f"incompatible embeddings: {u.fingerprint} vs {v.fingerprint}")
-    check_exponent(s)
-    diffs = [_level_difference(ou, a, ov, b)
-             for (ou, a), (ov, b) in zip(u.levels, v.levels)]
-    return _weighted_l1(u.j0, diffs, s)
-
-
-def _layout(level):
-    """Columns of one level's (offset, array) pairs laid side by side
-    over the union of their windows, gaps left out: the column of each
-    array's first element (None for an empty array) and the width."""
-    spans = sorted((o, o + len(a), n) for n, (o, a) in enumerate(level) if len(a))
-    columns, width = [None] * len(level), 0
-    start = end = spans[0][0] if spans else 0
-    for offset, stop, n in spans:
-        if offset > end:  # a gap: close the segment [start, end)
-            width, start = width + end - start, offset
-        end = max(end, stop)
-        columns[n] = width + offset - start
-    return columns, width + end - start
+    weights = _levels_and_weights(DistanceConfig(s=s, j0=u.j0, M=u.M))[1][1:]
+    return float(_pairwise([u.levels, v.levels], weights)[0, 1])
 
 
 def wlot_distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
-    """All pairwise distances among N densities with N embeddings.
-
-    The K translations any embedding covers, level after level, are taken
-    max(1, _BLOCK_POINTS // N) columns at a time into one reused N-row
-    block, and the absolute differences of the pairs (r, r + d), one d at
-    a time, into a second; each pair gains their product with the block's
-    level weights.  So the N x K coefficient matrix is never laid out, and
-    beyond the embeddings, the K weights and the result the working set is
-    two blocks of about _BLOCK_POINTS cells.
-    Differences are taken before weighting, as in wlot_distance, but the
-    sums run in another order, so the two agree to rounding, not bit for
-    bit.  The lower triangle mirrors the upper one, so the result is
-    exactly symmetric.  More than _MAX_CELLS cells of N x K are refused
-    before any is filled; a failed embed is re-raised naming its measure.
-    """
+    """All pairwise distances among N densities: N embeddings, then one
+    distance._pairwise call over their levels, whose sums run in another
+    order than wlot_distance's, so the two agree to rounding, not bit for
+    bit.  More than _MAX_CELLS cells of N x N are refused before the first
+    embed, and of N x K before any is filled; a failed embed is re-raised
+    naming its measure."""
+    ps = list(ps)
+    _matrix_size(ps, _MAX_CELLS)
     vecs = []
     for i, p in enumerate(ps):
         with add_context(f"measure {i}"):
             vecs.append(embed(p, cfg))
-    n = len(vecs)
-    layouts = [_layout([vec.levels[i] for vec in vecs]) for i in range(cfg.M)]
-    widths = [width for _, width in layouts]
-    starts, K = np.cumsum([0] + widths).tolist(), sum(widths)
-    if n * K > _MAX_CELLS:
-        raise InvalidGrid(
-            f"{n} measures over {K} translations exceed the budget of {_MAX_CELLS} "
-            "cells; use fewer measures")
-    weights = np.repeat([_level_weight(cfg.j0 + i, cfg.s) for i in range(cfg.M)], widths)
-    out = np.zeros((n, n))
-    flat = out.reshape(-1)  # out[r, r + d] is flat[r * (n + 1) + d]
-    cols = max(1, min(K, _BLOCK_POINTS // max(n, 1)))  # columns at a time
-    block, buf = np.empty((n, cols)), np.empty((max(n - 1, 0), cols))
-    for c0 in range(0, K, cols):
-        c1 = min(c0 + cols, K)
-        cells = block[:, :c1 - c0]
-        cells.fill(0.0)
-        # the levels reaching into [c0, c1), the first where starts[i + 1] > c0
-        for i in range(bisect.bisect_right(starts, c0) - 1, bisect.bisect_left(starts, c1)):
-            for row, vec, col in zip(cells, vecs, layouts[i][0]):
-                if col is not None:
-                    lo, values = starts[i] + col, vec.levels[i][1]
-                    a, b = max(lo, c0), min(lo + len(values), c1)
-                    if a < b:
-                        row[a - c0: b - c0] = values[a - lo: b - lo]
-        for d in range(1, n):  # the pairs (r, r + d), every r at once
-            diffs = np.subtract(cells[d:], cells[:-d], out=buf[:n - d, :c1 - c0])
-            flat[d::n + 1][:n - d] += np.abs(diffs, out=diffs) @ weights[c0:c1]
-    return out + out.T
+    weights = _levels_and_weights(cfg)[1][1:]
+    return _pairwise([vec.levels for vec in vecs], weights, _MAX_CELLS)
 
 
 def prune(vec: WlotVector, eps: float) -> WlotVector:

@@ -1,9 +1,12 @@
 """Exception types raised across the package, and the checks that raise
-them for integer arguments, intervals and the distance exponent."""
+them for integer arguments, intervals, arrays of reals and the distance
+exponent."""
 
 import math
 import numbers
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class WaveotError(Exception):
@@ -117,6 +120,19 @@ def checked_interval(pair, error, message):
             and -math.inf < lo < hi < math.inf):
         raise error(message)
     return lo, hi
+
+
+def checked_reals(values, error, message):
+    """values as a float array, when numpy reads them as an array of real
+    numbers, not of str, complex or object values nor a ragged list;
+    otherwise raise error(message)."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):  # a ragged list
+        raise error(message) from None
+    if arr.dtype.kind not in "biuf":
+        raise error(message)
+    return arr.astype(float, copy=False)
 
 
 def check_exponent(s):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import trapezoid
+from helpers import CodedError, trapezoid
 from waveot import densities
 from waveot.cli import _DEFAULT_J0
 from waveot.densities import (_BUMP_BASE_MASS, Density, DiscreteMeasure,
@@ -185,6 +185,42 @@ def test_density_keeps_its_evaluator():
     assert d.evaluator is f and d == Density(f, (0.0, 0.5))
     assert translate(d, 1.0).evaluator(np.array([1.25])) == 2.0  # unmasked
     assert np.array_equal(d(np.array([-0.5, 0.0, 0.25, 0.5])), [0.0, 2.0, 2.0, 0.0])
+
+
+def test_density_keeps_its_support_as_a_tuple():
+    # a list support used to be kept, so hash() raised TypeError, and two
+    # array supports compared with numpy's ambiguous-truth ValueError
+    def f(x):
+        return np.ones_like(x)
+
+    d = Density(f, [0, 1])
+    assert d.support == (0, 1) and type(d.support) is tuple
+    assert all(type(end) is int for end in d.support)  # kept as given
+    assert hash(d) == hash(Density(f, (0, 1)))
+    a, b = Density(f, np.array([0.0, 1.0])), Density(f, np.array([0.0, 1.0]))
+    assert a == b and hash(a) == hash(b) and a.support == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda x: np.ones(3), lambda x: np.ones((len(x), 2)), lambda x: np.ones((len(x), 1)),
+    lambda x: np.ones(len(x) + 1),
+], ids=["three-values", "two-columns", "one-column", "one-too-many"])
+def test_density_refuses_evaluator_output_of_another_shape(evaluate):
+    # these used to escape from the mask path as numpy's ValueError or TypeError
+    with pytest.raises(InvalidInterval, match=r"^the evaluator returned shape \("):
+        Density(evaluate, (0.0, 1.0))
+
+
+def test_density_keeps_the_evaluator_s_own_exception():
+    err = CodedError(3, "evaluator state")
+
+    def fail(x):
+        raise err
+
+    with pytest.raises(CodedError) as exc:
+        Density(fail, (0.0, 1.0))
+    assert exc.value is err
+    assert Density(lambda x: 1.0, (0.0, 1.0))(0.5) == 1.0  # one value for all points
 
 
 def _traced_peak(fn):
@@ -493,6 +529,22 @@ def test_discrete_measure_validation():
     for w in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]):
         with pytest.raises(UnbalancedMarginals, match="finite"):
             DiscreteMeasure(np.array([0.0, 1.0]), np.array(w))
+
+
+@pytest.mark.parametrize("pos, w, error, message", [
+    (["a", "b"], [0.5, 0.5], InvalidGrid, "positions"),
+    ([[0.0], [1.0, 2.0]], [0.5, 0.5], InvalidGrid, "positions"),
+    ([0j, 1j], [0.5, 0.5], InvalidGrid, "positions"),
+    (np.array([0.0, 1.0], dtype=object), [0.5, 0.5], InvalidGrid, "positions"),
+    ([0.0, 1.0], ["x", 0.5], UnbalancedMarginals, "weights"),
+    ([0.0, 1.0], [[0.5], [0.25, 0.25]], UnbalancedMarginals, "weights"),
+    ([0.0, 1.0], np.array([0.5, 0.5 + 0j]), UnbalancedMarginals, "weights"),
+])
+def test_discrete_measure_refuses_inputs_that_are_not_real_arrays(pos, w, error, message):
+    # strings and ragged lists used to escape as ValueError, complex lists as
+    # TypeError, and a complex array lost its imaginary part with a warning
+    with pytest.raises(error, match=f"^{message} must be real numbers$"):
+        DiscreteMeasure(pos, w)
 
 
 @pytest.mark.parametrize("support", [("a", "b"), None, (0, 1, 2), (0.0,), (1.0, math.nan)])

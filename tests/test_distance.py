@@ -289,6 +289,18 @@ def test_distance_matrix_keeps_foreign_exception(monkeypatch):
         assert err.__notes__ == ["pair (0, 1)"]
 
 
+def test_distance_matrix_refuses_more_cells_than_budget_before_transforming(monkeypatch):
+    # the N x N result had no bound; it is now checked before the first transform
+    monkeypatch.setattr(distance, "_MAX_CELLS", 8)
+    ps = [uniform_density(0.0, 1.0)] * 3
+    before = decompose_call_count()
+    with pytest.raises(InvalidGrid, match="^3 measures need 9 matrix cells, more than the "
+                                          "budget of 8; use fewer measures$"):
+        distance_matrix(ps, CFG)
+    assert decompose_call_count() == before
+    assert distance_matrix(ps[:2], CFG).shape == (2, 2)
+
+
 def test_wavelet_distance_dispatch():
     p = uniform_density(0.0, 1.0)
     q = translate(p, 0.4)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import waveot.distance
 import waveot.embedding
 from helpers import CodedError, wavelet_part_densities
 from waveot.densities import Density, bump_density, translate, uniform_density
@@ -257,7 +258,7 @@ def test_matrix_independent_of_row_block(monkeypatch):
     vecs = [embed(p, CFG) for p in ps]
     results = []
     for block in (1, 1 << 30):
-        monkeypatch.setattr(waveot.embedding, "_BLOCK_POINTS", block)
+        monkeypatch.setattr(waveot.distance, "_BLOCK_POINTS", block)
         results.append(wlot_distance_matrix(ps, CFG))
     one_row, all_rows = results
     assert np.array_equal(one_row, one_row.T)
@@ -338,6 +339,35 @@ def test_matrix_working_set_is_one_block(monkeypatch):
     first, second = vecs[id(ps[0])], vecs[id(ps[1])]
     assert mat[0, 1] == pytest.approx(wlot_distance(first, second, cfg.s), rel=1e-12)
     assert mat[0, 4] == 0.0
+
+
+def test_matrix_refuses_more_cells_than_budget_before_embedding(monkeypatch):
+    # the N x N result had no bound; it is now checked before the first embed
+    monkeypatch.setattr(waveot.embedding, "_MAX_CELLS", 8)
+    ps = [uniform_density(0.0, 1.0)] * 3
+    before = decompose_call_count()
+    with pytest.raises(InvalidGrid, match="^3 measures need 9 matrix cells, more than the "
+                                          "budget of 8; use fewer measures$"):
+        wlot_distance_matrix(ps, CFG)
+    assert decompose_call_count() == before
+
+
+def test_matrix_result_is_the_one_n_by_n_array():
+    # 1,000 measures of one Haar coefficient each: the working set is the
+    # 7.6 MiB result, filled in both triangles (15.8 MiB when the lower
+    # one was mirrored from the upper as out + out.T)
+    cfg = DistanceConfig(s=0.5, j0=0, M=1, wavelet="haar")
+    ps = [uniform_density(0.0, 0.7), uniform_density(0.0, 0.6)] * 500
+    tracemalloc.start()
+    try:
+        mat = wlot_distance_matrix(ps, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * mat.nbytes
+    assert mat.shape == (1000, 1000) and np.array_equal(mat, mat.T)
+    vecs = [embed(p, cfg) for p in ps[:2]]
+    assert mat[0, 999] == wlot_distance(*vecs, cfg.s) > 0.0 and mat[0, 998] == 0.0
 
 
 def test_level_arrays_are_trimmed_and_read_only():

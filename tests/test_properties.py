@@ -358,7 +358,7 @@ def test_matrix_is_the_pairwise_distances_at_any_column_block(data):
                          wavelet=data.draw(st.sampled_from(["haar", "db2", "db10"])))
     # 1 to 2^15 cells, log-uniform, so that most blocks are narrower than K
     block = data.draw(st.integers(0, 15).flatmap(lambda e: st.integers(1, 2 ** e)))
-    with mock.patch("waveot.embedding._BLOCK_POINTS", block):
+    with mock.patch("waveot.distance._BLOCK_POINTS", block):
         mat = wlot_distance_matrix(ps, cfg)
     assert np.array_equal(mat, mat.T) and not np.any(np.diag(mat))
     vecs = [embed(p, cfg) for p in ps]

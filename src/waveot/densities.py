@@ -94,11 +94,12 @@ class Density:
     it views of the positions it returns.  Calling the density is zero
     outside the support; the mask runs only when the points reach
     outside it.
-    Construction fails if the support is not a pair of finite real
-    numbers lo < hi, which is stored as the tuple (lo, hi), if the
-    evaluator returns neither one value nor one value per point or is
-    negative at a point of the mass check, or if the mass, by the refined
-    midpoint rule of _mass, deviates from 1 by more than 1e-8.
+    Construction fails if the evaluator is not callable, if the support
+    is not a pair of finite real numbers lo < hi, which is stored as the
+    tuple (lo, hi), if the evaluator returns neither one value nor one
+    value per point or is negative at a point of the mass check, or if
+    the mass, by the refined midpoint rule of _mass, deviates from 1 by
+    more than 1e-8.
     An integrable singularity at a support end far from 0 can fail it:
     0.5 / sqrt(x - 1000) on (1000, 1001) measures 5.8e-7 short, as _mass
     splits no cell below a few float spacings (1.1e-13 there).
@@ -108,6 +109,8 @@ class Density:
     support: tuple
 
     def __post_init__(self):
+        if not callable(self.evaluator):
+            raise InvalidInterval(f"the evaluator must be callable, got {self.evaluator!r}")
         lo, hi = checked_interval(self.support, InvalidInterval,
                                   f"support must be finite with lo < hi, got {self.support}")
         object.__setattr__(self, "support", (lo, hi))  # so hash and == work on any pair
@@ -180,6 +183,13 @@ class DiscreteMeasure:
         return len(self.positions)
 
 
+def _checked_density(d):
+    """d, refused with InvalidInterval unless it is a Density."""
+    if not isinstance(d, Density):
+        raise InvalidInterval(f"expected a Density, got {d!r}")
+    return d
+
+
 def uniform_density(lo: float, hi: float) -> Density:
     """Uniform density on [lo, hi]."""
     checked_interval((lo, hi), InvalidInterval, f"need finite lo < hi, got ({lo}, {hi})")
@@ -235,7 +245,7 @@ def translate(d: Density, a: float) -> Density:
     of points that reach outside it."""
     if not isinstance(a, numbers.Real):
         raise InvalidInterval(f"shift must be a real number, got {a}")
-    lo, hi = d.support
+    lo, hi = _checked_density(d).support
     inner = d.evaluator
 
     def evaluate(x):
@@ -250,7 +260,7 @@ def dilate(d: Density, b: float, about: float) -> Density:
         raise InvalidInterval(f"dilation factor must be positive, got {b}")
     if not isinstance(about, numbers.Real):
         raise InvalidInterval(f"dilation centre must be a real number, got {about}")
-    lo, hi = d.support
+    lo, hi = _checked_density(d).support
     inner = d.evaluator
 
     def evaluate(x):
@@ -298,7 +308,7 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
     # a fractional j0 would put the window on a grid that is not dyadic
     j0 = checked_int(j0, InvalidGrid, f"j0 must be an integer >= {_MIN_J0}, got {j0}",
                      lo=_MIN_J0)
-    lo, hi = d.support
+    lo, hi = _checked_density(d).support
     domain_hi = 2.0 ** (-j0)
     if lo < -1e-12 or hi > domain_hi * (1.0 + 1e-12):
         raise DomainOverflow(
@@ -343,8 +353,9 @@ def discretize(d: Density, num_points: int, domain: tuple = None) -> DiscreteMea
     num_points = checked_int(
         num_points, InvalidGrid,
         f"need 2 to {_MAX_SAMPLE_POINTS} grid points, got {num_points}", 2, _MAX_SAMPLE_POINTS)
-    lo, hi = d.support if domain is None else checked_interval(
-        domain, InvalidInterval, f"invalid grid domain {domain}")
+    lo, hi = _checked_density(d).support
+    if domain is not None:
+        lo, hi = checked_interval(domain, InvalidInterval, f"invalid grid domain {domain}")
     grid = np.linspace(lo, hi, num_points)
     w = np.empty_like(grid)
     for start in range(0, num_points, _BLOCK_POINTS):

@@ -112,6 +112,13 @@ class DistanceConfig:
                 f"got C0 = {self.C0}, C1 = {self.C1}")
 
 
+def _checked_config(cfg):
+    """cfg, refused with InvalidConfig naming it unless it is a DistanceConfig."""
+    if not isinstance(cfg, DistanceConfig):
+        raise InvalidConfig(f"cfg must be a DistanceConfig, got {cfg!r}")
+    return cfg
+
+
 def _coefficients(p: Density, cfg: DistanceConfig, num_levels):
     """The (offset, array) pairs of p's own transform over num_levels
     levels below the sampling level j0 + M: the approximation, then the
@@ -125,7 +132,7 @@ def _coefficients(p: Density, cfg: DistanceConfig, num_levels):
 
 def distance_new(p: Density, q: Density, cfg: DistanceConfig) -> float:
     """Weighted detail sum over all M levels, from j0 through j0 + M - 1."""
-    if cfg.formulation != "new":
+    if _checked_config(cfg).formulation != "new":
         raise InvalidConfig(f"config formulation is {cfg.formulation!r}, not 'new'")
     return wavelet_distance(p, q, cfg)
 
@@ -134,7 +141,7 @@ def distance_original(p: Density, q: Density, cfg: DistanceConfig) -> float:
     """Level-0 approximation term (weight C0) plus detail sums over the
     nonnegative levels (weight C1); covers both the original and the
     alternative formulation depending on cfg."""
-    if cfg.formulation == "new":
+    if _checked_config(cfg).formulation == "new":
         raise InvalidConfig(
             "config formulation is 'new', expected 'original' or 'alternative'")
     return wavelet_distance(p, q, cfg)
@@ -221,17 +228,20 @@ def _pairwise(rows, weights, budget=math.inf):
     return out
 
 
-def _matrix_size(ps, budget):
-    """len(ps), refused with InvalidGrid when N x N exceeds budget cells."""
-    if (n := len(ps)) * n > budget:
+def _measure_list(ps, budget):
+    """list(ps), refused with InvalidGrid when ps is not iterable or its N
+    measures need more than budget cells of N x N."""
+    if not np.iterable(ps):
+        raise InvalidGrid(f"measures must be an iterable of densities, got {ps!r}")
+    if (n := len(ps := list(ps))) * n > budget:
         raise InvalidGrid(f"{n} measures need {n * n} matrix cells, more than the budget "
                           f"of {budget}; use fewer measures")
-    return n
+    return ps
 
 
 def wavelet_distance(p: Density, q: Density, cfg: DistanceConfig) -> float:
     """The distance under the formulation selected by the config."""
-    levels, weights = _levels_and_weights(cfg)
+    levels, weights = _levels_and_weights(_checked_config(cfg))
     rows = [_coefficients(p, cfg, levels), _coefficients(q, cfg, levels)]
     return float(_pairwise(rows, weights)[0, 1])
 
@@ -241,11 +251,12 @@ def distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
     formulation, each entry equal to wavelet_distance bit for bit.  Each
     density is transformed once, at its first pair, and its coefficients
     are kept until its row is done; per-pair failures are re-raised with
-    the pair attached.  More than _MAX_CELLS cells of N x N are refused
-    before the first transform."""
-    n = _matrix_size(ps, _MAX_CELLS)
+    the pair attached.  ps may be any iterable; more than _MAX_CELLS cells
+    of N x N are refused before the first transform."""
+    levels, weights = _levels_and_weights(_checked_config(cfg))
+    ps = _measure_list(ps, _MAX_CELLS)
+    n = len(ps)
     out = np.zeros((n, n))
-    levels, weights = _levels_and_weights(cfg)
     coeffs = [None] * n
     for i in range(n):
         for j in range(i + 1, n):

@@ -8,23 +8,24 @@ i.e. correlation with the filter followed by dyadic downsampling.  Two
 boundary modes are provided:
 
 * "zero": the vector is extended by zeros on both sides, so every output
-  index k with at least one nonzero product is kept.  A halving of a
-  length-N array at an even translation offset yields
-  floor((N + L - 1) / 2) coefficients (one more when the offset is odd,
-  which happens below the first level for filters with L/2 odd); each
-  array carries the absolute translation index of its first element, so
-  coefficients from different signals stay aligned on one shared integer
-  translation lattice.  All distance computations use this mode.
+  index k with at least one nonzero product is kept: for a length-N array
+  whose first element sits at translation k0, k runs from
+  ceil((k0 - L + 1) / 2) through floor((k0 + N - 1) / 2).  _zero_chain
+  alone derives these (offset, length) windows, level after level, for the
+  transform, its inverse and the embedding's level windows.  Each array,
+  the input too, carries the absolute translation index of its first
+  element, so coefficients from different signals stay aligned on one
+  shared integer translation lattice.  All distance computations use this
+  mode.
 * "periodic": the vector wraps around; input length must be divisible by
   2 at each level and the transform is orthogonal (used for Parseval
-  checks only).  A halving is the zero-mode step on the vector wrapped
-  by L - 1 samples, and the inverse folds the zero-mode upsampled sum
-  onto one period, so both modes share one kernel per direction.
+  checks only).  Every level sits at offset 0 with half its parent's
+  length, and the vector is wrapped by L - 1 samples before each halving.
 
-Coefficient arrays keep absolute translation offsets so that entries can
-be mapped back to grid positions after any number of halvings, which also
-permits callers to pass inputs whose first element sits at a nonzero
-translation index.
+Both modes take a level as one strided slice of the vector convolved with
+the reversed filter, starting at 2 * (output offset) + L - 1 - (input
+offset); the inverse is one upsampled sum, which periodic mode folds onto
+one period.
 """
 
 from dataclasses import dataclass
@@ -72,32 +73,18 @@ class CoefficientPyramid:
         return len(self.details)
 
 
-def _zero_step_geometry(k0, n, L):
-    """(offset, length) of one zero-mode halving of a length-n vector
-    whose first element has absolute translation index k0."""
-    n_start = (L - 1 - k0) % 2
-    out_off = (n_start - L + 1 + k0) // 2
-    out_len = (n + L - 2 - n_start) // 2 + 1
-    return out_off, out_len
-
-
 def _zero_chain(k0, n, L, levels):
-    """Per-level (offset, length) from the input down to the coarsest
-    approximation; entry 0 is the input itself."""
+    """Per-level (offset, length) of the zero-mode transform of a length-n
+    vector whose first element sits at translation k0, from the input down
+    to the coarsest approximation; entry 0 is the input itself.  A halving
+    keeps every k with a nonzero product in sum_l x_l f_{l-2k}: the first
+    is the one with l - 2k = L - 1 at l = k0 + parity."""
     chain = [(k0, n)]
     for _ in range(levels):
-        k0, n = _zero_step_geometry(k0, n, L)
+        parity = (L - 1 - k0) % 2
+        k0, n = (k0 + parity - L + 1) // 2, (n + L - 2 - parity) // 2 + 1
         chain.append((k0, n))
     return chain
-
-
-def _analyze(x, k0, filt):
-    """One zero-mode halving of x, whose first element sits at absolute
-    translation k0: every k with a nonzero product in sum_l x_l f_{l-2k}."""
-    L = len(filt)
-    c = np.convolve(x, filt[::-1])
-    n_start = (L - 1 - k0) % 2
-    return c[n_start::2]
 
 
 def dwt_decompose(x, system: WaveletSystem, num_levels: int,
@@ -124,31 +111,28 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
     g, h = system.g, system.h
     L = len(g)
     input_length = len(x)
-    details = []
-    offsets = []
-    off = k_offset if mode == "zero" else 0
-    for _ in range(num_levels):
-        n, k0 = len(x), off
-        if mode == "zero":
-            off, length = _zero_step_geometry(k0, n, L)
-            first = 0
-        else:
-            if n % 2 != 0:
-                raise InvalidLevels(
-                    "periodic mode requires length divisible by 2 at every level")
-            # output L/2 - 1 + k of the wrapped signal is sum_i x[(2k + i) mod n] f_i
-            x, first, length = np.resize(x, n + L - 1), L // 2 - 1, n // 2
-        d, x = [_analyze(x, k0, f)[first:first + length] for f in (h, g)]
+    if mode == "zero":
+        chain = _zero_chain(k_offset, input_length, L, num_levels)
+    elif (input_length & -input_length) >> num_levels == 0:  # 2^levels does not divide it
+        raise InvalidLevels("periodic mode requires length divisible by 2 at every level")
+    else:
+        chain = [(0, input_length >> i) for i in range(num_levels + 1)]
+    details, offsets = [], []
+    for (k0, n), (off, length) in zip(chain, chain[1:]):
+        if mode == "periodic":  # the zero-mode step on x wrapped by L - 1 samples
+            x = np.resize(x, n + L - 1)
+        # x[i] sits at translation k0 + i, so sum_l x_l f_{l-2k} is entry
+        # 2 (k - off) + start of x convolved with the reversed filter
+        start = 2 * off + L - 1 - k0
+        d, x = [np.convolve(x, f[::-1])[start: start + 2 * length: 2] for f in (h, g)]
         details.append(d)
         offsets.append(off)
-    details.reverse()
-    offsets.reverse()
     return CoefficientPyramid(
         j0=j_in - num_levels,
         approx=x,
         approx_offset=off,
-        details=details,
-        detail_offsets=offsets,
+        details=details[::-1],
+        detail_offsets=offsets[::-1],
         mode=mode,
         input_length=input_length,
         input_offset=k_offset,

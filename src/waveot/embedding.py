@@ -30,8 +30,8 @@ import numpy as np
 # embed reaches sample_for_dwt and dwt_decompose through _coefficients, but
 # both stay importable here: perfbench/tracer.py wraps this import site
 from .densities import Density, _nonzero_span, sample_for_dwt
-from .distance import (_MAX_CELLS, DistanceConfig, _coefficients, _levels_and_weights,
-                       _matrix_size, _pairwise)
+from .distance import (_MAX_CELLS, DistanceConfig, _checked_config, _coefficients,
+                       _levels_and_weights, _measure_list, _pairwise)
 from .dwt import _zero_chain, dwt_decompose
 from .errors import (ConfigMismatch, InvalidConfig, InvalidGrid, MalformedWlot, ShapeMismatch,
                      UnknownWavelet, add_context, checked_int, checked_reals)
@@ -144,6 +144,14 @@ class WlotVector:
         return counts
 
 
+def _embedding_config(cfg):
+    """cfg, refused with InvalidConfig unless it is a "new" DistanceConfig."""
+    if _checked_config(cfg).formulation != "new":
+        raise InvalidConfig(
+            f"only the 'new' formulation embeds, got {cfg.formulation!r}")
+    return cfg
+
+
 def embed(p: Density, cfg: DistanceConfig) -> WlotVector:
     """Detail coefficients of p itself (not a difference) under the
     config's sampling grid and wavelet.
@@ -152,10 +160,7 @@ def embed(p: Density, cfg: DistanceConfig) -> WlotVector:
     embedded vectors matches distance_new exactly (the transform is linear
     in the samples).  Only the "new" formulation embeds this way, so any
     other config is refused."""
-    if cfg.formulation != "new":
-        raise InvalidConfig(
-            f"only the 'new' formulation embeds, got {cfg.formulation!r}")
-    levels = _coefficients(p, cfg, cfg.M)[1:]
+    levels = _coefficients(p, _embedding_config(cfg), cfg.M)[1:]
     return WlotVector(wavelet=cfg.wavelet, j0=cfg.j0, M=cfg.M, levels=levels)
 
 
@@ -172,16 +177,16 @@ def wlot_distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
     """All pairwise distances among N densities: N embeddings, then one
     distance._pairwise call over their levels, whose sums run in another
     order than wlot_distance's, so the two agree to rounding, not bit for
-    bit.  More than _MAX_CELLS cells of N x N are refused before the first
-    embed, and of N x K before any is filled; a failed embed is re-raised
-    naming its measure."""
-    ps = list(ps)
-    _matrix_size(ps, _MAX_CELLS)
+    bit.  A config embed refuses is refused before any embed, even for no
+    measures; ps may be any iterable, and more than _MAX_CELLS cells of
+    N x N are refused before the first embed, and of N x K before any is
+    filled; a failed embed is re-raised naming its measure."""
+    weights = _levels_and_weights(_embedding_config(cfg))[1][1:]
+    ps = _measure_list(ps, _MAX_CELLS)
     vecs = []
     for i, p in enumerate(ps):
         with add_context(f"measure {i}"):
             vecs.append(embed(p, cfg))
-    weights = _levels_and_weights(cfg)[1][1:]
     return _pairwise([vec.levels for vec in vecs], weights, _MAX_CELLS)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -583,3 +584,24 @@ def test_transforms_refuse_arguments_that_are_not_reals(make, message):
     # each used to escape as TypeError from the support arithmetic
     with pytest.raises(InvalidInterval, match=message):
         make(uniform_density(0.0, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: sample_for_dwt(d, -6, 13),
+    lambda d: discretize(d, 10),
+    lambda d: discretize(d, 10, domain=(0.0, 3.0)),
+    lambda d: translate(d, 1.0),
+    lambda d: dilate(d, 2.0, 0.5),
+], ids=["sample_for_dwt", "discretize", "discretize-domain", "translate", "dilate"])
+@pytest.mark.parametrize("d", ["x", None, (0.0, 1.0)])
+def test_density_functions_refuse_what_is_not_a_density(call, d):
+    # each used to escape as AttributeError from reading d.support
+    with pytest.raises(InvalidInterval, match=f"^expected a Density, got {re.escape(repr(d))}$"):
+        call(d)
+
+
+@pytest.mark.parametrize("evaluator", ["x", None, 1.0, np.ones(3)])
+def test_density_refuses_an_evaluator_that_is_not_callable(evaluator):
+    # used to escape as TypeError ("... is not callable") from the mass check
+    with pytest.raises(InvalidInterval, match="^the evaluator must be callable, got "):
+        Density(evaluator, (0.0, 1.0))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +12,9 @@ from waveot.densities import (bump_density, dilate, discretize, sample_for_dwt,
 from waveot.distance import (DistanceConfig, distance_matrix, distance_new,
                              distance_original, wavelet_distance)
 from waveot.dwt import decompose_call_count, dwt_decompose
-from waveot.errors import InvalidConfig, InvalidExponent, InvalidGrid, UnknownWavelet
+from waveot.embedding import embed, wlot_distance_matrix
+from waveot.errors import (InvalidConfig, InvalidExponent, InvalidGrid, InvalidInterval,
+                           UnknownWavelet)
 from waveot.exact import exact_ws
 from waveot.filters import build_wavelet_system
 from waveot.simulate import EXACT_DOMAIN
@@ -299,6 +302,49 @@ def test_distance_matrix_refuses_more_cells_than_budget_before_transforming(monk
         distance_matrix(ps, CFG)
     assert decompose_call_count() == before
     assert distance_matrix(ps[:2], CFG).shape == (2, 2)
+
+
+_U = uniform_density(0.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: wavelet_distance(_U, _U, cfg),
+    lambda cfg: distance_new(_U, _U, cfg),
+    lambda cfg: distance_original(_U, _U, cfg),
+    lambda cfg: distance_matrix([_U, _U], cfg),
+    lambda cfg: embed(_U, cfg),
+    lambda cfg: wlot_distance_matrix([_U, _U], cfg),
+], ids=["wavelet_distance", "distance_new", "distance_original", "distance_matrix",
+        "embed", "wlot_distance_matrix"])
+@pytest.mark.parametrize("cfg", ["cfg", None, {"s": 0.5, "j0": -6, "M": 13}])
+def test_distances_refuse_a_config_that_is_not_a_distance_config(call, cfg):
+    # each used to escape as AttributeError from reading cfg.formulation
+    before = decompose_call_count()
+    with pytest.raises(InvalidConfig, match=f"^cfg must be a DistanceConfig, got {re.escape(repr(cfg))}$"):
+        call(cfg)
+    assert decompose_call_count() == before
+
+
+def test_distances_refuse_a_measure_that_is_not_a_density():
+    # both used to escape as AttributeError from reading d.support
+    with pytest.raises(InvalidInterval, match="^expected a Density, got 'x'$"):
+        wavelet_distance(_U, "x", CFG)
+    with pytest.raises(InvalidInterval, match="^pair \\(0, 1\\): expected a Density, got 'x'$"):
+        distance_matrix([_U, "x"], CFG)
+
+
+@pytest.mark.parametrize("matrix", [distance_matrix, wlot_distance_matrix])
+def test_matrices_take_any_iterable_and_refuse_the_rest(matrix):
+    # distance_matrix took only sized sequences (TypeError from len on an
+    # iterator); both raised TypeError for a ps that is not iterable
+    q = translate(_U, 0.5)
+    expect = matrix([_U, q], CFG)
+    assert np.array_equal(matrix(iter([_U, q]), CFG), expect)
+    assert np.array_equal(matrix((p for p in (_U, q)), CFG), expect)
+    for ps in (5, None):
+        with pytest.raises(InvalidGrid, match=f"^measures must be an iterable of densities, "
+                                              f"got {ps}$"):
+            matrix(ps, CFG)
 
 
 def test_wavelet_distance_dispatch():

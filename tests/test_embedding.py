@@ -67,16 +67,22 @@ def test_metric_axioms_on_vectors():
     assert wlot_distance(u, w, 0.5) <= duv + wlot_distance(v, w, 0.5) + 1e-12
 
 
-def test_embed_refuses_other_formulations():
+def test_embed_refuses_other_formulations(monkeypatch):
     # embeddings reproduce "new" only; another config must not silently
-    # give "new" distances
+    # give "new" distances.  The matrix checked it only per measure, so
+    # an empty list passed; it now refuses ahead of its N x N budget
     ps = [uniform_density(0.0, 1.0), bump_density(0.7, 0.3)]
+    monkeypatch.setattr(waveot.embedding, "_MAX_CELLS", 1)
     for formulation in ("original", "alternative"):
         cfg = replace(CFG, formulation=formulation)
-        with pytest.raises(InvalidConfig, match="'new'"):
+        message = f"^only the 'new' formulation embeds, got '{formulation}'$"
+        with pytest.raises(InvalidConfig, match=message):
             embed(ps[0], cfg)
-        with pytest.raises(InvalidConfig):
-            wlot_distance_matrix(ps, cfg)
+        before = decompose_call_count()
+        for measures in (ps, []):
+            with pytest.raises(InvalidConfig, match=message):
+                wlot_distance_matrix(measures, cfg)
+        assert decompose_call_count() == before
 
 
 def test_wlot_distance_refuses_exponents_outside_the_unit_interval():

@@ -26,7 +26,7 @@ import numpy as np
 from ._num import abs_power
 from .densities import _BLOCK_POINTS, _MAX_SAMPLE_POINTS, SampledDensity
 from .errors import (InvalidConfig, InvalidFunction, InvalidLevels, check_exponent,
-                     checked_int)
+                     checked_instance, checked_int)
 from .filters import WaveletSystem
 
 __all__ = ["cascade_evaluate", "estimate_constants", "HolderConstants"]
@@ -114,6 +114,7 @@ def cascade_evaluate(system: WaveletSystem, which: str,
     the dyadic grid of spacing 2^-refinement_depth over [0, L-1].  A grid
     of more than densities._MAX_SAMPLE_POINTS points is refused before
     anything is allocated."""
+    checked_instance(system, WaveletSystem, InvalidConfig)
     if which not in ("scaling", "wavelet"):
         raise InvalidFunction(
             f"which must be 'scaling' or 'wavelet', got {which!r}")

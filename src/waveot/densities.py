@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainOverflow, InvalidGrid, InvalidInterval, UnbalancedMarginals,
-                     checked_int, checked_interval, checked_reals)
+                     checked_instance, checked_int, checked_interval, checked_reals)
 
 __all__ = [
     "Density", "SampledDensity", "DiscreteMeasure",
@@ -183,13 +183,6 @@ class DiscreteMeasure:
         return len(self.positions)
 
 
-def _checked_density(d):
-    """d, refused with InvalidInterval unless it is a Density."""
-    if not isinstance(d, Density):
-        raise InvalidInterval(f"expected a Density, got {d!r}")
-    return d
-
-
 def uniform_density(lo: float, hi: float) -> Density:
     """Uniform density on [lo, hi]."""
     checked_interval((lo, hi), InvalidInterval, f"need finite lo < hi, got ({lo}, {hi})")
@@ -245,7 +238,7 @@ def translate(d: Density, a: float) -> Density:
     of points that reach outside it."""
     if not isinstance(a, numbers.Real):
         raise InvalidInterval(f"shift must be a real number, got {a}")
-    lo, hi = _checked_density(d).support
+    lo, hi = checked_instance(d, Density, InvalidInterval).support
     inner = d.evaluator
 
     def evaluate(x):
@@ -260,7 +253,7 @@ def dilate(d: Density, b: float, about: float) -> Density:
         raise InvalidInterval(f"dilation factor must be positive, got {b}")
     if not isinstance(about, numbers.Real):
         raise InvalidInterval(f"dilation centre must be a real number, got {about}")
-    lo, hi = _checked_density(d).support
+    lo, hi = checked_instance(d, Density, InvalidInterval).support
     inner = d.evaluator
 
     def evaluate(x):
@@ -308,7 +301,7 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
     # a fractional j0 would put the window on a grid that is not dyadic
     j0 = checked_int(j0, InvalidGrid, f"j0 must be an integer >= {_MIN_J0}, got {j0}",
                      lo=_MIN_J0)
-    lo, hi = _checked_density(d).support
+    lo, hi = checked_instance(d, Density, InvalidInterval).support
     domain_hi = 2.0 ** (-j0)
     if lo < -1e-12 or hi > domain_hi * (1.0 + 1e-12):
         raise DomainOverflow(
@@ -353,7 +346,7 @@ def discretize(d: Density, num_points: int, domain: tuple = None) -> DiscreteMea
     num_points = checked_int(
         num_points, InvalidGrid,
         f"need 2 to {_MAX_SAMPLE_POINTS} grid points, got {num_points}", 2, _MAX_SAMPLE_POINTS)
-    lo, hi = _checked_density(d).support
+    lo, hi = checked_instance(d, Density, InvalidInterval).support
     if domain is not None:
         lo, hi = checked_interval(domain, InvalidInterval, f"invalid grid domain {domain}")
     grid = np.linspace(lo, hi, num_points)

@@ -32,13 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, InvalidLevels, ShapeMismatch, checked_int
+from .errors import (EmptyInput, InvalidConfig, InvalidLevels, ShapeMismatch, checked_instance,
+                     checked_int)
 from .filters import WaveletSystem
 
 __all__ = ["CoefficientPyramid", "dwt_decompose", "dwt_reconstruct",
            "decompose_call_count"]
 
 MODES = ("zero", "periodic")
+_MAX_LEVELS = 2097  # most levels a DistanceConfig decomposes: M = 1074 - j0 at j0 = -1023
 
 # Incremented once per dwt_decompose call; used by tests to assert the
 # O(N) embedding economics.  Not synchronized across threads.
@@ -99,6 +101,8 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
     global _DECOMPOSE_CALLS
     num_levels = checked_int(num_levels, InvalidLevels,
                              f"num_levels must be a positive integer, got {num_levels}", lo=1)
+    checked_int(num_levels, InvalidLevels,
+                f"num_levels must be at most {_MAX_LEVELS}, got {num_levels}", hi=_MAX_LEVELS)
     j_in = checked_int(j_in, InvalidConfig, f"j_in must be an integer, got {j_in}")
     k_offset = checked_int(k_offset, InvalidConfig, f"k_offset must be an integer, got {k_offset}")
     x = np.asarray(x, dtype=float)
@@ -106,6 +110,7 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
         raise EmptyInput("input must be a nonempty 1-D array")
     if mode not in MODES:
         raise InvalidConfig(f"unknown mode {mode!r}")
+    checked_instance(system, WaveletSystem, InvalidConfig)
     _DECOMPOSE_CALLS += 1
 
     g, h = system.g, system.h
@@ -149,12 +154,15 @@ def _synthesize(a, d, g, h):
 def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.ndarray:
     """Invert dwt_decompose in the pyramid's own mode; exact up to roundoff
     for both modes."""
-    mode = pyramid.mode
+    mode = checked_instance(pyramid, CoefficientPyramid, ShapeMismatch).mode
     if mode not in MODES:
         raise InvalidConfig(f"unknown mode {mode!r}")
+    checked_instance(system, WaveletSystem, InvalidConfig)
     levels = pyramid.levels
     if levels == 0 or pyramid.approx is None or len(pyramid.approx) == 0:
         raise ShapeMismatch("pyramid has no detail levels or empty approximation")
+    if levels > _MAX_LEVELS:
+        raise ShapeMismatch(f"pyramid has {levels} detail levels, at most {_MAX_LEVELS} allowed")
 
     g, h = system.g, system.h
     a = np.asarray(pyramid.approx, dtype=float)

@@ -34,7 +34,7 @@ from .distance import (_MAX_CELLS, DistanceConfig, _checked_config, _coefficient
                        _levels_and_weights, _measure_list, _pairwise)
 from .dwt import _zero_chain, dwt_decompose
 from .errors import (ConfigMismatch, InvalidConfig, InvalidGrid, MalformedWlot, ShapeMismatch,
-                     UnknownWavelet, add_context, checked_int, checked_reals)
+                     UnknownWavelet, add_context, checked_instance, checked_int, checked_reals)
 from .filters import build_wavelet_system
 
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
@@ -166,6 +166,8 @@ def embed(p: Density, cfg: DistanceConfig) -> WlotVector:
 
 def wlot_distance(u: WlotVector, v: WlotVector, s: float) -> float:
     """Weighted l1 distance sum_{j,k} 2^(-j(s+1/2)) |u_{j,k} - v_{j,k}|."""
+    for vec in (u, v):
+        checked_instance(vec, WlotVector, ShapeMismatch)
     if u.fingerprint != v.fingerprint:
         raise ConfigMismatch(
             f"incompatible embeddings: {u.fingerprint} vs {v.fingerprint}")
@@ -192,6 +194,7 @@ def wlot_distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
 
 def prune(vec: WlotVector, eps: float) -> WlotVector:
     """Drop entries below magnitude eps, a real number (lossy; for storage only)."""
+    checked_instance(vec, WlotVector, ShapeMismatch)
     if not isinstance(eps, numbers.Real) or math.isnan(eps):
         raise InvalidConfig(f"eps must be a real number, got {eps!r}")
     levels = [(offset, np.where(np.abs(values) >= eps, values, 0.0))
@@ -200,6 +203,7 @@ def prune(vec: WlotVector, eps: float) -> WlotVector:
 
 
 def to_text(vec: WlotVector) -> str:
+    checked_instance(vec, WlotVector, ShapeMismatch)
     lines = [f"wlot {vec.wavelet} {vec.j0} {vec.M}"]
     for j, (offset, values) in enumerate(vec.levels, start=vec.j0):
         nz = np.flatnonzero(values)
@@ -254,8 +258,9 @@ def from_text(text: str) -> WlotVector:
 
 
 def write_wlot(vec: WlotVector, path) -> None:
+    text = to_text(vec)  # before open, so a refused vector leaves path as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_text(vec))
+        fh.write(text)
 
 
 def read_wlot(path) -> WlotVector:

@@ -1,6 +1,6 @@
 """Exception types raised across the package, and the checks that raise
-them for integer arguments, intervals, arrays of reals and the distance
-exponent."""
+them for typed arguments, integer arguments, intervals, arrays of reals
+and the distance exponent."""
 
 import math
 import numbers
@@ -96,6 +96,13 @@ def add_context(context: str):
         elif hasattr(err, "add_note"):
             err.add_note(context)
         raise
+
+
+def checked_instance(value, cls, error):
+    """value, when it is an instance of cls; otherwise raise error naming both."""
+    if not isinstance(value, cls):
+        raise error(f"expected a {cls.__name__}, got {value!r}")
+    return value
 
 
 def checked_int(value, error, message, lo=-math.inf, hi=math.inf):

@@ -30,7 +30,8 @@ import numpy as np
 
 from ._num import abs_power
 from .densities import DiscreteMeasure
-from .errors import InvalidGrid, SolverDidNotConverge, UnbalancedMarginals, check_exponent
+from .errors import (InvalidGrid, SolverDidNotConverge, UnbalancedMarginals, check_exponent,
+                     checked_instance)
 
 __all__ = ["TransportPlan", "exact_ws", "w1_cdf"]
 
@@ -55,9 +56,9 @@ class TransportPlan:
 
 def _check_balanced(mu: DiscreteMeasure, nu: DiscreteMeasure):
     for m in (mu, nu):
-        if not abs(m.weights.sum() - 1.0) <= _BALANCE_TOL:
-            raise UnbalancedMarginals(
-                f"weights sum to {m.weights.sum():.12g}, expected 1")
+        total = checked_instance(m, DiscreteMeasure, InvalidGrid).weights.sum()
+        if not abs(total - 1.0) <= _BALANCE_TOL:
+            raise UnbalancedMarginals(f"weights sum to {total:.12g}, expected 1")
 
 
 def w1_cdf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

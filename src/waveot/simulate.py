@@ -9,7 +9,7 @@ shared uniform grid over [0, 3] are recorded, and a least-squares
 normalization constant is fitted per s group.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import cache, partial
 
 import numpy as np
@@ -17,7 +17,8 @@ import numpy as np
 from .densities import (_MAX_SAMPLE_POINTS, bump_density, dilate, discretize, translate,
                         uniform_density)
 from .distance import _C0_DIAMETER, DistanceConfig, _checked_config, wavelet_distance
-from .errors import DegenerateFit, InvalidConfig, add_context, checked_int, checked_interval
+from .errors import (DegenerateFit, InvalidConfig, add_context, checked_instance, checked_int,
+                     checked_interval)
 from .exact import exact_ws
 
 __all__ = ["SimulationSpec", "SimulationRow", "run_simulation",
@@ -129,35 +130,31 @@ class SimulationRow:
 CSV_HEADER = ",".join(f.name for f in fields(SimulationRow))
 
 
-def _fit_constant(params, wavelet_values, exact_values):
-    p = np.asarray(params, dtype=float)
-    w = np.asarray(wavelet_values, dtype=float)
-    e = np.asarray(exact_values, dtype=float)
+def fit_normalization(rows) -> float:
+    """Least-squares constant c minimizing sum (c*wavelet - exact)^2 over
+    the rows with param in the top 90% of the parameter range."""
+    if not np.iterable(rows):
+        raise DegenerateFit(f"rows must be an iterable of SimulationRow, got {rows!r}")
+    rows = [checked_instance(r, SimulationRow, DegenerateFit) for r in rows]
+    if not rows:
+        raise DegenerateFit("no rows to fit")
+    p, w, e = np.array([(r.param, r.wavelet_value, r.exact_value) for r in rows], dtype=float).T
     # both distances vanish at the identity transform, where the ratio is
     # ill-conditioned; keep only the top 90% of the parameter range
-    thr = p.min() + 0.1 * (p.max() - p.min())
-    m = p >= thr
+    m = p >= p.min() + 0.1 * (p.max() - p.min())
     denom = float(np.sum(w[m] ** 2))
     if denom <= 0.0:
         raise DegenerateFit("all wavelet distances in the fit window are zero")
     return float(np.sum(w[m] * e[m]) / denom)
 
 
-def fit_normalization(rows) -> float:
-    """Least-squares constant c minimizing sum (c*wavelet - exact)^2 over
-    the rows with param in the top 90% of the parameter range."""
-    if not rows:
-        raise DegenerateFit("no rows to fit")
-    return _fit_constant([r.param for r in rows],
-                         [r.wavelet_value for r in rows],
-                         [r.exact_value for r in rows])
-
-
 def run_simulation(spec: SimulationSpec):
-    """Compute all rows of a sweep, ordered by (s group, ascending param).
+    """Compute all rows of a sweep, ordered by (s group, ascending param),
+    each s group with its own fit_normalization constant.
 
     Deterministic: identical specs produce identical rows.
     """
+    checked_instance(spec, SimulationSpec, InvalidConfig)
     base_fn, transform, _ = FAMILIES[spec.family]
     base = base_fn()
     params = spec.params()
@@ -167,30 +164,28 @@ def run_simulation(spec: SimulationSpec):
     rows = []
     for s in spec.s_values:
         cfg = replace(spec.cfg, s=s)
-        cells = []
+        group = []
         for t, d in zip(params, transformed):
             with add_context(f"family {spec.family}, s={s}, param={t}"):
                 wval = wavelet_distance(base, d, cfg)
                 nu = discretize(d, spec.exact_grid_points, domain=EXACT_DOMAIN)
                 eval_, _ = exact_ws(mu0, nu, s)
-            cells.append((float(t), wval, eval_))
-        c = _fit_constant(*zip(*cells))
-        for t, wval, eval_ in cells:
-            rows.append(SimulationRow(
-                family=spec.family, formulation=cfg.formulation,
-                wavelet=cfg.wavelet, s=s, j0=cfg.j0, M=cfg.M, param=t,
-                wavelet_value=wval, exact_value=eval_, norm_constant=c,
-                normalized_value=c * wval))
+            group.append(SimulationRow(
+                family=spec.family, formulation=cfg.formulation, wavelet=cfg.wavelet, s=s,
+                j0=cfg.j0, M=cfg.M, param=float(t), wavelet_value=wval, exact_value=eval_,
+                norm_constant=0.0, normalized_value=0.0))
+        c = fit_normalization(group)
+        rows.extend(replace(r, norm_constant=c, normalized_value=c * r.wavelet_value)
+                    for r in group)
     return rows
 
 
 def emit_csv(rows, path) -> None:
     """Write rows in input order, one column per SimulationRow field,
     numbers as %.12g; identical rows give identical bytes."""
-    columns = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
     for r in rows:
-        values = (getattr(r, c) for c in columns)
+        values = astuple(checked_instance(r, SimulationRow, InvalidConfig))
         lines.append(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in values))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -271,3 +271,13 @@ def test_results_independent_of_block_points(monkeypatch):
             got, ref = estimate_constants(systems[name], 0.25), consts[name]
             for a, b in [(got.a11, ref.a11), (got.a12, ref.a12), (got.a13, ref.a13)]:
                 assert abs(a - b) <= 1e-15 * abs(b), (block, name)
+
+
+def test_cascade_refuses_a_system_that_is_not_a_wavelet_system():
+    with pytest.raises(InvalidConfig, match="^expected a WaveletSystem, got 'db10'$"):
+        cascade_evaluate("db10", "scaling")
+
+
+def test_constants_refuse_a_system_that_is_not_a_wavelet_system():
+    with pytest.raises(InvalidConfig, match="^expected a WaveletSystem, got 'db10'$"):
+        estimate_constants("db10", 0.5)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from waveot import densities, distance, dwt
 from waveot.cascade import cascade_evaluate
-from waveot.dwt import decompose_call_count, dwt_decompose, dwt_reconstruct
+from waveot.dwt import CoefficientPyramid, decompose_call_count, dwt_decompose, dwt_reconstruct
 from waveot.errors import EmptyInput, InvalidConfig, InvalidLevels, ShapeMismatch
 from waveot.filters import build_wavelet_system, catalog_names
 
@@ -215,3 +216,48 @@ def test_orthonormality_via_initialization():
                 worst = max(worst, abs(d[t]))
     assert peak is not None and abs(peak - 1.0) < 1e-3
     assert worst < 1e-2
+
+
+def test_level_bound_is_the_most_any_config_decomposes():
+    # M = _MAX_SAMPLING_LEVEL - j0 is largest at the lowest j0
+    assert dwt._MAX_LEVELS == distance._MAX_SAMPLING_LEVEL - densities._MIN_J0
+
+
+def test_decompose_refuses_more_levels_than_any_config_takes(monkeypatch):
+    # past about log2(n) levels each level still keeps an array of about
+    # L - 1 entries, so time and memory grow with the level count itself;
+    # the count is refused before the chain of windows is derived
+    monkeypatch.setattr(dwt, "_zero_chain", None)
+    with pytest.raises(InvalidLevels, match="^num_levels must be at most 2097, got 2098$"):
+        dwt_decompose(np.ones(8), build_wavelet_system("db20"), 2098)
+
+
+def test_the_most_levels_still_round_trip():
+    db20 = build_wavelet_system("db20")
+    x = np.arange(1.0, 9.0)
+    pyr = dwt_decompose(x, db20, 2097)
+    assert pyr.levels == 2097 and pyr.j0 == -2097
+    assert np.max(np.abs(dwt_reconstruct(pyr, db20) - x)) < 1e-12
+
+
+def test_reconstruct_refuses_more_levels_than_any_config_takes(monkeypatch):
+    monkeypatch.setattr(dwt, "_zero_chain", None)
+    pyr = CoefficientPyramid(j0=-2098, approx=np.ones(1), approx_offset=0,
+                             details=[np.ones(1)] * 2098, detail_offsets=[0] * 2098,
+                             mode="zero", input_length=8)
+    with pytest.raises(ShapeMismatch,
+                       match="^pyramid has 2098 detail levels, at most 2097 allowed$"):
+        dwt_reconstruct(pyr, build_wavelet_system("haar"))
+
+
+def test_decompose_refuses_a_system_that_is_not_a_wavelet_system():
+    with pytest.raises(InvalidConfig, match="^expected a WaveletSystem, got 'haar'$"):
+        dwt_decompose([1.0, 2.0], "haar", 1)
+
+
+def test_reconstruct_refuses_arguments_of_the_wrong_type():
+    haar = build_wavelet_system("haar")
+    with pytest.raises(ShapeMismatch, match="^expected a CoefficientPyramid, got 'x'$"):
+        dwt_reconstruct("x", haar)
+    with pytest.raises(InvalidConfig, match="^expected a WaveletSystem, got 'haar'$"):
+        dwt_reconstruct(dwt_decompose([1.0, 2.0], haar, 1), "haar")

@@ -562,3 +562,29 @@ def test_vector_refuses_levels_that_are_not_a_sequence(levels):
     # these used to escape as TypeError from tuple()
     with pytest.raises(ShapeMismatch, match=f"^levels must be a sequence of 13 levels, got {levels}$"):
         WlotVector(wavelet="db10", j0=-6, M=13, levels=levels)
+
+
+def test_wlot_distance_refuses_a_vector_that_is_not_a_wlot_vector():
+    vec = embed(bump_density(1.5, 0.5), CFG)
+    for u, v in ((vec, "x"), ("x", vec)):
+        with pytest.raises(ShapeMismatch, match="^expected a WlotVector, got 'x'$"):
+            wlot_distance(u, v, 0.5)
+
+
+def test_prune_refuses_a_vector_that_is_not_a_wlot_vector():
+    with pytest.raises(ShapeMismatch, match="^expected a WlotVector, got 'x'$"):
+        prune("x", 0.1)
+
+
+def test_to_text_refuses_a_vector_that_is_not_a_wlot_vector():
+    with pytest.raises(ShapeMismatch, match="^expected a WlotVector, got 'x'$"):
+        to_text("x")
+
+
+def test_write_wlot_leaves_the_file_as_it_was_for_a_bad_vector(tmp_path):
+    # the text is built before the file is opened, and so truncated
+    path = tmp_path / "vec.wlot"
+    path.write_bytes(b"8 bytes\n")
+    with pytest.raises(ShapeMismatch, match="^expected a WlotVector, got 'x'$"):
+        write_wlot("x", path)
+    assert path.read_bytes() == b"8 bytes\n"

@@ -320,3 +320,15 @@ def test_nested_start_places_rounding_leftovers():
         cols[j] += f
     assert np.max(np.abs(rows - a)) < 1e-15
     assert np.max(np.abs(cols - b)) < 1e-15
+
+
+def test_exact_ws_refuses_a_measure_that_is_not_a_discrete_measure():
+    mu = DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(InvalidGrid, match="^expected a DiscreteMeasure, got 'x'$"):
+        exact_ws(mu, "x", 0.5)
+
+
+def test_w1_cdf_refuses_a_measure_that_is_not_a_discrete_measure():
+    mu = DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(InvalidGrid, match="^expected a DiscreteMeasure, got 'x'$"):
+        w1_cdf("x", mu)

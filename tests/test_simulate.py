@@ -268,3 +268,37 @@ def test_family_transforms_are_the_paper_sweeps(family, explicit):
         assert got.support == want.support
         a, b = sample_for_dwt(got, -2, 10), sample_for_dwt(want, -2, 10)
         assert a.offset == b.offset and a.values.tobytes() == b.values.tobytes()
+
+
+def test_run_simulation_refuses_a_spec_that_is_not_a_simulation_spec():
+    with pytest.raises(InvalidConfig, match="^expected a SimulationSpec, got 'x'$"):
+        run_simulation("x")
+
+
+def test_fit_normalization_refuses_rows_that_are_not_simulation_rows():
+    with pytest.raises(DegenerateFit, match="^rows must be an iterable of SimulationRow, got 5$"):
+        fit_normalization(5)
+    with pytest.raises(DegenerateFit, match="^expected a SimulationRow, got 1$"):
+        fit_normalization([1, 2])
+    with pytest.raises(DegenerateFit, match="^expected a SimulationRow, got 'x'$"):
+        fit_normalization([make_row(1.0, 1.0, 3.0), "x"])
+
+
+def test_emit_csv_refuses_a_row_before_it_opens_the_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(InvalidConfig, match="^expected a SimulationRow, got 'x'$"):
+        emit_csv([make_row(1.0, 1.0, 3.0), "x"], path)
+    assert path.read_bytes() == b"kept\n"
+
+
+def test_each_norm_constant_is_the_fit_of_its_s_group():
+    spec = SimulationSpec(family="bump_dilate", cfg=SMALL_CFG, s_values=(1.0, 0.5),
+                          count=4, exact_grid_points=120)
+    rows = run_simulation(spec)
+    for s in spec.s_values:
+        group = [r for r in rows if r.s == s]
+        c = fit_normalization(group)
+        assert len(group) == 4
+        assert all(r.norm_constant == c and r.normalized_value == c * r.wavelet_value
+                   for r in group)

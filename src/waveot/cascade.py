@@ -52,12 +52,8 @@ def _integer_values(system: WaveletSystem):
     g = system.g
     L = len(g)
     n = L - 1  # unknowns phi(0) .. phi(L-2); phi(L-1) = 0
-    A = -np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            k = 2 * i - j
-            if 0 <= k < L:
-                A[i, j] += math.sqrt(2.0) * g[k]
+    k = 2 * np.arange(n)[:, None] - np.arange(n)  # A[i, j] takes tap 2i - j
+    A = np.where((0 <= k) & (k < L), math.sqrt(2.0) * g[k.clip(0, L - 1)], 0.0) - np.eye(n)
     A[-1] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0

@@ -42,7 +42,8 @@ import numpy as np
 
 from .densities import _BLOCK_POINTS, _MIN_J0, Density, sample_for_dwt
 from .dwt import dwt_decompose
-from .errors import InvalidConfig, InvalidGrid, add_context, check_exponent, checked_int
+from .errors import (InvalidConfig, InvalidGrid, add_context, check_exponent, checked_instance,
+                     checked_int)
 from .filters import build_wavelet_system
 
 __all__ = ["DistanceConfig", "distance_new", "distance_original",
@@ -112,13 +113,6 @@ class DistanceConfig:
                 f"got C0 = {self.C0}, C1 = {self.C1}")
 
 
-def _checked_config(cfg):
-    """cfg, refused with InvalidConfig naming it unless it is a DistanceConfig."""
-    if not isinstance(cfg, DistanceConfig):
-        raise InvalidConfig(f"cfg must be a DistanceConfig, got {cfg!r}")
-    return cfg
-
-
 def _coefficients(p: Density, cfg: DistanceConfig, num_levels):
     """The (offset, array) pairs of p's own transform over num_levels
     levels below the sampling level j0 + M: the approximation, then the
@@ -132,7 +126,7 @@ def _coefficients(p: Density, cfg: DistanceConfig, num_levels):
 
 def distance_new(p: Density, q: Density, cfg: DistanceConfig) -> float:
     """Weighted detail sum over all M levels, from j0 through j0 + M - 1."""
-    if _checked_config(cfg).formulation != "new":
+    if checked_instance(cfg, DistanceConfig, InvalidConfig).formulation != "new":
         raise InvalidConfig(f"config formulation is {cfg.formulation!r}, not 'new'")
     return wavelet_distance(p, q, cfg)
 
@@ -141,7 +135,7 @@ def distance_original(p: Density, q: Density, cfg: DistanceConfig) -> float:
     """Level-0 approximation term (weight C0) plus detail sums over the
     nonnegative levels (weight C1); covers both the original and the
     alternative formulation depending on cfg."""
-    if _checked_config(cfg).formulation == "new":
+    if checked_instance(cfg, DistanceConfig, InvalidConfig).formulation == "new":
         raise InvalidConfig(
             "config formulation is 'new', expected 'original' or 'alternative'")
     return wavelet_distance(p, q, cfg)
@@ -228,20 +222,25 @@ def _pairwise(rows, weights, budget=math.inf):
     return out
 
 
-def _measure_list(ps, budget):
-    """list(ps), refused with InvalidGrid when ps is not iterable or its N
-    measures need more than budget cells of N x N."""
+def _each_measure(ps, transform, budget):
+    """[transform(p) for p in ps], each failure re-raised naming its
+    measure; refused with InvalidGrid before any transform when ps is not
+    iterable or its N measures need more than budget cells of N x N."""
     if not np.iterable(ps):
         raise InvalidGrid(f"measures must be an iterable of densities, got {ps!r}")
     if (n := len(ps := list(ps))) * n > budget:
         raise InvalidGrid(f"{n} measures need {n * n} matrix cells, more than the budget "
                           f"of {budget}; use fewer measures")
-    return ps
+    out = []
+    for i, p in enumerate(ps):
+        with add_context(f"measure {i}"):
+            out.append(transform(p))
+    return out
 
 
 def wavelet_distance(p: Density, q: Density, cfg: DistanceConfig) -> float:
     """The distance under the formulation selected by the config."""
-    levels, weights = _levels_and_weights(_checked_config(cfg))
+    levels, weights = _levels_and_weights(checked_instance(cfg, DistanceConfig, InvalidConfig))
     rows = [_coefficients(p, cfg, levels), _coefficients(q, cfg, levels)]
     return float(_pairwise(rows, weights)[0, 1])
 
@@ -249,21 +248,14 @@ def wavelet_distance(p: Density, q: Density, cfg: DistanceConfig) -> float:
 def distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
     """Symmetric matrix of pairwise distances under the configured
     formulation, each entry equal to wavelet_distance bit for bit.  Each
-    density is transformed once, at its first pair, and its coefficients
-    are kept until its row is done; per-pair failures are re-raised with
-    the pair attached.  ps may be any iterable; more than _MAX_CELLS cells
-    of N x N are refused before the first transform."""
-    levels, weights = _levels_and_weights(_checked_config(cfg))
-    ps = _measure_list(ps, _MAX_CELLS)
-    n = len(ps)
+    density is transformed once, before any pair, and a failed transform
+    is re-raised naming its measure.  ps may be any iterable; more than
+    _MAX_CELLS cells of N x N are refused before the first transform."""
+    levels, weights = _levels_and_weights(checked_instance(cfg, DistanceConfig, InvalidConfig))
+    rows = _each_measure(ps, lambda p: _coefficients(p, cfg, levels), _MAX_CELLS)
+    n = len(rows)
     out = np.zeros((n, n))
-    coeffs = [None] * n
     for i in range(n):
         for j in range(i + 1, n):
-            with add_context(f"pair ({i}, {j})"):
-                for k in (i, j):
-                    if coeffs[k] is None:
-                        coeffs[k] = _coefficients(ps[k], cfg, levels)
-                out[i, j] = out[j, i] = _pairwise([coeffs[i], coeffs[j]], weights)[0, 1]
-        coeffs[i] = None
+            out[i, j] = out[j, i] = _pairwise([rows[i], rows[j]], weights)[0, 1]
     return out

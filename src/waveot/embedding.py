@@ -30,11 +30,11 @@ import numpy as np
 # embed reaches sample_for_dwt and dwt_decompose through _coefficients, but
 # both stay importable here: perfbench/tracer.py wraps this import site
 from .densities import Density, _nonzero_span, sample_for_dwt
-from .distance import (_MAX_CELLS, DistanceConfig, _checked_config, _coefficients,
-                       _levels_and_weights, _measure_list, _pairwise)
+from .distance import (_MAX_CELLS, DistanceConfig, _coefficients, _each_measure,
+                       _levels_and_weights, _pairwise)
 from .dwt import _zero_chain, dwt_decompose
 from .errors import (ConfigMismatch, InvalidConfig, InvalidGrid, MalformedWlot, ShapeMismatch,
-                     UnknownWavelet, add_context, checked_instance, checked_int, checked_reals)
+                     UnknownWavelet, checked_instance, checked_int, checked_reals)
 from .filters import build_wavelet_system
 
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
@@ -105,7 +105,8 @@ class WlotVector:
             if values.ndim != 1:
                 raise ShapeMismatch(f"level {j}: {values.ndim}-D values, not 1-D")
             start, stop = _nonzero_span(values)
-            values = np.ascontiguousarray(values[start:stop]) if stop else np.empty(0)
+            # a copy, so the caller's arrays cannot change the vector
+            values = values[start:stop].copy() if stop else np.empty(0)
             values.setflags(write=False)
             # the first non-finite value, or the first if all are finite, and the last
             for t in (int(np.isfinite(values).argmin()), len(values) - 1) if stop else ():
@@ -146,7 +147,7 @@ class WlotVector:
 
 def _embedding_config(cfg):
     """cfg, refused with InvalidConfig unless it is a "new" DistanceConfig."""
-    if _checked_config(cfg).formulation != "new":
+    if checked_instance(cfg, DistanceConfig, InvalidConfig).formulation != "new":
         raise InvalidConfig(
             f"only the 'new' formulation embeds, got {cfg.formulation!r}")
     return cfg
@@ -184,11 +185,7 @@ def wlot_distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
     N x N are refused before the first embed, and of N x K before any is
     filled; a failed embed is re-raised naming its measure."""
     weights = _levels_and_weights(_embedding_config(cfg))[1][1:]
-    ps = _measure_list(ps, _MAX_CELLS)
-    vecs = []
-    for i, p in enumerate(ps):
-        with add_context(f"measure {i}"):
-            vecs.append(embed(p, cfg))
+    vecs = _each_measure(ps, lambda p: embed(p, cfg), _MAX_CELLS)
     return _pairwise([vec.levels for vec in vecs], weights, _MAX_CELLS)
 
 

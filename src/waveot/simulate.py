@@ -16,7 +16,7 @@ import numpy as np
 
 from .densities import (_MAX_SAMPLE_POINTS, bump_density, dilate, discretize, translate,
                         uniform_density)
-from .distance import _C0_DIAMETER, DistanceConfig, _checked_config, wavelet_distance
+from .distance import _C0_DIAMETER, DistanceConfig, wavelet_distance
 from .errors import (DegenerateFit, InvalidConfig, add_context, checked_instance, checked_int,
                      checked_interval)
 from .exact import exact_ws
@@ -97,7 +97,7 @@ class SimulationSpec:
             s_values = ()
         if not s_values:
             raise InvalidConfig(f"s_values must hold at least one exponent, got {self.s_values!r}")
-        _checked_config(self.cfg)
+        checked_instance(self.cfg, DistanceConfig, InvalidConfig)
         for s in s_values:  # DistanceConfig refuses a bad exponent
             replace(self.cfg, s=s)
         object.__setattr__(self, "s_values", s_values)

@@ -13,8 +13,8 @@ from waveot.distance import (DistanceConfig, distance_matrix, distance_new,
                              distance_original, wavelet_distance)
 from waveot.dwt import decompose_call_count, dwt_decompose
 from waveot.embedding import embed, wlot_distance_matrix
-from waveot.errors import (InvalidConfig, InvalidExponent, InvalidGrid, InvalidInterval,
-                           UnknownWavelet)
+from waveot.errors import (DomainOverflow, InvalidConfig, InvalidExponent, InvalidGrid,
+                           InvalidInterval, UnknownWavelet)
 from waveot.exact import exact_ws
 from waveot.filters import build_wavelet_system
 from waveot.simulate import EXACT_DOMAIN
@@ -124,7 +124,9 @@ def test_densities_the_grid_cannot_resolve_are_refused(formulation):
     cfg = DistanceConfig(s=0.5, j0=0, M=4, formulation=formulation)
     with pytest.raises(InvalidGrid, match="no mass"):
         wavelet_distance(p, q, cfg)
-    with pytest.raises(InvalidGrid, match=r"pair \(0, 1\)"):
+    with pytest.raises(InvalidGrid, match=r"^measure 0: density on \[0\.5, 0\.500000001\] carries "
+                                          r"no mass on the sampling grid of spacing 0\.0625; "
+                                          r"use a larger M$"):
         distance_matrix([p, q], cfg)
 
 
@@ -262,7 +264,8 @@ def test_distance_matrix_transforms_each_density_once(formulation):
 def test_distance_matrix_error_context():
     p = uniform_density(0.0, 1.0)
     far = translate(p, 80.0)  # outside [0, 2^6]
-    with pytest.raises(Exception, match=r"pair \(0, 1\)"):
+    with pytest.raises(Exception, match=r"^measure 1: support \[80\.0, 81\.0\] exceeds the "
+                                        r"sampling domain \[0, 64\.0\]$"):
         distance_matrix([p, far], CFG)
 
 
@@ -274,7 +277,7 @@ def test_distance_matrix_context_added_once_without_quotes(monkeypatch):
     p = uniform_density(0.0, 1.0)
     with pytest.raises(UnknownWavelet) as exc:
         distance_matrix([p, p], CFG)
-    assert str(exc.value) == "pair (0, 1): db99"
+    assert str(exc.value) == "measure 0: db99"
 
 
 def test_distance_matrix_keeps_foreign_exception(monkeypatch):
@@ -289,7 +292,7 @@ def test_distance_matrix_keeps_foreign_exception(monkeypatch):
         distance_matrix([p, p], CFG)
     assert exc.value is err and exc.value.args == (7, "solver state")
     if hasattr(err, "add_note"):  # Python 3.11+
-        assert err.__notes__ == ["pair (0, 1)"]
+        assert err.__notes__ == ["measure 0"]
 
 
 def test_distance_matrix_refuses_more_cells_than_budget_before_transforming(monkeypatch):
@@ -320,7 +323,7 @@ _U = uniform_density(0.0, 1.0)
 def test_distances_refuse_a_config_that_is_not_a_distance_config(call, cfg):
     # each used to escape as AttributeError from reading cfg.formulation
     before = decompose_call_count()
-    with pytest.raises(InvalidConfig, match=f"^cfg must be a DistanceConfig, got {re.escape(repr(cfg))}$"):
+    with pytest.raises(InvalidConfig, match=f"^expected a DistanceConfig, got {re.escape(repr(cfg))}$"):
         call(cfg)
     assert decompose_call_count() == before
 
@@ -329,8 +332,20 @@ def test_distances_refuse_a_measure_that_is_not_a_density():
     # both used to escape as AttributeError from reading d.support
     with pytest.raises(InvalidInterval, match="^expected a Density, got 'x'$"):
         wavelet_distance(_U, "x", CFG)
-    with pytest.raises(InvalidInterval, match="^pair \\(0, 1\\): expected a Density, got 'x'$"):
+    with pytest.raises(InvalidInterval, match="^measure 1: expected a Density, got 'x'$"):
         distance_matrix([_U, "x"], CFG)
+
+
+@pytest.mark.parametrize("measure, error, message", [
+    ("x", InvalidInterval, "expected a Density, got 'x'"),
+    (translate(_U, 1e3), DomainOverflow,
+     "support [1000.0, 1001.0] exceeds the sampling domain [0, 64.0]"),
+], ids=["not_a_density", "outside_the_domain"])
+def test_matrices_look_at_a_lone_measure(measure, error, message):
+    # distance_matrix returned [[0.]] for one measure without transforming it
+    for matrix in (distance_matrix, wlot_distance_matrix):
+        with pytest.raises(error, match=f"^measure 0: {re.escape(message)}$"):
+            matrix([measure], CFG)
 
 
 @pytest.mark.parametrize("matrix", [distance_matrix, wlot_distance_matrix])

@@ -386,6 +386,20 @@ def test_level_arrays_are_trimmed_and_read_only():
         WlotVector(wavelet="db10", j0=CFG.j0, M=CFG.M, levels=vec.levels[1:])
 
 
+def test_vector_owns_its_levels():
+    # np.ascontiguousarray of a contiguous slice copied nothing, so a
+    # caller's write showed through the read-only levels: a NaN made
+    # wlot_distance nan and the vector's own text unreadable
+    vec = embed(uniform_density(0.2, 0.7), CFG)
+    arrays = [np.array(values) for _, values in vec.levels]
+    copy = WlotVector(wavelet=vec.wavelet, j0=vec.j0, M=vec.M,
+                      levels=[(offset, a) for (offset, _), a in zip(vec.levels, arrays)])
+    next(a for a in arrays if len(a))[0] = np.nan
+    assert wlot_distance(copy, vec, CFG.s) == 0.0
+    assert to_text(copy) == to_text(vec)
+    assert from_text(to_text(copy)).entries == vec.entries
+
+
 def test_prune():
     vec = embed(bump_density(0.7, 0.3), CFG)
     eps = 1e-6

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -229,7 +230,8 @@ def test_run_simulation_error_context(monkeypatch):
 def test_spec_refuses_a_cfg_that_is_not_a_distance_config():
     # these used to escape as TypeError from dataclasses.replace
     for cfg in (None, "x"):
-        with pytest.raises(InvalidConfig, match="cfg must be a DistanceConfig"):
+        with pytest.raises(InvalidConfig,
+                           match=f"^expected a DistanceConfig, got {re.escape(repr(cfg))}$"):
             SimulationSpec(family="bump_dilate", cfg=cfg)
 
 

@@ -160,7 +160,10 @@ class SampledDensity:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted point masses on strictly increasing positions."""
+    """Weighted point masses on strictly increasing positions.
+
+    Float arrays are kept, not copied, and marked read-only, the caller's
+    too; a view of another writable array can still change the measure."""
 
     positions: np.ndarray
     weights: np.ndarray
@@ -178,6 +181,7 @@ class DiscreteMeasure:
             raise UnbalancedMarginals("weights must be finite and nonnegative")
         if not abs(w.sum() - 1.0) <= 1e-12:
             raise UnbalancedMarginals(f"weights sum to {w.sum():.15g}, expected 1")
+        pos.flags.writeable = w.flags.writeable = False
 
     def __len__(self):
         return len(self.positions)
@@ -338,17 +342,20 @@ def discretize(d: Density, num_points: int, domain: tuple = None) -> DiscreteMea
     """Point masses on a uniform grid with weights proportional to the
     density values, renormalized to unit mass.
 
-    domain defaults to the density support; pass a shared interval to put
-    several measures on one grid for the exact solver.  The density is
-    evaluated _BLOCK_POINTS points at a time into the weights array, which
-    is then normalized in place.
+    domain defaults to the density support; a shared interval holding each
+    support puts several measures on one grid for the exact solver.  The
+    density is evaluated _BLOCK_POINTS points at a time into the weights
+    array, which is then normalized in place.
     """
     num_points = checked_int(
         num_points, InvalidGrid,
         f"need 2 to {_MAX_SAMPLE_POINTS} grid points, got {num_points}", 2, _MAX_SAMPLE_POINTS)
-    lo, hi = checked_instance(d, Density, InvalidInterval).support
+    support = lo, hi = checked_instance(d, Density, InvalidInterval).support
     if domain is not None:
         lo, hi = checked_interval(domain, InvalidInterval, f"invalid grid domain {domain}")
+        if not lo <= support[0] <= support[1] <= hi:
+            raise InvalidGrid(f"support [{support[0]}, {support[1]}] reaches outside "
+                              f"the grid domain [{lo}, {hi}]")
     grid = np.linspace(lo, hi, num_points)
     w = np.empty_like(grid)
     for start in range(0, num_points, _BLOCK_POINTS):

@@ -10,22 +10,22 @@ boundary modes are provided:
 * "zero": the vector is extended by zeros on both sides, so every output
   index k with at least one nonzero product is kept: for a length-N array
   whose first element sits at translation k0, k runs from
-  ceil((k0 - L + 1) / 2) through floor((k0 + N - 1) / 2).  _zero_chain
-  alone derives these (offset, length) windows, level after level, for the
-  transform, its inverse and the embedding's level windows.  Each array,
+  ceil((k0 - L + 1) / 2) through floor((k0 + N - 1) / 2).  Each array,
   the input too, carries the absolute translation index of its first
   element, so coefficients from different signals stay aligned on one
   shared integer translation lattice.  All distance computations use this
   mode.
 * "periodic": the vector wraps around; input length must be divisible by
-  2 at each level and the transform is orthogonal (used for Parseval
-  checks only).  Every level sits at offset 0 with half its parent's
-  length, and the vector is wrapped by L - 1 samples before each halving.
+  2 at each level and the transform is orthogonal (Parseval holds, and c01
+  checks perfect reconstruction in it).  Every level sits at offset 0 with
+  half its parent's length; each halving wraps the vector by L - 1 samples.
 
-Both modes take a level as one strided slice of the vector convolved with
-the reversed filter, starting at 2 * (output offset) + L - 1 - (input
-offset); the inverse is one upsampled sum, which periodic mode folds onto
-one period.
+_chain alone fixes each level's (offset, length) window in either mode:
+the transform writes its levels there, the inverse refuses a pyramid off
+it, and the .wlot windows are its zero-mode ones.  Both modes take a
+level as one strided slice of the vector convolved with the reversed
+filter, starting at 2 * (output offset) + L - 1 - (input offset); the
+inverse is one upsampled sum, which periodic mode folds onto one period.
 """
 
 from dataclasses import dataclass
@@ -89,6 +89,17 @@ def _zero_chain(k0, n, L, levels):
     return chain
 
 
+def _chain(mode, k0, n, L, levels):
+    """Per-level (offset, length) windows of the transform of a length-n
+    vector at translation k0 in the given mode, entry 0 the input itself;
+    periodic mode refuses an n that 2^levels does not divide."""
+    if mode == "zero":
+        return _zero_chain(k0, n, L, levels)
+    if (n & -n) >> levels == 0:
+        raise InvalidLevels("periodic mode requires length divisible by 2 at every level")
+    return [(0, n >> i) for i in range(levels + 1)]
+
+
 def dwt_decompose(x, system: WaveletSystem, num_levels: int,
                   mode: str = "zero", j_in: int = 0,
                   k_offset: int = 0) -> CoefficientPyramid:
@@ -115,13 +126,7 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
 
     g, h = system.g, system.h
     L = len(g)
-    input_length = len(x)
-    if mode == "zero":
-        chain = _zero_chain(k_offset, input_length, L, num_levels)
-    elif (input_length & -input_length) >> num_levels == 0:  # 2^levels does not divide it
-        raise InvalidLevels("periodic mode requires length divisible by 2 at every level")
-    else:
-        chain = [(0, input_length >> i) for i in range(num_levels + 1)]
+    chain = _chain(mode, k_offset, len(x), L, num_levels)
     details, offsets = [], []
     for (k0, n), (off, length) in zip(chain, chain[1:]):
         if mode == "periodic":  # the zero-mode step on x wrapped by L - 1 samples
@@ -139,7 +144,7 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
         details=details[::-1],
         detail_offsets=offsets[::-1],
         mode=mode,
-        input_length=input_length,
+        input_length=chain[0][1],
         input_offset=k_offset,
     )
 
@@ -165,29 +170,23 @@ def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.nd
         raise ShapeMismatch(f"pyramid has {levels} detail levels, at most {_MAX_LEVELS} allowed")
 
     g, h = system.g, system.h
+    k0 = checked_int(pyramid.input_offset, ShapeMismatch, "input offset is not an integer")
+    n = checked_int(pyramid.input_length, ShapeMismatch, "input length is not an integer > 0", 1)
+    chain = _chain(mode, k0, n, len(g), levels)
     a = np.asarray(pyramid.approx, dtype=float)
-    if mode == "zero":
-        chain = _zero_chain(pyramid.input_offset, pyramid.input_length, len(g), levels)
-        if len(a) != chain[levels][1] or pyramid.approx_offset != chain[levels][0]:
-            raise ShapeMismatch("approximation array inconsistent with input geometry")
+    if len(a) != chain[levels][1] or pyramid.approx_offset != chain[levels][0]:
+        raise ShapeMismatch("approximation array inconsistent with input geometry")
     for i, d in enumerate(pyramid.details):
         d = np.asarray(d, dtype=float)
-        if mode == "zero":
-            expect_off, expect_len = chain[levels - i]
-            if len(d) != expect_len or pyramid.detail_offsets[i] != expect_off:
-                raise ShapeMismatch(
-                    f"detail level {pyramid.j0 + i}: expected length {expect_len} "
-                    f"at offset {expect_off}, got {len(d)} at "
-                    f"{pyramid.detail_offsets[i]}")
-        elif len(d) != len(a):
-            raise ShapeMismatch(
-                f"detail level {pyramid.j0 + i}: length {len(d)} != {len(a)}")
+        (off, length), (parent_off, parent_len) = chain[levels - i], chain[levels - i - 1]
+        if len(d) != length or pyramid.detail_offsets[i] != off:
+            raise ShapeMismatch(f"detail level {pyramid.j0 + i}: expected length {length} at "
+                                f"offset {off}, got {len(d)} at {pyramid.detail_offsets[i]}")
         rec = _synthesize(a, d, g, h)
         if mode == "zero":
-            # rec[t] sits at translation 2 * expect_off + t; it starts L - 2
-            # or L - 1 cells before the parent window and ends no earlier
-            parent_off, parent_len = chain[levels - i - 1]
-            a = rec[parent_off - 2 * expect_off:][:parent_len]
-        else:  # fold onto one period of 2 len(a)
-            a = np.bincount(np.arange(len(rec)) % (2 * len(a)), rec, 2 * len(a))
+            # rec[t] sits at translation 2 * off + t; it starts L - 2 or
+            # L - 1 cells before the parent window and ends no earlier
+            a = rec[parent_off - 2 * off:][:parent_len]
+        else:  # fold onto one period
+            a = np.bincount(np.arange(len(rec)) % parent_len, rec, parent_len)
     return a

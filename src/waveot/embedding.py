@@ -22,7 +22,7 @@ nonzero coefficients, sorted by level and translation, with
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from .densities import Density, _nonzero_span, sample_for_dwt
 from .distance import (_MAX_CELLS, DistanceConfig, _coefficients, _each_measure,
                        _levels_and_weights, _pairwise)
-from .dwt import _zero_chain, dwt_decompose
+from .dwt import _chain, dwt_decompose
 from .errors import (ConfigMismatch, InvalidConfig, InvalidGrid, MalformedWlot, ShapeMismatch,
                      UnknownWavelet, checked_instance, checked_int, checked_reals)
 from .filters import build_wavelet_system
@@ -40,20 +40,12 @@ from .filters import build_wavelet_system
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
            "prune", "write_wlot", "read_wlot", "to_text", "from_text"]
 
-@lru_cache(maxsize=64)
-def _cached_grid(wavelet, j0, M):
-    system, cfg = build_wavelet_system(wavelet), DistanceConfig(s=1.0, j0=j0, M=M)
-    windows = _zero_chain(0, 2 ** cfg.M, len(system.g), cfg.M)[:0:-1]
-    return system.name, cfg.j0, cfg.M, tuple(windows)
-
 
 def _grid(wavelet, j0, M):
     """(wavelet as build_wavelet_system spells it, int j0, int M, each level's
     (first, length) window over the whole domain), or a WaveotError."""
-    try:
-        return _cached_grid(wavelet, j0, M)
-    except TypeError:  # unhashable, so refused: skip the cache
-        return _cached_grid.__wrapped__(wavelet, j0, M)
+    system, cfg = build_wavelet_system(wavelet), DistanceConfig(s=1.0, j0=j0, M=M)
+    return system.name, cfg.j0, cfg.M, _chain("zero", 0, 2 ** cfg.M, len(system.g), cfg.M)[:0:-1]
 
 
 def _entry_error(windows, j0, j, k, value):
@@ -100,8 +92,7 @@ class WlotVector:
                 values = None  # not real values either
             values = checked_reals(values, ShapeMismatch,
                                    f"level {j}: not an (offset, real values) pair")
-            if type(offset) is not int:  # skips checked_int's cost on embed's offsets
-                offset = checked_int(offset, ShapeMismatch, f"level {j}: bad offset {offset!r}")
+            offset = checked_int(offset, ShapeMismatch, f"level {j}: bad offset {offset!r}")
             if values.ndim != 1:
                 raise ShapeMismatch(f"level {j}: {values.ndim}-D values, not 1-D")
             start, stop = _nonzero_span(values)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._db_tables import DB_SCALING_FILTERS
-from .errors import InvalidConfig, UnknownWavelet
+from .errors import InvalidConfig, UnknownWavelet, checked_reals
 
 __all__ = ["WaveletSystem", "build_wavelet_system", "catalog_names"]
 
@@ -47,14 +47,15 @@ class WaveletSystem:
     support_length: int = field(init=False)
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        h = np.asarray(self.h, dtype=float)
-        g.setflags(write=False)
-        h.setflags(write=False)
+        message = f"{self.name}: filters must be 1-D arrays of real numbers"
+        g, h = (checked_reals(f, InvalidConfig, message) for f in (self.g, self.h))
+        if g.ndim != 1 or h.ndim != 1:
+            raise InvalidConfig(message)
+        _validate_filters(self.name, g, h)
+        g.flags.writeable = h.flags.writeable = False
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "support_length", len(g) - 1)
-        _validate_filters(self.name, g, h)
 
 
 def _validate_filters(name, g, h):

@@ -124,6 +124,20 @@ def test_domain_error_reports_and_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_support_outside_the_exact_grid_reports_and_fails(tmp_path, capsys):
+    # at param 2.5 the support [2.5, 3.5] leaves the exact grid [0, 3]: the
+    # cut-off density used to be renormalized and its W_1 written to the CSV
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--family", "uniform_translate", "--s", "1",
+                 "--j0", "-6", "--levels", "12", "--range", "0", "2.5", "--count", "2",
+                 "--exact-points", "80", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: family uniform_translate, s=1.0, param=2.5: support [2.5, 3.5] reaches "
+        "outside the grid domain [0.0, 3.0]\n")
+    assert not out.exists()
+
+
 def test_solver_non_convergence_reports_and_fails(tmp_path, capsys, monkeypatch):
     # the bump_dilate cells at s < 1 need one pivot from the nested start,
     # so a budget of none cannot solve them

@@ -14,6 +14,7 @@ from waveot.densities import (_BUMP_BASE_MASS, Density, DiscreteMeasure,
                               sample_for_dwt, translate, uniform_density)
 from waveot.errors import (DomainOverflow, InvalidGrid, InvalidInterval,
                            UnbalancedMarginals)
+from waveot.exact import exact_ws
 from waveot.simulate import FAMILIES
 
 
@@ -490,6 +491,22 @@ def test_discretize_takes_integral_float_counts():
             discretize(p, n)
 
 
+def test_discretize_refuses_a_support_outside_the_domain():
+    # the part outside used to be cut off and the rest renormalized, so at
+    # param 2.5 a uniform_translate sweep recorded W_1 = 2.2523 for 2.5
+    for d, domain, text in ((translate(uniform_density(0.0, 1.0), 2.5), (0.0, 3.0),
+                             "[2.5, 3.5] reaches outside the grid domain [0.0, 3.0]"),
+                            (uniform_density(0.0, 1.0), (0.5, 3.0),
+                             "[0.0, 1.0] reaches outside the grid domain [0.5, 3.0]")):
+        with pytest.raises(InvalidGrid, match=f"^support {re.escape(text)}$"):
+            discretize(d, 100, domain=domain)
+    # a support touching either end of the domain fits
+    for shift in (0.0, 2.0):
+        m = discretize(translate(uniform_density(0.0, 1.0), shift), 301, domain=(0.0, 3.0))
+        held = m.positions[m.weights > 0]
+        assert shift <= held[0] and held[-1] <= shift + 1.0 and len(held) >= 99
+
+
 def test_discretize_evaluates_in_blocks():
     # the weights are filled a block at a time and normalized in place:
     # the grid, the weights and the measure's own checks, about 25 bytes a
@@ -530,6 +547,26 @@ def test_discrete_measure_validation():
     for w in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]):
         with pytest.raises(UnbalancedMarginals, match="finite"):
             DiscreteMeasure(np.array([0.0, 1.0]), np.array(w))
+
+
+def test_discrete_measure_freezes_its_arrays():
+    # the measure kept writable aliases of the caller's arrays: a write to
+    # the positions moved exact_ws from 0.7071 to 0.4950, and a negative
+    # weight the constructor refuses was taken as well
+    x, w = np.array([0.0, 1.0, 2.0]), np.array([0.2, 0.3, 0.5])
+    mu = DiscreteMeasure(x, w)
+    nu = DiscreteMeasure(np.array([0.5, 1.5]), np.array([0.5, 0.5]))
+    before = exact_ws(mu, nu, 0.5)[0]
+    for arr, values in ((x, [0.0, 1.0, 1.0]), (w, [0.7, -0.2, 0.5]),
+                        (mu.positions, [0.0, 1.0, 1.0]), (mu.weights, [0.7, -0.2, 0.5])):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] = values
+    assert exact_ws(mu, nu, 0.5)[0] == before
+    # a refused measure leaves the caller's arrays as they were
+    y = np.array([0.0, 0.0])
+    with pytest.raises(InvalidGrid):
+        DiscreteMeasure(y, np.array([0.5, 0.5]))
+    y[:] = [0.0, 1.0]
 
 
 @pytest.mark.parametrize("pos, w, error, message", [

@@ -145,11 +145,48 @@ def test_shape_mismatch_on_tampered_pyramid():
         setattr(pyr, field, value)
         with pytest.raises(ShapeMismatch, match="approximation"):
             dwt_reconstruct(pyr, db2)
-    # a periodic detail level must be as long as the approximation it joins
+    # a periodic detail level must sit on the chain its input fixes
     pyr = dwt_decompose(np.arange(32.0), db2, 2, "periodic")
     pyr.details[0] = pyr.details[0][:-1]
-    with pytest.raises(ShapeMismatch, match="length 7 != 8"):
+    with pytest.raises(ShapeMismatch, match="^detail level -2: expected length 8 at offset 0, "
+                                            "got 7 at 0$"):
         dwt_reconstruct(pyr, db2)
+
+
+def test_periodic_pyramid_cut_in_half_is_refused():
+    # every array halved still joins its neighbours, so only the input
+    # length tells that 16 samples would come back for 32
+    db2 = build_wavelet_system("db2")
+    pyr = dwt_decompose(np.arange(32.0), db2, 2, "periodic")
+    pyr.approx = pyr.approx[:4]
+    pyr.details = [pyr.details[0][:4], pyr.details[1][:8]]
+    with pytest.raises(ShapeMismatch,
+                       match="^approximation array inconsistent with input geometry$"):
+        dwt_reconstruct(pyr, db2)
+
+
+@pytest.mark.parametrize("mode", ["zero", "periodic"])
+def test_reconstruct_refuses_an_input_geometry_that_is_not_integers(mode):
+    # zero mode let these escape as TypeError; periodic mode never read them
+    haar = build_wavelet_system("haar")
+    x = np.arange(1.0, 9.0)
+    for field, value, message in (
+            ("input_length", None, "input length is not an integer > 0"),
+            ("input_length", 0, "input length is not an integer > 0"),
+            ("input_length", 8.5, "input length is not an integer > 0"),
+            ("input_offset", None, "input offset is not an integer"),
+            ("input_offset", "x", "input offset is not an integer")):
+        pyr = dwt_decompose(x, haar, 2, mode)
+        setattr(pyr, field, value)
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            dwt_reconstruct(pyr, haar)
+    pyr = dwt_decompose(x, haar, 2, mode)
+    pyr.input_length = 8.0  # an integral float is read as 8
+    assert np.max(np.abs(dwt_reconstruct(pyr, haar) - x)) <= 1e-12
+    if mode == "periodic":  # 2^2 does not divide 6: no chain at all
+        pyr.input_length = 6
+        with pytest.raises(InvalidLevels, match="periodic mode requires length divisible"):
+            dwt_reconstruct(pyr, haar)
 
 
 def test_integral_float_levels_and_offsets_are_ints():

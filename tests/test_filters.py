@@ -128,3 +128,25 @@ def test_hand_built_system_breaking_an_identity_is_invalid_config(part, message)
     g, h = _broken_filters(part)
     with pytest.raises(InvalidConfig, match=f"bad: .*{message}"):
         WaveletSystem(name="bad", g=g, h=h)
+
+
+@pytest.mark.parametrize("g, h", [
+    (["a", "b"], ["c", "d"]),
+    (np.array([1.0, 1.0]) / ROOT2 + 0j, np.array([1.0, -1.0]) / ROOT2 + 0j),
+    (None, None),
+    (np.array([[1.0], [1.0]]) / ROOT2, np.array([[1.0], [-1.0]]) / ROOT2),
+], ids=["str", "complex", "none", "columns"])
+def test_hand_built_system_with_filters_that_are_not_1d_reals_is_invalid_config(g, h):
+    # these used to escape from numpy as ValueError or TypeError
+    with pytest.raises(InvalidConfig, match="^x: filters must be 1-D arrays of real numbers$"):
+        WaveletSystem("x", g, h)
+
+
+def test_refused_system_leaves_the_callers_filters_writable():
+    # the filters used to be marked read-only before the identities were checked
+    g, h = np.array([0.5, 0.5]), np.array([0.5, -0.5])
+    with pytest.raises(InvalidConfig, match="^bad: low-pass sum is not sqrt"):
+        WaveletSystem("bad", g, h)
+    assert g.flags.writeable and h.flags.writeable
+    system = WaveletSystem("haar", g * ROOT2, h * ROOT2)
+    assert not (system.g.flags.writeable or system.h.flags.writeable)

@@ -1,10 +1,12 @@
 """Property tests of the sampled window and the distance/embedding
 identity over densities drawn anywhere in the dyadic domain, including
 supports touching either end and supports narrower than one grid cell,
-of the DWT's inversion at any translation offset and of one halving in
-either boundary mode against its defining sum, of the paper's dilation
-law (dilating by 2^k scales the "new" distance, its embedding's distance
-and exact W_s by 2^(ks)), of the embedding's linearity in a mixture,
+of the DWT's inversion at any translation offset, of one halving in
+either boundary mode against its defining sum and of the inverse
+refusing, in either mode, any level cut off the chain its input fixes,
+of the paper's dilation law (dilating by 2^k scales the "new" distance,
+its embedding's distance and exact W_s by 2^(ks)), of the embedding's
+linearity in a mixture,
 matrix (at any column block) and text round trip, of every hand-built
 WlotVector that constructs reading back from its text, of the exact solver against the LP oracle, with symmetric costs and
 exact marginals, on a small shared grid and on measures each on its own
@@ -38,7 +40,7 @@ from waveot.distance import DistanceConfig, distance_new, wavelet_distance
 from waveot.dwt import _zero_chain, dwt_decompose, dwt_reconstruct
 from waveot.embedding import (WlotVector, embed, from_text, to_text, wlot_distance,
                               wlot_distance_matrix)
-from waveot.errors import InvalidGrid, WaveotError
+from waveot.errors import InvalidGrid, ShapeMismatch, WaveotError
 from waveot import exact
 from waveot.exact import _nested_start, _transport_simplex, exact_ws
 from waveot.filters import build_wavelet_system, catalog_names
@@ -307,6 +309,32 @@ def test_one_halving_is_its_definition(data, name, mode, k_offset):
                 assert abs(coeffs[k - off] - np.dot(x[inside], f[i[inside]])) <= 1e-12
             else:  # just outside the window: no product at all
                 assert not inside.any()
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from(["haar", "db2", "db7"]), st.sampled_from(["zero", "periodic"]),
+       st.integers(1, 5), st.integers(-5, 5))
+def test_reconstruct_refuses_any_level_off_its_chain(data, name, mode, levels, k_offset):
+    system = build_wavelet_system(name)
+    n = data.draw(st.integers(1, 60) if mode == "zero"
+                  else st.integers(1, 8).map(lambda h: h << levels))
+    x = np.linspace(-1.0, 1.0, n)
+    pyr = dwt_decompose(x, system, levels, mode, k_offset=k_offset)
+    assert np.max(np.abs(dwt_reconstruct(pyr, system) - x)) <= 1e-10
+    # the approximation (index levels) or one detail level, cut at either
+    # end, grown by one value or moved by one translation
+    i = data.draw(st.integers(0, levels))
+    values, offset = ((pyr.approx, pyr.approx_offset) if i == levels
+                      else (pyr.details[i], pyr.detail_offsets[i]))
+    values, offset = data.draw(st.sampled_from([
+        (values[1:], offset), (values[:-1], offset), (np.append(values, 0.0), offset),
+        (values, offset - 1), (values, offset + 1)]))
+    if i == levels:
+        pyr.approx, pyr.approx_offset = values, offset
+    else:
+        pyr.details[i], pyr.detail_offsets[i] = values, offset
+    with pytest.raises(ShapeMismatch):
+        dwt_reconstruct(pyr, system)
 
 
 @SETTINGS

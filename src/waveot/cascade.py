@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import abs_power
 from .densities import _BLOCK_POINTS, _MAX_SAMPLE_POINTS, SampledDensity
 from .errors import (InvalidConfig, InvalidFunction, InvalidLevels, check_exponent,
                      checked_instance, checked_int)
+from .exact import abs_power
 from .filters import WaveletSystem
 
 __all__ = ["cascade_evaluate", "estimate_constants", "HolderConstants"]

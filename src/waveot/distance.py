@@ -27,7 +27,7 @@ offset carried along), and _pairwise lays a level out only over the
 translations where some row has coefficients, never over the gap between
 them.  So memory and work follow the two supports, not the 2^M cells of
 the domain or the distance between the supports: u uniform on [0, 1]
-against its translate by 2040 at j0 = -11 and M = 22 peaks at 0.4 MiB by
+against its translate by 2040 at j0 = -11 and M = 22 peaks at 0.42 MiB by
 tracemalloc.
 Edge coefficients produced by the zero extension are genuine coefficients
 of the extended signal and are always included in the sums.
@@ -44,7 +44,7 @@ from .densities import _BLOCK_POINTS, _MIN_J0, Density, sample_for_dwt
 from .dwt import dwt_decompose
 from .errors import (InvalidConfig, InvalidGrid, add_context, check_exponent, checked_instance,
                      checked_int)
-from .filters import build_wavelet_system
+from .filters import _catalog_order, build_wavelet_system
 
 __all__ = ["DistanceConfig", "distance_new", "distance_original",
            "distance_matrix", "wavelet_distance"]
@@ -71,9 +71,10 @@ class DistanceConfig:
 
     s: exponent in (0, 1]; j0: lowest level (typically negative, at
     least -1023); M: number of levels, giving 2^M samples, with j0 + M at
-    most 1074; wavelet: catalog name;
+    most 1074; wavelet: catalog name, checked when the config is built;
     formulation: one of "new", "original", "alternative"; C0/C1: weights
-    of the original/alternative formulations (ignored by "new").  C0 =
+    of the original/alternative formulations ("new" ignores them, but
+    they must be real numbers).  C0 =
     None means the formulation's default, 0 for "original" and 3^s for
     "alternative", resolved when a distance is computed, so a config
     replaced with another s gets that s's default.
@@ -102,8 +103,12 @@ class DistanceConfig:
             raise InvalidConfig(
                 f"need j0 >= {_MIN_J0} and j0 + M <= {_MAX_SAMPLING_LEVEL} so the "
                 f"domain and the grid spacing are doubles, got j0 = {self.j0}, M = {self.M}")
+        _catalog_order(self.wavelet)
         weights = (self.C1,) if self.C0 is None else (self.C0, self.C1)
         reals = all(isinstance(c, numbers.Real) for c in weights)
+        if self.formulation == "new" and not reals:
+            raise InvalidConfig(f"C0 and C1 must be real numbers, got C0 = {self.C0!r}, "
+                                f"C1 = {self.C1!r}")
         if self.formulation == "original" and not (reals and weights in ((1.0,), (0.0, 1.0))):
             raise InvalidConfig("original formulation fixes C0 = 0 and C1 = 1")
         if self.formulation == "alternative" and not (

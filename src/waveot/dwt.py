@@ -58,7 +58,10 @@ class CoefficientPyramid:
 
     details[i] holds the detail coefficients at level j0 + i; approx holds
     the approximation coefficients at level j0.  Offsets record the
-    absolute translation index of element 0 of each array.
+    absolute translation index of element 0 of each array.  Each array
+    dwt_decompose returns is contiguous and its own, not a view into the
+    larger convolution it was cut from, so a pyramid holds only its
+    coefficients.
     """
 
     j0: int
@@ -75,29 +78,22 @@ class CoefficientPyramid:
         return len(self.details)
 
 
-def _zero_chain(k0, n, L, levels):
-    """Per-level (offset, length) of the zero-mode transform of a length-n
-    vector whose first element sits at translation k0, from the input down
-    to the coarsest approximation; entry 0 is the input itself.  A halving
-    keeps every k with a nonzero product in sum_l x_l f_{l-2k}: the first
-    is the one with l - 2k = L - 1 at l = k0 + parity."""
+def _chain(mode, k0, n, L, levels):
+    """Per-level (offset, length) windows of the transform of a length-n
+    vector at translation k0 in the given mode, entry 0 the input itself;
+    periodic mode refuses an n that 2^levels does not divide.  A zero-mode
+    halving keeps every k with a nonzero product in sum_l x_l f_{l-2k}: the
+    first is the one with l - 2k = L - 1 at l = k0 + parity."""
+    if mode == "periodic":
+        if (n & -n) >> levels == 0:
+            raise InvalidLevels("periodic mode requires length divisible by 2 at every level")
+        return [(0, n >> i) for i in range(levels + 1)]
     chain = [(k0, n)]
     for _ in range(levels):
         parity = (L - 1 - k0) % 2
         k0, n = (k0 + parity - L + 1) // 2, (n + L - 2 - parity) // 2 + 1
         chain.append((k0, n))
     return chain
-
-
-def _chain(mode, k0, n, L, levels):
-    """Per-level (offset, length) windows of the transform of a length-n
-    vector at translation k0 in the given mode, entry 0 the input itself;
-    periodic mode refuses an n that 2^levels does not divide."""
-    if mode == "zero":
-        return _zero_chain(k0, n, L, levels)
-    if (n & -n) >> levels == 0:
-        raise InvalidLevels("periodic mode requires length divisible by 2 at every level")
-    return [(0, n >> i) for i in range(levels + 1)]
 
 
 def dwt_decompose(x, system: WaveletSystem, num_levels: int,
@@ -132,9 +128,10 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
         if mode == "periodic":  # the zero-mode step on x wrapped by L - 1 samples
             x = np.resize(x, n + L - 1)
         # x[i] sits at translation k0 + i, so sum_l x_l f_{l-2k} is entry
-        # 2 (k - off) + start of x convolved with the reversed filter
+        # 2 (k - off) + start of x convolved with the reversed filter; the
+        # copy keeps the level alone, not the whole convolution behind it
         start = 2 * off + L - 1 - k0
-        d, x = [np.convolve(x, f[::-1])[start: start + 2 * length: 2] for f in (h, g)]
+        d, x = [np.convolve(x, f[::-1])[start: start + 2 * length: 2].copy() for f in (h, g)]
         details.append(d)
         offsets.append(off)
     return CoefficientPyramid(

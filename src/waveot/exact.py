@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import abs_power
 from .densities import DiscreteMeasure
 from .errors import (InvalidGrid, SolverDidNotConverge, UnbalancedMarginals, check_exponent,
                      checked_instance)
@@ -71,6 +70,17 @@ def w1_cdf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     f_mu = cw_mu[np.searchsorted(mu.positions, pts[:-1], side="right")]
     f_nu = cw_nu[np.searchsorted(nu.positions, pts[:-1], side="right")]
     return float(np.sum(np.abs(f_mu - f_nu) * np.diff(pts)))
+
+
+def abs_power(x, s):
+    """|x| ** s, elementwise, for s in (0, 1]; zeros map to zero.  Works in
+    place: the float array x is overwritten with the result and returned,
+    so callers pass a fresh array.  `x **= s` takes numpy's sqrt and
+    identity paths at s = 0.5 and 1, as `np.abs(x) ** s` does, so the
+    values are the same bits."""
+    np.abs(x, out=x)
+    x **= s
+    return x
 
 
 def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):

@@ -76,6 +76,21 @@ def _validate_filters(name, g, h):
         raise InvalidConfig(f"{name}: quadrature-mirror relation fails")
 
 
+def _catalog_order(name) -> int:
+    """The order p, 1 for Haar, of the wavelet build_wavelet_system would
+    build for name, found without building it; UnknownWavelet otherwise."""
+    key = name.strip().lower() if isinstance(name, str) else ""
+    if key == "haar":
+        return 1
+    try:
+        p = int(key[2:]) if key.startswith("db") else 0
+    except ValueError:
+        p = 0
+    if p not in DB_SCALING_FILTERS:
+        raise UnknownWavelet(name)
+    return p
+
+
 def build_wavelet_system(name: str) -> WaveletSystem:
     """Look up a catalog wavelet by name.
 
@@ -84,18 +99,7 @@ def build_wavelet_system(name: str) -> WaveletSystem:
     it.  Raises UnknownWavelet for anything else, a name that is not a str
     too.
     """
-    key = name.strip().lower() if isinstance(name, str) else ""
-    if key == "haar":
-        p = 1
-    elif key.startswith("db"):
-        try:
-            p = int(key[2:])
-        except ValueError:
-            raise UnknownWavelet(name) from None
-    else:
-        raise UnknownWavelet(name)
-    if p not in DB_SCALING_FILTERS:
-        raise UnknownWavelet(name)
+    p = _catalog_order(name)
     g = np.array(DB_SCALING_FILTERS[p], dtype=float)
     h = ((-1.0) ** np.arange(len(g))) * g[::-1]
     return WaveletSystem(name="haar" if p == 1 else f"db{p}", g=g, h=h)

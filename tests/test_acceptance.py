@@ -119,6 +119,50 @@ def test_c05_translation_counterexample():
                f"while exact W_s strictly increases")
 
 
+def test_c05_pair_obeys_the_new_bound_and_breaks_the_original():
+    """W_s <= D / a12 on c05's pair holds for the new weights, not the
+    original ones.
+
+    Write mu - nu as its approximation at j0 plus detail parts d_jk psi_jk,
+    psi_jk(x) = 2^(j/2) psi(2^j x - k).  A part has zero mass, so its
+    positive half can go to one point r and on to its negative half, which
+    costs |d_jk| int |x - r|^s |psi_jk(x)| dx.  Substituting y = 2^j x - k
+    turns that into 2^(-j(s+1/2)) |d_jk| int |y - r'|^s |psi(y)| dy, whose
+    infimum over r' is 2^(-j(s+1/2)) |d_jk| / a12.  |x - y|^s is a metric
+    for s <= 1, so W_s of a sum of zero-mass parts is at most the sum of
+    their W_s, and
+
+        W_s(mu, nu) <= D_new(mu, nu) / a12 + E,
+
+    where D_new weighs level j by 2^(-j(s+1/2)) exactly so, and E is the
+    approximation part's share plus the sampling error.  The test asserts
+    the bound with E left out, so it checks the detail term alone.
+    D_original keeps only the levels 0 <= j < j0 + M and weighs the
+    approximation at level 0 by C0 = 0, so it drops the coarse levels that
+    carry a shift: it does not move as the shift grows (c05), while W_s
+    does, and the same bound fails there, by more at each shift.
+    """
+    from waveot.cascade import estimate_constants
+    from waveot.densities import discretize
+    from waveot.distance import distance_original
+    db2 = build_wavelet_system("db2")
+    a12 = estimate_constants(db2, 0.5).a12
+    new = DistanceConfig(s=0.5, j0=-4, M=16, wavelet="db2")
+    original = DistanceConfig(s=0.5, j0=-4, M=16, wavelet="db2", formulation="original")
+    p = uniform_density(0.0, 1.0)
+    new_ratios, original_ratios = [], []
+    for m in range(5):
+        q = translate(p, float(db2.support_length + m))
+        ws = exact_ws(discretize(p, 1000, (0.0, 13.0)), discretize(q, 1000, (0.0, 13.0)), 0.5)[0]
+        new_ratios.append(ws * a12 / distance_new(p, q, new))
+        original_ratios.append(ws * a12 / distance_original(p, q, original))
+    # 0.12-0.16 and 1.46-2.23
+    assert max(new_ratios) < 1.0, new_ratios
+    assert min(original_ratios) > 1.0 and np.all(np.diff(original_ratios) > 0), original_ratios
+    _report(5, f"W_s a12 / D_new <= {max(new_ratios):.3f} < 1 over shifts T+m, while "
+               f"W_s a12 / D_original rises {original_ratios[0]:.2f} -> {original_ratios[-1]:.2f}")
+
+
 def test_c06_multiscale_identity():
     s = 0.5
     worst = 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import CodedError
-from waveot import distance
+from waveot import distance, filters
 from waveot.densities import (bump_density, dilate, discretize, sample_for_dwt,
                               translate, uniform_density)
 from waveot.distance import (DistanceConfig, distance_matrix, distance_new,
@@ -66,6 +66,29 @@ def test_alternative_rejects_weights_that_are_not_real(weights):
     # C0 = "x" and C1 = None used to escape as TypeError
     with pytest.raises(InvalidConfig, match="finite C0 > 0 and C1 > 0"):
         DistanceConfig(s=0.5, j0=-4, M=10, formulation="alternative", **weights)
+
+
+@pytest.mark.parametrize("wavelet", ["nope", 5, None, "db21"])
+def test_config_refuses_an_unknown_wavelet_when_it_is_built(wavelet):
+    # these used to construct, and a sweep mass-checked all of its
+    # densities before its first distance failed on the name
+    with pytest.raises(UnknownWavelet, match=f"^{re.escape(str(wavelet))}$"):
+        DistanceConfig(s=0.5, j0=-3, M=8, wavelet=wavelet)
+
+
+def test_config_checks_its_wavelet_without_building_it(monkeypatch):
+    # embedding._grid and wlot_distance make a DistanceConfig on every call
+    monkeypatch.setattr(filters, "build_wavelet_system", None)
+    monkeypatch.setattr(filters, "WaveletSystem", None)
+    assert DistanceConfig(s=0.5, j0=-3, M=8, wavelet=" DB2").wavelet == " DB2"
+
+
+@pytest.mark.parametrize("weights", [{"C0": "x"}, {"C1": "x"}, {"C0": 1j}])
+def test_new_refuses_weights_that_are_not_real(weights):
+    # "new" ignores C0 and C1, but C1 = "x" used to pass silently
+    with pytest.raises(InvalidConfig, match="^C0 and C1 must be real numbers, got C0 = "):
+        DistanceConfig(s=0.5, j0=-3, M=8, **weights)
+    DistanceConfig(s=0.5, j0=-3, M=8, C0=None, C1=2)
 
 
 def test_default_c0_is_resolved_per_s():
@@ -394,5 +417,6 @@ def test_original_refuses_weights_that_are_not_real(weights):
     # the arrays used to escape as numpy's ambiguous-truth ValueError
     with pytest.raises(InvalidConfig, match="^original formulation fixes C0 = 0 and C1 = 1$"):
         DistanceConfig(s=0.5, j0=-3, M=8, formulation="original", **weights)
-    # "new" ignores the weights, as before
-    DistanceConfig(s=0.5, j0=-3, M=8, **weights)
+    # "new" ignores the weights, but refuses them too
+    with pytest.raises(InvalidConfig, match="^C0 and C1 must be real numbers"):
+        DistanceConfig(s=0.5, j0=-3, M=8, **weights)

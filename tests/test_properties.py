@@ -32,17 +32,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import brute_force_lp
-from waveot._num import abs_power
 from waveot.densities import (_CELL_POINTS, Density, DiscreteMeasure, bump_density,
                               dilate, discretize, sample_for_dwt, translate,
                               uniform_density)
 from waveot.distance import DistanceConfig, distance_new, wavelet_distance
-from waveot.dwt import _zero_chain, dwt_decompose, dwt_reconstruct
+from waveot.dwt import _chain, dwt_decompose, dwt_reconstruct
 from waveot.embedding import (WlotVector, embed, from_text, to_text, wlot_distance,
                               wlot_distance_matrix)
 from waveot.errors import InvalidGrid, ShapeMismatch, WaveotError
 from waveot import exact
-from waveot.exact import _nested_start, _transport_simplex, exact_ws
+from waveot.exact import _nested_start, _transport_simplex, abs_power, exact_ws
 from waveot.filters import build_wavelet_system, catalog_names
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
@@ -454,7 +453,7 @@ def hand_built_vectors(draw):
     L = len(build_wavelet_system(wavelet).g) if wavelet != "db99" else 20
     defect, at = draw(st.sampled_from(_DEFECTS)), draw(st.integers(0, M - 1))
     levels = []
-    for i, (first, length) in enumerate(_zero_chain(0, 2 ** M, L, M)[:0:-1]):
+    for i, (first, length) in enumerate(_chain("zero", 0, 2 ** M, L, M)[:0:-1]):
         values = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5e-17]) | st.floats(-1.0, 1.0),
                                max_size=min(5, length)))
         margin = 3 if i == at and defect == "near window" else 0

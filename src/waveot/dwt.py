@@ -81,9 +81,12 @@ class CoefficientPyramid:
 def _chain(mode, k0, n, L, levels):
     """Per-level (offset, length) windows of the transform of a length-n
     vector at translation k0 in the given mode, entry 0 the input itself;
-    periodic mode refuses an n that 2^levels does not divide.  A zero-mode
-    halving keeps every k with a nonzero product in sum_l x_l f_{l-2k}: the
-    first is the one with l - 2k = L - 1 at l = k0 + parity."""
+    the one check that refuses an unknown mode, and a periodic n that
+    2^levels does not divide.  A zero-mode halving keeps every k with a
+    nonzero product in sum_l x_l f_{l-2k}: the first is the one with
+    l - 2k = L - 1 at l = k0 + parity."""
+    if mode not in MODES:
+        raise InvalidConfig(f"unknown mode {mode!r}")
     if mode == "periodic":
         if (n & -n) >> levels == 0:
             raise InvalidLevels("periodic mode requires length divisible by 2 at every level")
@@ -115,14 +118,11 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise EmptyInput("input must be a nonempty 1-D array")
-    if mode not in MODES:
-        raise InvalidConfig(f"unknown mode {mode!r}")
     checked_instance(system, WaveletSystem, InvalidConfig)
-    _DECOMPOSE_CALLS += 1
-
     g, h = system.g, system.h
     L = len(g)
     chain = _chain(mode, k_offset, len(x), L, num_levels)
+    _DECOMPOSE_CALLS += 1  # only a transform _chain accepted counts
     details, offsets = [], []
     for (k0, n), (off, length) in zip(chain, chain[1:]):
         if mode == "periodic":  # the zero-mode step on x wrapped by L - 1 samples
@@ -146,19 +146,10 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
     )
 
 
-def _synthesize(a, d, g, h):
-    """sum_k a_k g_{t-2k} + d_k h_{t-2k} for t = 0 ... 2 len(a) + L - 3."""
-    up = np.zeros((2, 2 * len(a) - 1))
-    up[0, ::2], up[1, ::2] = a, d
-    return np.convolve(up[0], g) + np.convolve(up[1], h)
-
-
 def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.ndarray:
     """Invert dwt_decompose in the pyramid's own mode; exact up to roundoff
     for both modes."""
     mode = checked_instance(pyramid, CoefficientPyramid, ShapeMismatch).mode
-    if mode not in MODES:
-        raise InvalidConfig(f"unknown mode {mode!r}")
     checked_instance(system, WaveletSystem, InvalidConfig)
     levels = pyramid.levels
     if levels == 0 or pyramid.approx is None or len(pyramid.approx) == 0:
@@ -179,7 +170,10 @@ def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.nd
         if len(d) != length or pyramid.detail_offsets[i] != off:
             raise ShapeMismatch(f"detail level {pyramid.j0 + i}: expected length {length} at "
                                 f"offset {off}, got {len(d)} at {pyramid.detail_offsets[i]}")
-        rec = _synthesize(a, d, g, h)
+        # rec[t] = sum_k a_k g_{t-2k} + d_k h_{t-2k} for t = 0 ... 2 len(a) + L - 3
+        up = np.zeros((2, 2 * len(a) - 1))
+        up[0, ::2], up[1, ::2] = a, d
+        rec = np.convolve(up[0], g) + np.convolve(up[1], h)
         if mode == "zero":
             # rec[t] sits at translation 2 * off + t; it starts L - 2 or
             # L - 1 cells before the parent window and ends no earlier

@@ -113,15 +113,18 @@ class WlotVector:
     def fingerprint(self):
         return (self.wavelet, self.j0, self.M)
 
+    def _nonzeros(self):
+        """(j, offset, positions, values) of each level's nonzeros, the last two as lists."""
+        for j, (offset, values) in enumerate(self.levels, start=self.j0):
+            nz = np.flatnonzero(values)
+            yield j, offset, nz.tolist(), values[nz].tolist()
+
     @cached_property
     def entries(self):
         """Read-only {(j, k): value} of the nonzero coefficients, built on
         first access and kept; the package itself works on the arrays."""
-        out = {}
-        for j, (offset, values) in enumerate(self.levels, start=self.j0):
-            nz = np.flatnonzero(values)
-            out.update(zip([(j, offset + t) for t in nz.tolist()], values[nz].tolist()))
-        return MappingProxyType(out)
+        return MappingProxyType({(j, offset + t): value for j, offset, ts, values
+                                 in self._nonzeros() for t, value in zip(ts, values)})
 
     def __len__(self):
         """Number of nonzero coefficients."""
@@ -193,10 +196,8 @@ def prune(vec: WlotVector, eps: float) -> WlotVector:
 def to_text(vec: WlotVector) -> str:
     checked_instance(vec, WlotVector, ShapeMismatch)
     lines = [f"wlot {vec.wavelet} {vec.j0} {vec.M}"]
-    for j, (offset, values) in enumerate(vec.levels, start=vec.j0):
-        nz = np.flatnonzero(values)
-        lines.extend(f"{j} {offset + t} {val:.17g}"
-                     for t, val in zip(nz.tolist(), values[nz].tolist()))
+    for j, offset, ts, values in vec._nonzeros():  # not entries, which would stay cached
+        lines.extend(f"{j} {offset + t} {val:.17g}" for t, val in zip(ts, values))
     return "\n".join(lines) + "\n"
 
 

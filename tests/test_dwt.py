@@ -230,6 +230,18 @@ def test_decompose_counter():
     assert decompose_call_count() == before + 2
 
 
+def test_refused_transform_is_not_counted():
+    # the counter reads as "transforms made", so a call _chain refuses,
+    # for its length or for its mode, leaves it as it was
+    haar = build_wavelet_system("haar")
+    before = decompose_call_count()
+    with pytest.raises(InvalidLevels):
+        dwt_decompose([1.0, 2.0, 3.0], haar, 1, "periodic")
+    with pytest.raises(InvalidConfig, match="unknown mode"):
+        dwt_decompose([1.0, 2.0], haar, 1, mode="foo")
+    assert decompose_call_count() == before
+
+
 def test_orthonormality_via_initialization():
     # sampling the L2-normalized wavelet at (0, 0) twelve levels above and
     # decomposing must return that single unit coefficient

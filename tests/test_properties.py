@@ -5,7 +5,9 @@ of the DWT's inversion at any translation offset, of one halving in
 either boundary mode against its defining sum and of the inverse
 refusing, in either mode, any level cut off the chain its input fixes,
 of the paper's dilation law (dilating by 2^k scales the "new" distance,
-its embedding's distance and exact W_s by 2^(ks)), of the embedding's
+its embedding's distance and exact W_s by 2^(ks)), of the paper's bound
+W_s a12 <= D_new + a12 E on the simulation families' sampled measures,
+of the embedding's
 linearity in a mixture,
 matrix (at any column block) and text round trip, of every hand-built
 WlotVector that constructs reading back from its text, of the exact solver against the LP oracle, with symmetric costs and
@@ -22,6 +24,7 @@ whether the mask runs or not.
 Examples are derandomized, so every run checks the same cases.
 """
 
+import functools
 from dataclasses import replace
 from unittest import mock
 
@@ -32,10 +35,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import brute_force_lp
+from waveot.cascade import estimate_constants
 from waveot.densities import (_CELL_POINTS, Density, DiscreteMeasure, bump_density,
                               dilate, discretize, sample_for_dwt, translate,
                               uniform_density)
-from waveot.distance import DistanceConfig, distance_new, wavelet_distance
+from waveot.distance import DistanceConfig, _coefficients, distance_new, wavelet_distance
 from waveot.dwt import _chain, dwt_decompose, dwt_reconstruct
 from waveot.embedding import (WlotVector, embed, from_text, to_text, wlot_distance,
                               wlot_distance_matrix)
@@ -43,6 +47,7 @@ from waveot.errors import InvalidGrid, ShapeMismatch, WaveotError
 from waveot import exact
 from waveot.exact import _nested_start, _transport_simplex, abs_power, exact_ws
 from waveot.filters import build_wavelet_system, catalog_names
+from waveot.simulate import FAMILIES
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
                     database=None)
@@ -257,6 +262,71 @@ def test_original_formulation_breaks_the_dilation_law():
         ratio = (wavelet_distance(dp, dq, replace(cfg, j0=cfg.j0 - k))
                  / (2.0 ** (k * cfg.s) * wavelet_distance(p, q, cfg)))
         assert (abs(ratio - 1.0) <= 1e-12) if holds else (abs(ratio - 1.0) > 0.25)
+
+
+@functools.lru_cache(maxsize=None)
+def _constants(wavelet, s):
+    return estimate_constants(build_wavelet_system(wavelet), s)
+
+
+def _difference(u, v):
+    """u - v for two (offset, array) levels, over the union of their windows."""
+    (ou, au), (ov, av) = u, v
+    first = min(ou, ov)
+    out = np.zeros(max(ou + len(au), ov + len(av)) - first)
+    out[ou - first: ou - first + len(au)] += au
+    out[ov - first: ov - first + len(av)] -= av
+    return out
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.sampled_from(sorted(FAMILIES)), st.floats(0.0, 1.0),
+       st.sampled_from([1.0, 0.5, 0.25]), st.sampled_from(["db2", "db10"]),
+       st.sampled_from([(-11, 18), (-4, 14)]))
+def test_exact_ws_obeys_the_papers_bound(family, fraction, s, wavelet, grid):
+    """W_s a12 <= D_new + a12 E on every simulation family, for the
+    measures the transform sees, with E the approximation levels' share
+    written out through a11.
+
+    The transform sees mu as its samples a_k at level J = j0 + M, the
+    coefficients of F_mu = sum_k a_k phi_{J,k}, and the pyramid writes
+    F_mu - F_nu exactly as sum_k c_k phi_{j0,k} plus detail parts
+    d_jk psi_jk.  For s <= 1, |x - y|^s is a metric, W_s is the dual norm
+    of the functions it makes 1-Lipschitz, and a signed measure sigma of
+    zero mass has norm at most int |x - r|^s d|sigma| for any point r.  So
+    a detail part costs at most 2^(-j(s+1/2)) |d_jk| / a12 at the best r,
+    and the details add up to D_new / a12.  c_k phi_{j0,k} minus its mass
+    2^(-j0/2) c_k at the best point costs at most 2^(-j0(s+1/2)) |c_k| / a11;
+    those points lie 2^(-j0) apart, so the masses left there, which sum to
+    zero, move along the lattice for 2^(-j0(s+1/2)) sum_i |c_0 + ... + c_i|.
+    The cell masses 2^(-J/2) a_k stand in for a_k phi_{J,k} in the same
+    way, at 2^(-J(s+1/2)) |a_k - b_k| / a11 for the two samplings a and b
+    (moving both measures alike leaves W_s as it is).  So
+
+        W_s(cells of mu, cells of nu) <= D_new / a12 + E,
+        E = 2^(-j0(s+1/2)) (sum_k |c_k| / a11 + sum_i |c_0 + ... + c_i|)
+            + 2^(-J(s+1/2)) sum_k |a_k - b_k| / a11,
+
+    up to rounding and the sampled masses' residue from 1, as each
+    measure is normalized.  The 1000-point simulation grid cannot stand
+    in for the cells: it does not resolve a pair near the identity, as a
+    uniform translated by less than 5e-6 loses or gains an end point
+    there, so exact_ws reads 0.0015 to 0.0030 while D_new reads 0.
+    """
+    base, move, (lo, hi) = FAMILIES[family]
+    p, q = base(), move(lo + fraction * (hi - lo))
+    j0, M = grid
+    cfg = DistanceConfig(s=s, j0=j0, M=M, wavelet=wavelet)
+    samples = [sample_for_dwt(d, j0, M) for d in (p, q)]
+    ws = exact_ws(*(DiscreteMeasure(positions=sp.grid(), weights=sp.values / sp.values.sum())
+                    for sp in samples), s)[0]
+    c = _difference(*(_coefficients(d, cfg, M)[0] for d in (p, q)))
+    cells = _difference(*((sp.offset, sp.values) for sp in samples))
+    constants = _constants(wavelet, s)
+    share = (2.0 ** (-j0 * (s + 0.5)) * (np.abs(c).sum() / constants.a11
+                                         + np.abs(np.cumsum(c)).sum())
+             + 2.0 ** (-(j0 + M) * (s + 0.5)) * np.abs(cells).sum() / constants.a11)
+    assert ws * constants.a12 <= distance_new(p, q, cfg) + constants.a12 * share
 
 
 @SETTINGS

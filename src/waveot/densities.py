@@ -96,10 +96,11 @@ class Density:
     outside it.
     Construction fails if the evaluator is not callable, if the support
     is not a pair of finite real numbers lo < hi, which is stored as the
-    tuple (lo, hi), if the evaluator returns neither one value nor one
-    value per point or is negative at a point of the mass check, or if
-    the mass, by the refined midpoint rule of _mass, deviates from 1 by
-    more than 1e-8.
+    tuple (lo, hi), or its width hi - lo overflows or is too small to cut
+    into the mass check's cells, if the evaluator returns neither one
+    value nor one value per point or is negative at a point of the mass
+    check, or if the mass, by the refined midpoint rule of _mass,
+    deviates from 1 by more than 1e-8.
     An integrable singularity at a support end far from 0 can fail it:
     0.5 / sqrt(x - 1000) on (1000, 1001) measures 5.8e-7 short, as _mass
     splits no cell below a few float spacings (1.1e-13 there).
@@ -114,6 +115,10 @@ class Density:
         lo, hi = checked_interval(self.support, InvalidInterval,
                                   f"support must be finite with lo < hi, got {self.support}")
         object.__setattr__(self, "support", (lo, hi))  # so hash and == work on any pair
+        # in Python floats, an overflowing width reads inf without a numpy warning
+        if not 0.0 < (float(hi) - float(lo)) / _MASS_CELLS < math.inf:
+            raise InvalidInterval(f"support [{lo}, {hi}]: its width is not finite or too "
+                                  f"small for {_MASS_CELLS} mass-check cells")
         mass = _mass(self, lo, hi)
         if not abs(mass - 1.0) <= _MASS_TOL:
             raise InvalidInterval(
@@ -125,7 +130,7 @@ class Density:
         grid points landing exactly on hi sample as zero.  A 1-D array
         inside [lo, hi) by its min and max goes to the evaluator as it is."""
         lo, hi = self.support
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        arr = np.atleast_1d(checked_reals(x, InvalidGrid, "density points must be real numbers"))
         # a NaN fails both tests, so it takes the mask and samples as zero
         inside_all = arr.ndim == 1 and arr.size and lo <= arr.min() and arr.max() < hi
         out = self.evaluator(arr) if inside_all else None
@@ -190,10 +195,10 @@ class DiscreteMeasure:
 def uniform_density(lo: float, hi: float) -> Density:
     """Uniform density on [lo, hi]."""
     checked_interval((lo, hi), InvalidInterval, f"need finite lo < hi, got ({lo}, {hi})")
-    height = 1.0 / (hi - lo)
+    height = 1.0 / (float(hi) - float(lo))  # an overflowing width makes 0, which Density refuses
 
     def evaluate(x):
-        return np.full_like(np.asarray(x, dtype=float), height)
+        return np.full(np.shape(x), height)
 
     return Density(evaluate, (lo, hi))
 

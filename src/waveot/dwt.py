@@ -28,12 +28,13 @@ filter, starting at 2 * (output offset) + L - 1 - (input offset); the
 inverse is one upsampled sum, which periodic mode folds onto one period.
 """
 
+from collections.abc import Sized
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (EmptyInput, InvalidConfig, InvalidLevels, ShapeMismatch, checked_instance,
-                     checked_int)
+                     checked_int, checked_reals)
 from .filters import WaveletSystem
 
 __all__ = ["CoefficientPyramid", "dwt_decompose", "dwt_reconstruct",
@@ -115,7 +116,7 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
                 f"num_levels must be at most {_MAX_LEVELS}, got {num_levels}", hi=_MAX_LEVELS)
     j_in = checked_int(j_in, InvalidConfig, f"j_in must be an integer, got {j_in}")
     k_offset = checked_int(k_offset, InvalidConfig, f"k_offset must be an integer, got {k_offset}")
-    x = np.asarray(x, dtype=float)
+    x = checked_reals(x, EmptyInput, "input must be an array of real numbers")
     if x.ndim != 1 or x.size == 0:
         raise EmptyInput("input must be a nonempty 1-D array")
     checked_instance(system, WaveletSystem, InvalidConfig)
@@ -123,7 +124,7 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
     L = len(g)
     chain = _chain(mode, k_offset, len(x), L, num_levels)
     _DECOMPOSE_CALLS += 1  # only a transform _chain accepted counts
-    details, offsets = [], []
+    details = []
     for (k0, n), (off, length) in zip(chain, chain[1:]):
         if mode == "periodic":  # the zero-mode step on x wrapped by L - 1 samples
             x = np.resize(x, n + L - 1)
@@ -133,13 +134,12 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
         start = 2 * off + L - 1 - k0
         d, x = [np.convolve(x, f[::-1])[start: start + 2 * length: 2].copy() for f in (h, g)]
         details.append(d)
-        offsets.append(off)
     return CoefficientPyramid(
         j0=j_in - num_levels,
         approx=x,
         approx_offset=off,
         details=details[::-1],
-        detail_offsets=offsets[::-1],
+        detail_offsets=[off for off, _ in chain[:0:-1]],
         mode=mode,
         input_length=chain[0][1],
         input_offset=k_offset,
@@ -151,8 +151,13 @@ def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.nd
     for both modes."""
     mode = checked_instance(pyramid, CoefficientPyramid, ShapeMismatch).mode
     checked_instance(system, WaveletSystem, InvalidConfig)
-    levels = pyramid.levels
-    if levels == 0 or pyramid.approx is None or len(pyramid.approx) == 0:
+    details, offsets = pyramid.details, pyramid.detail_offsets
+    if not (isinstance(details, Sized) and isinstance(offsets, Sized)
+            and len(details) == len(offsets)):
+        raise ShapeMismatch("details and detail_offsets must be sequences of one length")
+    levels, a = len(details), pyramid.approx
+    a = a if a is None else checked_reals(a, ShapeMismatch, "approximation must be real numbers")
+    if levels == 0 or a is None or a.size == 0:
         raise ShapeMismatch("pyramid has no detail levels or empty approximation")
     if levels > _MAX_LEVELS:
         raise ShapeMismatch(f"pyramid has {levels} detail levels, at most {_MAX_LEVELS} allowed")
@@ -161,15 +166,15 @@ def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.nd
     k0 = checked_int(pyramid.input_offset, ShapeMismatch, "input offset is not an integer")
     n = checked_int(pyramid.input_length, ShapeMismatch, "input length is not an integer > 0", 1)
     chain = _chain(mode, k0, n, len(g), levels)
-    a = np.asarray(pyramid.approx, dtype=float)
-    if len(a) != chain[levels][1] or pyramid.approx_offset != chain[levels][0]:
+    if a.shape != (chain[levels][1],) or pyramid.approx_offset != chain[levels][0]:
         raise ShapeMismatch("approximation array inconsistent with input geometry")
-    for i, d in enumerate(pyramid.details):
-        d = np.asarray(d, dtype=float)
+    for i, (d, d_off) in enumerate(zip(details, offsets)):
+        d = checked_reals(d, ShapeMismatch, "detail levels must be real numbers")
         (off, length), (parent_off, parent_len) = chain[levels - i], chain[levels - i - 1]
-        if len(d) != length or pyramid.detail_offsets[i] != off:
+        if d.shape != (length,) or d_off != off:
             raise ShapeMismatch(f"detail level {pyramid.j0 + i}: expected length {length} at "
-                                f"offset {off}, got {len(d)} at {pyramid.detail_offsets[i]}")
+                                f"offset {off}, got {len(d) if d.ndim == 1 else d.shape} "
+                                f"at {d_off}")
         # rec[t] = sum_k a_k g_{t-2k} + d_k h_{t-2k} for t = 0 ... 2 len(a) + L - 3
         up = np.zeros((2, 2 * len(a) - 1))
         up[0, ::2], up[1, ::2] = a, d

@@ -202,12 +202,13 @@ def to_text(vec: WlotVector) -> str:
 
 
 def from_text(text: str) -> WlotVector:
-    """Parse the output of to_text; MalformedWlot names the first line
-    that breaks the format or WlotVector's rules, and refuses levels that
-    span more than _MAX_CELLS translations before laying any out.  Lines
-    may come in any order.  A line whose value is 0.0 is dropped, as every
-    coefficient not listed is zero: entries, len() and to_text omit it."""
-    lines = text.removesuffix("\n").split("\n")
+    """Parse the output of to_text, a str; MalformedWlot refuses any other
+    text, names the first line that breaks the format or WlotVector's
+    rules, and refuses levels that span more than _MAX_CELLS translations
+    before laying any out.  Lines may come in any order.  A line whose
+    value is 0.0 is dropped, as every coefficient not listed is zero:
+    entries, len() and to_text omit it."""
+    lines = checked_instance(text, str, MalformedWlot).removesuffix("\n").split("\n")
     try:  # a bad tag reads as an unknown wavelet
         tag, wavelet, j0, M = lines[0].split()
         wavelet, j0, M, windows = _grid(wavelet if tag == "wlot" else None, int(j0), int(M))

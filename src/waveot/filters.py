@@ -54,16 +54,16 @@ class WaveletSystem:
         name, L = self.name, len(g)
         if L % 2 != 0 or L != len(h):
             raise InvalidConfig(f"{name}: filters must share an even length, got {L}")
-        if abs(g.sum() - np.sqrt(2.0)) > _IDENTITY_TOL:
+        if not abs(g.sum() - np.sqrt(2.0)) <= _IDENTITY_TOL:
             raise InvalidConfig(f"{name}: low-pass sum is not sqrt(2)")
-        if abs(h.sum()) > _IDENTITY_TOL:
+        if not abs(h.sum()) <= _IDENTITY_TOL:
             raise InvalidConfig(f"{name}: high-pass sum is not 0")
         for m in range(1, L // 2):
-            if abs(np.dot(g[: L - 2 * m], g[2 * m :])) > _IDENTITY_TOL:
+            if not abs(np.dot(g[: L - 2 * m], g[2 * m :])) <= _IDENTITY_TOL:
                 raise InvalidConfig(f"{name}: shift-orthogonality fails at lag {2 * m}")
-        if abs(np.dot(g, g) - 1.0) > _IDENTITY_TOL:
+        if not abs(np.dot(g, g) - 1.0) <= _IDENTITY_TOL:
             raise InvalidConfig(f"{name}: low-pass norm is not 1")
-        if np.max(np.abs(h - ((-1.0) ** np.arange(L)) * g[::-1])) > _IDENTITY_TOL:
+        if not np.max(np.abs(h - ((-1.0) ** np.arange(L)) * g[::-1])) <= _IDENTITY_TOL:
             raise InvalidConfig(f"{name}: quadrature-mirror relation fails")
         g.flags.writeable = h.flags.writeable = False
         object.__setattr__(self, "g", g)

@@ -132,16 +132,22 @@ CSV_HEADER = ",".join(f.name for f in fields(SimulationRow))
 
 def fit_normalization(rows) -> float:
     """Least-squares constant c minimizing sum (c*wavelet - exact)^2 over
-    the rows with param in the top 90% of the parameter range."""
+    the rows with param in the top 90% of the parameter range; DegenerateFit
+    refuses a non-finite param, a non-finite value in that window, or a
+    window whose wavelet values are all zero."""
     if not np.iterable(rows):
         raise DegenerateFit(f"rows must be an iterable of SimulationRow, got {rows!r}")
     rows = [checked_instance(r, SimulationRow, DegenerateFit) for r in rows]
     if not rows:
         raise DegenerateFit("no rows to fit")
     p, w, e = np.array([(r.param, r.wavelet_value, r.exact_value) for r in rows], dtype=float).T
+    if not np.all(np.isfinite(p)):
+        raise DegenerateFit("the params must be finite")
     # both distances vanish at the identity transform, where the ratio is
     # ill-conditioned; keep only the top 90% of the parameter range
     m = p >= p.min() + 0.1 * (p.max() - p.min())
+    if not np.isfinite([w[m], e[m]]).all():
+        raise DegenerateFit("the values in the fit window must be finite")
     denom = float(np.sum(w[m] ** 2))
     if denom <= 0.0:
         raise DegenerateFit("all wavelet distances in the fit window are zero")

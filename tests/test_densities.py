@@ -642,3 +642,24 @@ def test_density_refuses_an_evaluator_that_is_not_callable(evaluator):
     # used to escape as TypeError ("... is not callable") from the mass check
     with pytest.raises(InvalidInterval, match="^the evaluator must be callable, got "):
         Density(evaluator, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("x", ["abc", ["0.5"], [1j], [None, 0.5], [[0.5], [0.5, 0.6]]],
+                         ids=["str", "str-list", "complex", "none", "ragged"])
+def test_density_refuses_points_that_are_not_real_numbers(x):
+    # strings used to escape from numpy as ValueError, and None read as NaN
+    with pytest.raises(InvalidGrid, match="^density points must be real numbers$"):
+        uniform_density(0.0, 1.0)(x)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Density(lambda x: np.ones_like(x), (0.0, 1e-320)),
+    lambda: uniform_density(0.0, 5e-324),
+    lambda: uniform_density(-1.7e308, 1.7e308),
+], ids=["subnormal", "least", "overflow"])
+def test_density_refuses_a_support_width_the_mass_check_cannot_cut(make):
+    # the first two escaped _mass as ZeroDivisionError, as their cells had
+    # width 0; the last was refused only after numpy warned of an overflow
+    with pytest.raises(InvalidInterval, match="its width is not finite or too small for "
+                                              "262144 mass-check cells$"):
+        make()

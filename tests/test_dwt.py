@@ -329,3 +329,40 @@ def test_reconstruct_refuses_arguments_of_the_wrong_type():
         dwt_reconstruct("x", haar)
     with pytest.raises(InvalidConfig, match="^expected a WaveletSystem, got 'haar'$"):
         dwt_reconstruct(dwt_decompose([1.0, 2.0], haar, 1), "haar")
+
+
+@pytest.mark.parametrize("x", ["abc", [1j, 1.0], [None, 1.0], b"ab", [[1.0], [1.0, 2.0]]],
+                         ids=["str", "complex", "none", "bytes", "ragged"])
+def test_decompose_refuses_an_input_that_is_not_real_numbers(x):
+    # "abc" used to escape as ValueError, [1j, 1.0] as TypeError, and
+    # [None, 1.0] read as [nan, 1.0]
+    with pytest.raises(EmptyInput, match="^input must be an array of real numbers$"):
+        dwt_decompose(x, build_wavelet_system("haar"), 1)
+
+
+def test_reconstruct_refuses_details_and_offsets_that_do_not_pair_up():
+    # details=5 used to escape as TypeError, a short offset list as IndexError
+    db2 = build_wavelet_system("db2")
+    for field, value in (("details", 5), ("detail_offsets", [0]), ("detail_offsets", None)):
+        pyr = dwt_decompose(np.arange(32.0), db2, 2, "zero")
+        setattr(pyr, field, value)
+        with pytest.raises(ShapeMismatch, match="^details and detail_offsets must be sequences "
+                                                "of one length$"):
+            dwt_reconstruct(pyr, db2)
+
+
+def test_reconstruct_refuses_arrays_that_are_not_real_numbers():
+    db2 = build_wavelet_system("db2")
+    pyr = dwt_decompose(np.arange(32.0), db2, 2, "zero")
+    pyr.approx = pyr.approx.astype(object)
+    with pytest.raises(ShapeMismatch, match="^approximation must be real numbers$"):
+        dwt_reconstruct(pyr, db2)
+    pyr = dwt_decompose(np.arange(32.0), db2, 2, "zero")
+    pyr.details[1] = [str(v) for v in pyr.details[1]]
+    with pytest.raises(ShapeMismatch, match="^detail levels must be real numbers$"):
+        dwt_reconstruct(pyr, db2)
+    pyr = dwt_decompose(np.arange(32.0), db2, 2, "zero")
+    pyr.details[0] = pyr.details[0][:, None]  # 2-D used to escape as ValueError
+    with pytest.raises(ShapeMismatch, match="^detail level -2: expected length 10 at offset -2, "
+                                            "got \\(10, 1\\) at -2$"):
+        dwt_reconstruct(pyr, db2)

@@ -602,3 +602,10 @@ def test_write_wlot_leaves_the_file_as_it_was_for_a_bad_vector(tmp_path):
     with pytest.raises(ShapeMismatch, match="^expected a WlotVector, got 'x'$"):
         write_wlot("x", path)
     assert path.read_bytes() == b"8 bytes\n"
+
+
+@pytest.mark.parametrize("text", [5, None, GOOD_WLOT.encode()], ids=["int", "none", "bytes"])
+def test_from_text_refuses_text_that_is_not_a_str(text):
+    # 5 and None used to escape as AttributeError, bytes as TypeError
+    with pytest.raises(MalformedWlot, match="^expected a str, got "):
+        from_text(text)

@@ -150,3 +150,14 @@ def test_refused_system_leaves_the_callers_filters_writable():
     assert g.flags.writeable and h.flags.writeable
     system = WaveletSystem("haar", g * ROOT2, h * ROOT2)
     assert not (system.g.flags.writeable or system.h.flags.writeable)
+
+
+def test_hand_built_system_with_nan_taps_is_invalid_config():
+    # each identity test read abs(r) > tol, false for NaN, so all five passed
+    # and the constants and the transform came out NaN
+    nan = [float("nan")] * 4
+    with pytest.raises(InvalidConfig, match="^x: low-pass sum is not sqrt\\(2\\)$"):
+        WaveletSystem("x", nan, nan)
+    db2 = build_wavelet_system("db2")
+    with pytest.raises(InvalidConfig, match="^x: high-pass sum is not 0$"):
+        WaveletSystem("x", db2.g, np.where(np.arange(4) == 1, np.nan, db2.h))

@@ -15,8 +15,10 @@ exact marginals, on a small shared grid and on measures each on its own
 support, and of the triangle inequality of its W_s, of the solver's
 nested starting basis and the eps its flows carry through the pivots, of
 its subtree dual updates against full passes and of its block pricing
-against the LP oracle on measures each on its own support, and of the
-in-place abs_power against |x| ** s.
+against the LP oracle on measures each on its own support, of the
+in-place abs_power against |x| ** s, and of every public entry point that
+reads a caller's array refusing, as a WaveotError and without a numpy
+warning, a value that is not real numbers.
 
 The window does not depend on how many cells one evaluator call gets,
 and a density equals its evaluator masked to the support, bit for bit,
@@ -25,6 +27,7 @@ Examples are derandomized, so every run checks the same cases.
 """
 
 import functools
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -46,7 +49,7 @@ from waveot.embedding import (WlotVector, embed, from_text, to_text, wlot_distan
 from waveot.errors import InvalidGrid, ShapeMismatch, WaveotError
 from waveot import exact
 from waveot.exact import _nested_start, _transport_simplex, abs_power, exact_ws
-from waveot.filters import build_wavelet_system, catalog_names
+from waveot.filters import WaveletSystem, build_wavelet_system, catalog_names
 from waveot.simulate import FAMILIES
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None,
@@ -843,3 +846,52 @@ def test_abs_power_in_place_matches_abs_then_power(x, s):
     y = x.copy()
     assert abs_power(y, s) is y
     assert y.tobytes() == want.tobytes()
+
+
+_HAAR = build_wavelet_system("haar")
+_PYRAMID = dwt_decompose(np.arange(8.0), _HAAR, 2)
+_UNIFORM = uniform_density(0.0, 1.0)
+# each public entry point that reads a caller's array, given one value
+_ARRAY_READERS = {
+    "dwt_decompose": lambda v: dwt_decompose(v, _HAAR, 1),
+    "dwt_reconstruct approx": lambda v: dwt_reconstruct(replace(_PYRAMID, approx=v), _HAAR),
+    "dwt_reconstruct detail": lambda v: dwt_reconstruct(
+        replace(_PYRAMID, details=[_PYRAMID.details[0], v]), _HAAR),
+    "Density.__call__": _UNIFORM,
+    "DiscreteMeasure positions": lambda v: DiscreteMeasure(v, [1.0]),
+    "DiscreteMeasure weights": lambda v: DiscreteMeasure([0.0], v),
+    "WaveletSystem": lambda v: WaveletSystem("x", v, v),
+    "WlotVector level": lambda v: WlotVector("haar", -1, 2, [(0, v), (0, [])]),
+}
+
+
+_REALS = st.lists(st.floats(), min_size=1, max_size=3)
+# values numpy reads as no array of real numbers, one strategy a kind
+_NOT_REALS = {
+    "str": st.text(max_size=3),
+    "bytes": st.binary(max_size=3),
+    "none": st.none(),
+    "complex": st.complex_numbers(),
+    "complex list": st.lists(st.complex_numbers(), min_size=1, max_size=3),
+    "object array": st.lists(st.floats(), max_size=3).map(lambda v: np.array(v, dtype=object)),
+    "mixed list": st.lists(st.one_of(st.floats(), st.none(), st.text(max_size=2)), min_size=1,
+                           max_size=3).filter(lambda v: not all(isinstance(x, float) for x in v)),
+    "ragged": st.tuples(_REALS, _REALS).filter(lambda p: len(p[0]) != len(p[1])).map(list),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_ARRAY_READERS))
+@settings(SETTINGS, max_examples=10)
+@given(st.data())
+def test_every_array_reader_refuses_what_is_not_real_numbers(reader, data):
+    # the DWT and Density.__call__ used to read np.asarray(value, dtype=float),
+    # so a str escaped as ValueError, a complex list as TypeError and None
+    # read as NaN; all-NaN filter taps passed every identity test
+    values = [data.draw(_NOT_REALS[kind], label=kind) for kind in _NOT_REALS]
+    if reader == "WaveletSystem":
+        values.append([np.nan] * data.draw(st.sampled_from([2, 4, 6])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for value in values:
+            with pytest.raises(WaveotError):
+                _ARRAY_READERS[reader](value)

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -304,3 +305,15 @@ def test_each_norm_constant_is_the_fit_of_its_s_group():
         assert len(group) == 4
         assert all(r.norm_constant == c and r.normalized_value == c * r.wavelet_value
                    for r in group)
+
+
+@pytest.mark.parametrize("bad", [
+    (1.0, math.nan, 2.0), (1.0, math.inf, 2.0), (1.0, 1.0, -math.inf), (math.inf, 1.0, 2.0),
+], ids=["nan-wavelet", "inf-wavelet", "inf-exact", "inf-param"])
+def test_fit_normalization_refuses_non_finite_values(bad):
+    # NaN wavelet values gave a NaN constant, one inf gave NaN and a warning
+    rows = [make_row(0.5, 1.0, 2.0), make_row(*bad)]
+    with pytest.raises(DegenerateFit, match="must be finite$"):
+        fit_normalization(rows)
+    # below the fit window, a NaN value does not enter the fit
+    assert fit_normalization([make_row(0.0, math.nan, 0.0), make_row(1.0, 1.0, 3.0)]) == 3.0

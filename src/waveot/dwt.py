@@ -21,11 +21,11 @@ boundary modes are provided:
   half its parent's length; each halving wraps the vector by L - 1 samples.
 
 _chain alone fixes each level's (offset, length) window in either mode:
-the transform writes its levels there, the inverse refuses a pyramid off
-it, and the .wlot windows are its zero-mode ones.  Both modes take a
-level as one strided slice of the vector convolved with the reversed
-filter, starting at 2 * (output offset) + L - 1 - (input offset); the
-inverse is one upsampled sum, which periodic mode folds onto one period.
+the transform writes its levels there, a pyramid derives its offsets and
+the inverse its lengths from it, and the .wlot windows are its zero-mode
+ones.  Each level is one strided slice of the vector convolved with the
+reversed filter, from 2 * (output offset) + L - 1 - (input offset); the
+inverse is one upsampled sum, folded onto one period in periodic mode.
 """
 
 from collections.abc import Sized
@@ -58,25 +58,33 @@ class CoefficientPyramid:
     """Output of a multi-level DWT.
 
     details[i] holds the detail coefficients at level j0 + i; approx holds
-    the approximation coefficients at level j0.  Offsets record the
-    absolute translation index of element 0 of each array.  Each array
-    dwt_decompose returns is contiguous and its own, not a view into the
-    larger convolution it was cut from, so a pyramid holds only its
-    coefficients.
+    the approximation coefficients at level j0, in details[0]'s window.
+    Offsets, the translation index of element 0 of each array, are derived
+    by _chain from the mode, input geometry, filter length and level count.
+    Each array dwt_decompose returns is contiguous and its own, not a view
+    into the convolution it was cut from, so a pyramid holds only those.
     """
 
     j0: int
     approx: np.ndarray
-    approx_offset: int
     details: list
-    detail_offsets: list
     mode: str
     input_length: int
+    filter_length: int
     input_offset: int = 0
 
     @property
     def levels(self) -> int:
         return len(self.details)
+
+    @property
+    def detail_offsets(self) -> list:
+        return [off for off, _ in _chain(self.mode, self.input_offset, self.input_length,
+                                         self.filter_length, self.levels)[:0:-1]]
+
+    @property
+    def approx_offset(self) -> int:
+        return self.detail_offsets[0]
 
 
 def _chain(mode, k0, n, L, levels):
@@ -137,11 +145,10 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
     return CoefficientPyramid(
         j0=j_in - num_levels,
         approx=x,
-        approx_offset=off,
         details=details[::-1],
-        detail_offsets=[off for off, _ in chain[:0:-1]],
         mode=mode,
         input_length=chain[0][1],
+        filter_length=L,
         input_offset=k_offset,
     )
 
@@ -151,34 +158,30 @@ def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.nd
     for both modes."""
     mode = checked_instance(pyramid, CoefficientPyramid, ShapeMismatch).mode
     checked_instance(system, WaveletSystem, InvalidConfig)
-    details, offsets = pyramid.details, pyramid.detail_offsets
-    if not (isinstance(details, Sized) and isinstance(offsets, Sized)
-            and len(details) == len(offsets)):
-        raise ShapeMismatch("details and detail_offsets must be sequences of one length")
-    levels, a = len(details), pyramid.approx
+    details, a = pyramid.details, pyramid.approx
     a = a if a is None else checked_reals(a, ShapeMismatch, "approximation must be real numbers")
+    levels = len(details) if isinstance(details, Sized) else 0  # details=5 has no levels
     if levels == 0 or a is None or a.size == 0:
         raise ShapeMismatch("pyramid has no detail levels or empty approximation")
     if levels > _MAX_LEVELS:
         raise ShapeMismatch(f"pyramid has {levels} detail levels, at most {_MAX_LEVELS} allowed")
 
-    g, h = system.g, system.h
     k0 = checked_int(pyramid.input_offset, ShapeMismatch, "input offset is not an integer")
     n = checked_int(pyramid.input_length, ShapeMismatch, "input length is not an integer > 0", 1)
-    chain = _chain(mode, k0, n, len(g), levels)
-    if a.shape != (chain[levels][1],) or pyramid.approx_offset != chain[levels][0]:
+    j0 = checked_int(pyramid.j0, ShapeMismatch, "j0 is not an integer")
+    chain = _chain(mode, k0, n, len(system.g), levels)
+    if a.shape != (chain[levels][1],):
         raise ShapeMismatch("approximation array inconsistent with input geometry")
-    for i, (d, d_off) in enumerate(zip(details, offsets)):
+    for i, d in enumerate(details):
         d = checked_reals(d, ShapeMismatch, "detail levels must be real numbers")
         (off, length), (parent_off, parent_len) = chain[levels - i], chain[levels - i - 1]
-        if d.shape != (length,) or d_off != off:
-            raise ShapeMismatch(f"detail level {pyramid.j0 + i}: expected length {length} at "
-                                f"offset {off}, got {len(d) if d.ndim == 1 else d.shape} "
-                                f"at {d_off}")
+        if d.shape != (length,):
+            raise ShapeMismatch(f"detail level {j0 + i}: expected length {length} at "
+                                f"offset {off}, got {len(d) if d.ndim == 1 else d.shape}")
         # rec[t] = sum_k a_k g_{t-2k} + d_k h_{t-2k} for t = 0 ... 2 len(a) + L - 3
         up = np.zeros((2, 2 * len(a) - 1))
         up[0, ::2], up[1, ::2] = a, d
-        rec = np.convolve(up[0], g) + np.convolve(up[1], h)
+        rec = np.convolve(up[0], system.g) + np.convolve(up[1], system.h)
         if mode == "zero":
             # rec[t] sits at translation 2 * off + t; it starts L - 2 or
             # L - 1 cells before the parent window and ends no earlier

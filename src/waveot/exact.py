@@ -50,7 +50,6 @@ class TransportPlan:
     """Optimal coupling as sparse (source, target, mass) entries."""
 
     entries: list
-    total_cost: float
 
 
 def _check_balanced(mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -123,7 +122,7 @@ def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
             total += f * cost[ii, jj]
             if f > 0.0:
                 entries.append((int(ir[ii]), int(jr[jj]), float(f)))
-    return float(total), TransportPlan(entries=entries, total_cost=float(total))
+    return float(total), TransportPlan(entries=entries)
 
 
 def _nested_start(x, y, a, b):

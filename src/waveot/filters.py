@@ -29,42 +29,42 @@ def catalog_names():
 
 @dataclass(frozen=True)
 class WaveletSystem:
-    """A named orthonormal filter pair (g, h).
+    """A named orthonormal filter pair (g, h), built from g alone.
 
     Immutable after construction and safe to share across threads.
 
     Attributes:
         name: catalog identifier.
         g: low-pass (scaling) filter, length L, sum sqrt(2).
-        h: high-pass (wavelet) filter, length L, sum 0.
+        h: high-pass (wavelet) filter, g's quadrature mirror, sum 0.
         support_length: L - 1, the length of supp(phi) = supp(psi) in
             units of the integer translation.
     """
 
     name: str
     g: np.ndarray
-    h: np.ndarray
+    h: np.ndarray = field(init=False)
     support_length: int = field(init=False)
 
     def __post_init__(self):
         message = f"{self.name}: filters must be 1-D arrays of real numbers"
-        g, h = (checked_reals(f, InvalidConfig, message) for f in (self.g, self.h))
-        if g.ndim != 1 or h.ndim != 1:
+        g = checked_reals(self.g, InvalidConfig, message)
+        if g.ndim != 1:
             raise InvalidConfig(message)
         name, L = self.name, len(g)
-        if L % 2 != 0 or L != len(h):
+        if L % 2 != 0:
             raise InvalidConfig(f"{name}: filters must share an even length, got {L}")
-        if not abs(g.sum() - np.sqrt(2.0)) <= _IDENTITY_TOL:
+        h = ((-1.0) ** np.arange(L)) * g[::-1]
+        # Python float sums: taps of infinite opposite signs sum to nan without a numpy warning
+        if not abs(sum(g.tolist()) - np.sqrt(2.0)) <= _IDENTITY_TOL:
             raise InvalidConfig(f"{name}: low-pass sum is not sqrt(2)")
-        if not abs(h.sum()) <= _IDENTITY_TOL:
+        if not abs(sum(h.tolist())) <= _IDENTITY_TOL:
             raise InvalidConfig(f"{name}: high-pass sum is not 0")
         for m in range(1, L // 2):
             if not abs(np.dot(g[: L - 2 * m], g[2 * m :])) <= _IDENTITY_TOL:
                 raise InvalidConfig(f"{name}: shift-orthogonality fails at lag {2 * m}")
         if not abs(np.dot(g, g) - 1.0) <= _IDENTITY_TOL:
             raise InvalidConfig(f"{name}: low-pass norm is not 1")
-        if not np.max(np.abs(h - ((-1.0) ** np.arange(L)) * g[::-1])) <= _IDENTITY_TOL:
-            raise InvalidConfig(f"{name}: quadrature-mirror relation fails")
         g.flags.writeable = h.flags.writeable = False
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
@@ -96,5 +96,4 @@ def build_wavelet_system(name: str) -> WaveletSystem:
     """
     p = _catalog_order(name)
     g = np.array(DB_SCALING_FILTERS[p], dtype=float)
-    h = ((-1.0) ** np.arange(len(g))) * g[::-1]
-    return WaveletSystem(name="haar" if p == 1 else f"db{p}", g=g, h=h)
+    return WaveletSystem(name="haar" if p == 1 else f"db{p}", g=g)

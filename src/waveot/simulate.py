@@ -9,6 +9,7 @@ shared uniform grid over [0, 3] are recorded, and a least-squares
 normalization constant is fitted per s group.
 """
 
+import math
 from dataclasses import astuple, dataclass, fields, replace
 from functools import cache, partial
 
@@ -133,8 +134,8 @@ CSV_HEADER = ",".join(f.name for f in fields(SimulationRow))
 def fit_normalization(rows) -> float:
     """Least-squares constant c minimizing sum (c*wavelet - exact)^2 over
     the rows with param in the top 90% of the parameter range; DegenerateFit
-    refuses a non-finite param, a non-finite value in that window, or a
-    window whose wavelet values are all zero."""
+    refuses a non-finite param, a non-finite value in that window, a window
+    whose wavelet values are all zero, or a constant past the double range."""
     if not np.iterable(rows):
         raise DegenerateFit(f"rows must be an iterable of SimulationRow, got {rows!r}")
     rows = [checked_instance(r, SimulationRow, DegenerateFit) for r in rows]
@@ -148,10 +149,17 @@ def fit_normalization(rows) -> float:
     m = p >= p.min() + 0.1 * (p.max() - p.min())
     if not np.isfinite([w[m], e[m]]).all():
         raise DegenerateFit("the values in the fit window must be finite")
-    denom = float(np.sum(w[m] ** 2))
+    # each side over a power of two near its largest |value|: exact, so c keeps
+    # its bits, yet the sums neither overflow at 1e200 nor underflow at 1e-200
+    kw, ke = (math.frexp(np.max(np.abs(v[m])))[1] for v in (w, e))
+    w, e = np.ldexp(w[m], -kw), np.ldexp(e[m], -ke)
+    denom = float(np.sum(w ** 2))
     if denom <= 0.0:
         raise DegenerateFit("all wavelet distances in the fit window are zero")
-    return float(np.sum(w[m] * e[m]) / denom)
+    try:
+        return math.ldexp(float(np.sum(w * e) / denom), ke - kw)
+    except OverflowError:  # exact values of 1e300 against wavelet values of 1e-300
+        raise DegenerateFit("the least-squares constant overflows a double") from None
 
 
 def run_simulation(spec: SimulationSpec):

@@ -159,7 +159,8 @@ def test_undetermined_scaling_function_is_refused():
     # phi, 1/3 on [0, 3), are one fixed point and not the only one; an
     # eigensolver may pick phi(k) = [0, 1/2, 1/2, 0] and give a11 = 0.667
     r = 1.0 / np.sqrt(2.0)
-    stretched = WaveletSystem(name="stretched", g=[r, 0.0, 0.0, r], h=[r, 0.0, 0.0, -r])
+    stretched = WaveletSystem(name="stretched", g=[r, 0.0, 0.0, r])
+    assert stretched.h.tolist() == [r, 0.0, 0.0, -r]
     for call in (lambda: cascade_evaluate(stretched, "scaling", 4),
                  lambda: cascade_evaluate(stretched, "wavelet", 4),
                  lambda: estimate_constants(stretched, 1.0)):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -142,17 +143,35 @@ def test_shape_mismatch_on_tampered_pyramid():
     with pytest.raises(ShapeMismatch):
         dwt_reconstruct(pyr, db2)
     # an approximation off the geometry the input fixes
-    for field, value in (("approx", pyr.approx[:-1]), ("approx_offset", pyr.approx_offset + 1)):
-        pyr = dwt_decompose(np.arange(32.0), db2, 2, "zero")
-        setattr(pyr, field, value)
-        with pytest.raises(ShapeMismatch, match="approximation"):
-            dwt_reconstruct(pyr, db2)
+    pyr = dwt_decompose(np.arange(32.0), db2, 2, "zero")
+    pyr.approx = pyr.approx[:-1]
+    with pytest.raises(ShapeMismatch, match="approximation"):
+        dwt_reconstruct(pyr, db2)
     # a periodic detail level must sit on the chain its input fixes
     pyr = dwt_decompose(np.arange(32.0), db2, 2, "periodic")
     pyr.details[0] = pyr.details[0][:-1]
     with pytest.raises(ShapeMismatch, match="^detail level -2: expected length 8 at offset 0, "
-                                            "got 7 at 0$"):
+                                            "got 7$"):
         dwt_reconstruct(pyr, db2)
+
+
+@pytest.mark.parametrize("mode", ["zero", "periodic"])
+def test_offsets_are_derived_from_the_chain_not_stored(mode):
+    # a pyramid stores its input geometry and filter length; every offset
+    # is read from _chain, so no offset can disagree with the levels
+    db2 = build_wavelet_system("db2")
+    pyr = dwt_decompose(np.arange(32.0), db2, 3, mode, k_offset=5)
+    chain = dwt._chain(mode, 5, 32, 4, 3)
+    assert [f.name for f in dataclasses.fields(pyr)] == [
+        "j0", "approx", "details", "mode", "input_length", "filter_length", "input_offset"]
+    assert pyr.filter_length == 4
+    assert pyr.approx_offset == chain[3][0] == pyr.detail_offsets[0]
+    assert pyr.detail_offsets == [off for off, _ in chain[:0:-1]]
+    for field in ("approx_offset", "detail_offsets"):
+        with pytest.raises(AttributeError):
+            setattr(pyr, field, 0)
+    pyr.input_offset = 7  # the offsets follow the geometry they are derived from
+    assert pyr.approx_offset == dwt._chain(mode, 7, 32, 4, 3)[3][0]
 
 
 def test_periodic_pyramid_cut_in_half_is_refused():
@@ -217,7 +236,6 @@ def test_shape_mismatch_on_empty_pyramid():
     db2 = build_wavelet_system("db2")
     pyr = dwt_decompose(np.arange(32.0), db2, 2, "zero")
     pyr.details = []
-    pyr.detail_offsets = []
     with pytest.raises(ShapeMismatch):
         dwt_reconstruct(pyr, db2)
 
@@ -310,9 +328,8 @@ def test_pyramid_holds_only_its_coefficients(mode):
 
 def test_reconstruct_refuses_more_levels_than_any_config_takes(monkeypatch):
     monkeypatch.setattr(dwt, "_chain", None)
-    pyr = CoefficientPyramid(j0=-2098, approx=np.ones(1), approx_offset=0,
-                             details=[np.ones(1)] * 2098, detail_offsets=[0] * 2098,
-                             mode="zero", input_length=8)
+    pyr = CoefficientPyramid(j0=-2098, approx=np.ones(1), details=[np.ones(1)] * 2098,
+                             mode="zero", input_length=8, filter_length=2)
     with pytest.raises(ShapeMismatch,
                        match="^pyramid has 2098 detail levels, at most 2097 allowed$"):
         dwt_reconstruct(pyr, build_wavelet_system("haar"))
@@ -340,14 +357,26 @@ def test_decompose_refuses_an_input_that_is_not_real_numbers(x):
         dwt_decompose(x, build_wavelet_system("haar"), 1)
 
 
-def test_reconstruct_refuses_details_and_offsets_that_do_not_pair_up():
-    # details=5 used to escape as TypeError, a short offset list as IndexError
+def test_reconstruct_refuses_details_that_are_not_a_sequence():
+    # details=5 used to escape as TypeError
     db2 = build_wavelet_system("db2")
-    for field, value in (("details", 5), ("detail_offsets", [0]), ("detail_offsets", None)):
+    for value in (5, None):
         pyr = dwt_decompose(np.arange(32.0), db2, 2, "zero")
-        setattr(pyr, field, value)
-        with pytest.raises(ShapeMismatch, match="^details and detail_offsets must be sequences "
-                                                "of one length$"):
+        pyr.details = value
+        with pytest.raises(ShapeMismatch, match="^pyramid has no detail levels or empty "
+                                                "approximation$"):
+            dwt_reconstruct(pyr, db2)
+
+
+def test_reconstruct_reads_j0_as_an_integer():
+    # j0 only names a level in a refusal; "x" escaped as TypeError (str + int)
+    db2 = build_wavelet_system("db2")
+    for j0, want in (("x", "^j0 is not an integer$"), (None, "^j0 is not an integer$"),
+                     (-2.0, "^detail level -2: expected length 10 at offset -2, got 9$")):
+        pyr = dwt_decompose(np.arange(32.0), db2, 2, "zero")
+        pyr.j0 = j0
+        pyr.details[0] = pyr.details[0][:-1]
+        with pytest.raises(ShapeMismatch, match=want):
             dwt_reconstruct(pyr, db2)
 
 
@@ -364,5 +393,5 @@ def test_reconstruct_refuses_arrays_that_are_not_real_numbers():
     pyr = dwt_decompose(np.arange(32.0), db2, 2, "zero")
     pyr.details[0] = pyr.details[0][:, None]  # 2-D used to escape as ValueError
     with pytest.raises(ShapeMismatch, match="^detail level -2: expected length 10 at offset -2, "
-                                            "got \\(10, 1\\) at -2$"):
+                                            "got \\(10, 1\\)$"):
         dwt_reconstruct(pyr, db2)

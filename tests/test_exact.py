@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,8 @@ def test_single_pair():
     cost, plan = exact_ws(delta(0.0), delta(2.0), 0.5)
     assert abs(cost - np.sqrt(2.0)) < 1e-14
     assert plan.entries == [(0, 0, 1.0)]
+    # the cost is exact_ws's first value; the plan keeps no second copy
+    assert [f.name for f in dataclasses.fields(plan)] == ["entries"]
 
 
 def test_forced_plan():

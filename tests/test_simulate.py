@@ -129,6 +129,33 @@ def test_fit_normalization_excludes_low_params():
     assert abs(fit_normalization(rows) - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_fit_normalization_at_the_ends_of_the_double_range(scale):
+    # the unscaled sums overflowed to nan at 1e200 and underflowed to a
+    # refused "all zero" window at 1e-200
+    w = [scale * v for v in (1.0, 2.0, 3.0)]
+    assert fit_normalization([make_row(p, v, v) for p, v in zip((0.5, 1.0, 2.0), w)]) == 1.0
+    assert fit_normalization([make_row(p, v, 2 * v) for p, v in zip((0.5, 1.0, 2.0), w)]) == 2.0
+
+
+def test_fit_normalization_refuses_a_constant_past_the_double_range():
+    # c = 1e600; the unscaled sum of squares underflowed and read "all zero"
+    with pytest.raises(DegenerateFit, match="^the least-squares constant overflows a double$"):
+        fit_normalization([make_row(1.0, 1e-300, 1e300)])
+
+
+def test_fit_normalization_keeps_the_unscaled_bits():
+    # the sums are formed over powers of two, which is exact, so c is the
+    # unscaled least-squares ratio bit for bit wherever that did not overflow
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        n = int(rng.integers(1, 20))
+        w = rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30)
+        e = rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30)
+        rows = [make_row(1.0, wi, ei) for wi, ei in zip(w.tolist(), e.tolist())]
+        assert fit_normalization(rows) == float(np.sum(w * e) / np.sum(w ** 2))
+
+
 def test_fit_normalization_degenerate():
     with pytest.raises(DegenerateFit):
         fit_normalization([make_row(1.0, 0.0, 1.0)])

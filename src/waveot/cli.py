@@ -19,7 +19,7 @@ from .distance import FORMULATIONS, DistanceConfig, wavelet_distance
 from .embedding import embed, write_wlot
 from .errors import WaveotError
 from .filters import build_wavelet_system, catalog_names
-from .simulate import FAMILIES, SimulationSpec, emit_csv, run_simulation
+from .simulate import EXACT_DOMAIN, FAMILIES, SimulationSpec, emit_csv, run_simulation
 
 # translations wander further than dilations, so they default to a wider
 # dyadic domain (larger 2^-j0)
@@ -32,21 +32,24 @@ _FULL_M = 22
 def _add_cfg_flags(p, with_s_list):
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     if with_s_list:
-        p.add_argument("--s", type=float, nargs="+", default=[1.0, 0.5, 0.25],
-                       help="exponent values (default: 1 0.5 0.25)")
+        p.add_argument("--s", type=float, nargs="+", default=SimulationSpec.s_values,
+                       help="exponent values (default: %(default)s)")
     else:
         p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--j0", type=int, default=None,
                    help="lowest level (default: -11 for translations, -9 for dilations)")
     p.add_argument("--levels", type=int, default=None, metavar="M",
                    help=f"number of DWT levels (default {_DEFAULT_M}; {_FULL_M} with --full)")
-    p.add_argument("--wavelet", default="db10", choices=catalog_names())
-    p.add_argument("--formulation", default="new", choices=FORMULATIONS)
+    p.add_argument("--wavelet", default=DistanceConfig.wavelet, choices=catalog_names(),
+                   help="(default: %(default)s)")
+    p.add_argument("--formulation", default=DistanceConfig.formulation, choices=FORMULATIONS,
+                   help="(default: %(default)s)")
     p.add_argument("--c0", type=lambda v: None if v == "auto" else float(v),
-                   default=None,
-                   help="approximation weight; 'auto' gives 3^s for the "
-                        "alternative formulation (default: 0 / auto)")
-    p.add_argument("--c1", type=float, default=1.0)
+                   default=DistanceConfig.C0,
+                   help="approximation weight; 'auto', the default, gives 0 for the "
+                        "original and 3^s for the alternative formulation")
+    p.add_argument("--c1", type=float, default=DistanceConfig.C1,
+                   help="detail weight (default: %(default)s)")
     p.add_argument("--full", action="store_true",
                    help="full-size parameters (M = 22)")
 
@@ -100,11 +103,14 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="run a sweep and write a CSV")
     _add_cfg_flags(p, with_s_list=True)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=int, default=SimulationSpec.count,
+                   help="parameters in the sweep (default: %(default)s)")
     p.add_argument("--range", type=float, nargs=2, default=None,
                    metavar=("LO", "HI"))
-    p.add_argument("--exact-points", dest="exact_points", type=int, default=1000,
-                   help="exact-solver grid points on [0, 3] (default 1000)")
+    p.add_argument("--exact-points", dest="exact_points", type=int,
+                   default=SimulationSpec.exact_grid_points,
+                   help="exact-solver grid points on [%g, %g] (default: %%(default)s)"
+                   % EXACT_DOMAIN)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_simulate)
 
@@ -121,7 +127,8 @@ def build_parser():
     p.set_defaults(fn=_cmd_embed)
 
     p = sub.add_parser("constants", help="print a11/a12/a13 for a wavelet")
-    p.add_argument("--wavelet", default="db10", choices=catalog_names())
+    p.add_argument("--wavelet", default=DistanceConfig.wavelet, choices=catalog_names(),
+                   help="(default: %(default)s)")
     p.add_argument("--s", type=float, default=1.0)
     p.set_defaults(fn=_cmd_constants)
 

@@ -168,7 +168,8 @@ class DiscreteMeasure:
     """Weighted point masses on strictly increasing positions.
 
     Float arrays are kept, not copied, and marked read-only, the caller's
-    too; a view of another writable array can still change the measure."""
+    too; a view of another writable array can still change the measure,
+    and exact_ws and w1_cdf, which re-run these checks, then refuse it."""
 
     positions: np.ndarray
     weights: np.ndarray

@@ -154,10 +154,10 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
 
 
 def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.ndarray:
-    """Invert dwt_decompose in the pyramid's own mode; exact up to roundoff
-    for both modes."""
+    """Invert dwt_decompose in the pyramid's own mode and geometry, its
+    filter length too; exact up to roundoff for both modes."""
     mode = checked_instance(pyramid, CoefficientPyramid, ShapeMismatch).mode
-    checked_instance(system, WaveletSystem, InvalidConfig)
+    g, h = checked_instance(system, WaveletSystem, InvalidConfig).g, system.h
     details, a = pyramid.details, pyramid.approx
     a = a if a is None else checked_reals(a, ShapeMismatch, "approximation must be real numbers")
     levels = len(details) if isinstance(details, Sized) else 0  # details=5 has no levels
@@ -169,7 +169,9 @@ def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.nd
     k0 = checked_int(pyramid.input_offset, ShapeMismatch, "input offset is not an integer")
     n = checked_int(pyramid.input_length, ShapeMismatch, "input length is not an integer > 0", 1)
     j0 = checked_int(pyramid.j0, ShapeMismatch, "j0 is not an integer")
-    chain = _chain(mode, k0, n, len(system.g), levels)
+    L = checked_int(pyramid.filter_length, ShapeMismatch, f"pyramid's filter length "
+                    f"{pyramid.filter_length!r} is not the system's {len(g)}", len(g), len(g))
+    chain = _chain(mode, k0, n, L, levels)
     if a.shape != (chain[levels][1],):
         raise ShapeMismatch("approximation array inconsistent with input geometry")
     for i, d in enumerate(details):
@@ -181,7 +183,7 @@ def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.nd
         # rec[t] = sum_k a_k g_{t-2k} + d_k h_{t-2k} for t = 0 ... 2 len(a) + L - 3
         up = np.zeros((2, 2 * len(a) - 1))
         up[0, ::2], up[1, ::2] = a, d
-        rec = np.convolve(up[0], system.g) + np.convolve(up[1], system.h)
+        rec = np.convolve(up[0], g) + np.convolve(up[1], h)
         if mode == "zero":
             # rec[t] sits at translation 2 * off + t; it starts L - 2 or
             # L - 1 cells before the parent window and ends no earlier

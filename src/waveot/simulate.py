@@ -92,12 +92,13 @@ class SimulationSpec:
             self.exact_grid_points, InvalidConfig,
             f"exact_grid_points: need 2 to {_MAX_SAMPLE_POINTS} grid points, "
             f"got {self.exact_grid_points}", 2, _MAX_SAMPLE_POINTS))
-        try:
-            s_values = tuple(self.s_values)
+        try:  # a str is one value; tuple() would split "0.5" into "0", ".", "5"
+            s_values = () if isinstance(self.s_values, str) else tuple(self.s_values)
         except TypeError:
             s_values = ()
         if not s_values:
-            raise InvalidConfig(f"s_values must hold at least one exponent, got {self.s_values!r}")
+            raise InvalidConfig(f"s_values must be a sequence of at least one exponent, "
+                                f"got {self.s_values!r}")
         checked_instance(self.cfg, DistanceConfig, InvalidConfig)
         for s in s_values:  # DistanceConfig refuses a bad exponent
             replace(self.cfg, s=s)

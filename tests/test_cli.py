@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,12 @@ import waveot.densities
 import waveot.exact
 import waveot.simulate
 from waveot.cascade import estimate_constants
-from waveot.cli import main
+from waveot.cli import build_parser, main
 from waveot.densities import translate, uniform_density
 from waveot.distance import DistanceConfig, distance_new, distance_original
 from waveot.embedding import read_wlot
 from waveot.filters import build_wavelet_system
+from waveot.simulate import SimulationSpec
 
 
 def test_constants_command(capsys):
@@ -63,6 +65,19 @@ def test_explicit_auto_c0_is_the_default(capsys):
     with pytest.raises(SystemExit) as exc:
         main(args + ["--c0", "heavy"])
     assert exc.value.code == 2
+
+
+def test_flag_defaults_are_the_librarys():
+    # each default has one copy, in SimulationSpec or DistanceConfig
+    spec = {f.name: f.default for f in fields(SimulationSpec)}
+    cfg = {f.name: f.default for f in fields(DistanceConfig)}
+    parser = build_parser()
+    args = parser.parse_args(["simulate", "--family", "bump_dilate", "--out", "x.csv"])
+    assert (args.count, args.exact_points, tuple(args.s)) == \
+        (spec["count"], spec["exact_grid_points"], spec["s_values"])
+    assert (args.wavelet, args.formulation, args.c0, args.c1) == \
+        (cfg["wavelet"], cfg["formulation"], cfg["C0"], cfg["C1"])
+    assert parser.parse_args(["constants"]).wavelet == cfg["wavelet"]
 
 
 def test_simulate_deterministic(tmp_path, capsys):

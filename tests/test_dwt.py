@@ -395,3 +395,22 @@ def test_reconstruct_refuses_arrays_that_are_not_real_numbers():
     with pytest.raises(ShapeMismatch, match="^detail level -2: expected length 10 at offset -2, "
                                             "got \\(10, 1\\)$"):
         dwt_reconstruct(pyr, db2)
+
+
+@pytest.mark.parametrize("mode", ["zero", "periodic"])
+def test_reconstruct_refuses_a_system_of_another_filter_length(mode):
+    # the chain comes from the pyramid's own filter length: periodic mode
+    # read a db2 pyramid with db4's chain and came back off by up to 23.6,
+    # and zero mode refused the mix only because the lengths differed
+    db2, db4 = build_wavelet_system("db2"), build_wavelet_system("db4")
+    x = np.arange(32.0)
+    pyr = dwt_decompose(x, db2, 2, mode)
+    with pytest.raises(ShapeMismatch, match="^pyramid's filter length 4 is not the system's 8$"):
+        dwt_reconstruct(pyr, db4)
+    for value in ("x", None, 4.5, 6):
+        pyr.filter_length = value
+        with pytest.raises(ShapeMismatch, match=f"^pyramid's filter length {value!r} is not "
+                                                "the system's 4$"):
+            dwt_reconstruct(pyr, db2)
+    pyr.filter_length = 4.0  # an integral float is read as 4
+    assert np.max(np.abs(dwt_reconstruct(pyr, db2) - x)) <= 1e-12

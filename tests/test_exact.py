@@ -335,3 +335,25 @@ def test_w1_cdf_refuses_a_measure_that_is_not_a_discrete_measure():
     mu = DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     with pytest.raises(InvalidGrid, match="^expected a DiscreteMeasure, got 'x'$"):
         w1_cdf("x", mu)
+
+
+@pytest.mark.parametrize("field, values, error, message", [
+    ("weights", [-0.25, 0.75, 0.25, 0.25], UnbalancedMarginals,
+     "weights must be finite and nonnegative"),
+    ("positions", [0.0, 1.0, -5.0, 3.0], InvalidGrid,
+     "positions must be finite and strictly increasing")], ids=["weights", "positions"])
+@pytest.mark.parametrize("solve", [lambda mu, nu: exact_ws(mu, nu, 0.5), w1_cdf],
+                         ids=["exact_ws", "w1_cdf"])
+def test_solvers_refuse_a_measure_edited_through_a_view(field, values, error, message, solve):
+    # a measure built on views keeps them, and their writable buffer can
+    # change it after the checks; each solver re-reads both measures by
+    # DiscreteMeasure's own rules.  Only the weight sum was read before,
+    # so exact_ws returned 0.7071 (weights) and 1.2460 (positions) here,
+    # and w1_cdf 1.0 and 4.75
+    buffers = {"positions": np.array([0.0, 1.0, 2.0, 3.0]), "weights": np.full(4, 0.25)}
+    mu = DiscreteMeasure(**{name: buffer[:] for name, buffer in buffers.items()})
+    nu = DiscreteMeasure(np.array([0.5, 1.5]), np.array([0.5, 0.5]))
+    buffers[field][:] = values
+    for pair in ((mu, nu), (nu, mu)):
+        with pytest.raises(error, match=f"^{message}$"):
+            solve(*pair)

@@ -82,6 +82,9 @@ def test_spec_checks_its_bounds_before_any_density_is_built(monkeypatch):
     built = []
     monkeypatch.setattr(densities.Density, "__post_init__", lambda d: built.append(d))
     for kwargs, message in (({"s_values": ()}, "at least one exponent"),
+                            # "0.5" was split into "0", ".", "5" and refused
+                            # as "s must lie in (0, 1], got 0", not by name
+                            ({"s_values": "0.5"}, "at least one exponent, got '0.5'$"),
                             ({"exact_grid_points": 1}, "need 2 to 33554432 grid points, got 1"),
                             ({"exact_grid_points": _MAX_SAMPLE_POINTS + 1}, "grid points")):
         with pytest.raises(InvalidConfig, match=message):

@@ -8,13 +8,13 @@ rule on 2^18 equal cells of the support, refined around jumps.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainOverflow, InvalidGrid, InvalidInterval, UnbalancedMarginals,
-                     checked_instance, checked_int, checked_interval, checked_reals)
+from .errors import (LEAST_POSITIVE, DomainOverflow, InvalidGrid, InvalidInterval,
+                     UnbalancedMarginals, checked_instance, checked_int, checked_interval,
+                     checked_real, checked_reals)
 
 __all__ = [
     "Density", "SampledDensity", "DiscreteMeasure",
@@ -95,9 +95,10 @@ class Density:
     outside the support; the mask runs only when the points reach
     outside it.
     Construction fails if the evaluator is not callable, if the support
-    is not a pair of finite real numbers lo < hi, which is stored as the
-    tuple (lo, hi), or its width hi - lo overflows or is too small to cut
-    into the mass check's cells, if the evaluator returns neither one
+    is not a pair of real numbers lo < hi whose width hi - lo is a finite
+    double (errors.checked_interval), which is stored as the tuple
+    (lo, hi), or its width is too small to cut into the mass check's
+    cells, if the evaluator returns neither one
     value nor one value per point or is negative at a point of the mass
     check, or if the mass, by the refined midpoint rule of _mass,
     deviates from 1 by more than 1e-8.
@@ -115,10 +116,9 @@ class Density:
         lo, hi = checked_interval(self.support, InvalidInterval,
                                   f"support must be finite with lo < hi, got {self.support}")
         object.__setattr__(self, "support", (lo, hi))  # so hash and == work on any pair
-        # in Python floats, an overflowing width reads inf without a numpy warning
-        if not 0.0 < (float(hi) - float(lo)) / _MASS_CELLS < math.inf:
-            raise InvalidInterval(f"support [{lo}, {hi}]: its width is not finite or too "
-                                  f"small for {_MASS_CELLS} mass-check cells")
+        if not (float(hi) - float(lo)) / _MASS_CELLS > 0.0:
+            raise InvalidInterval(f"support [{lo}, {hi}]: its width is too small for "
+                                  f"{_MASS_CELLS} mass-check cells")
         mass = _mass(self, lo, hi)
         if not abs(mass - 1.0) <= _MASS_TOL:
             raise InvalidInterval(
@@ -165,7 +165,8 @@ class SampledDensity:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted point masses on strictly increasing positions.
+    """Weighted point masses on strictly increasing positions whose span
+    max - min is a finite double.
 
     Float arrays are kept, not copied, and marked read-only, the caller's
     too; a view of another writable array can still change the measure,
@@ -181,7 +182,11 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", w)
         if pos.ndim != 1 or pos.shape != w.shape or pos.size == 0:
             raise InvalidGrid("positions and weights must be matching 1-D arrays")
-        if not (np.all(np.isfinite(pos)) and np.all(np.diff(pos) > 0)):
+        finite = bool(np.all(np.isfinite(pos)))
+        # in Python floats, a span past the double range reads inf without a numpy warning
+        if finite and not pos.max().item() - pos.min().item() < math.inf:
+            raise InvalidGrid(f"positions span [{pos.min()}, {pos.max()}], wider than a double")
+        if not (finite and np.all(np.diff(pos) > 0)):
             raise InvalidGrid("positions must be finite and strictly increasing")
         if not np.all((w >= 0) & np.isfinite(w)):
             raise UnbalancedMarginals("weights must be finite and nonnegative")
@@ -196,7 +201,7 @@ class DiscreteMeasure:
 def uniform_density(lo: float, hi: float) -> Density:
     """Uniform density on [lo, hi]."""
     checked_interval((lo, hi), InvalidInterval, f"need finite lo < hi, got ({lo}, {hi})")
-    height = 1.0 / (float(hi) - float(lo))  # an overflowing width makes 0, which Density refuses
+    height = 1.0 / (float(hi) - float(lo))
 
     def evaluate(x):
         return np.full(np.shape(x), height)
@@ -228,10 +233,9 @@ def bump_density(center: float, half_width: float) -> Density:
     profile's mass by the same midpoint rule the Density constructor uses,
     never a hard-coded literal.
     """
-    if not isinstance(center, numbers.Real):
-        raise InvalidInterval(f"center must be a real number, got {center}")
-    if not (isinstance(half_width, numbers.Real) and half_width > 0):
-        raise InvalidInterval(f"half_width must be positive, got {half_width}")
+    center = checked_real(center, InvalidInterval, f"center must be a real number, got {center}")
+    half_width = checked_real(half_width, InvalidInterval,
+                              f"half_width must be positive, got {half_width}", lo=LEAST_POSITIVE)
     scale = 1.0 / (half_width * _BUMP_BASE_MASS)
 
     def evaluate(x):
@@ -246,8 +250,7 @@ def translate(d: Density, a: float) -> Density:
     """Shift a density by a.  The new evaluator composes d's, so a chain
     of transforms is masked by its own support only, and only on blocks
     of points that reach outside it."""
-    if not isinstance(a, numbers.Real):
-        raise InvalidInterval(f"shift must be a real number, got {a}")
+    a = checked_real(a, InvalidInterval, f"shift must be a real number, got {a}")
     lo, hi = checked_instance(d, Density, InvalidInterval).support
     inner = d.evaluator
 
@@ -259,10 +262,10 @@ def translate(d: Density, a: float) -> Density:
 
 def dilate(d: Density, b: float, about: float) -> Density:
     """Dilate a density by factor b > 0 about a point, preserving mass."""
-    if not (isinstance(b, numbers.Real) and b > 0):
-        raise InvalidInterval(f"dilation factor must be positive, got {b}")
-    if not isinstance(about, numbers.Real):
-        raise InvalidInterval(f"dilation centre must be a real number, got {about}")
+    b = checked_real(b, InvalidInterval, f"dilation factor must be positive, got {b}",
+                     lo=LEAST_POSITIVE)
+    about = checked_real(about, InvalidInterval,
+                         f"dilation centre must be a real number, got {about}")
     lo, hi = checked_instance(d, Density, InvalidInterval).support
     inner = d.evaluator
 

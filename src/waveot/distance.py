@@ -35,16 +35,16 @@ of the extended signal and are always included in the sums.
 
 import bisect
 import math
-import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import _BLOCK_POINTS, _MIN_J0, Density, sample_for_dwt
 from .dwt import dwt_decompose
-from .errors import (InvalidConfig, InvalidGrid, add_context, check_exponent, checked_instance,
-                     checked_int)
-from .filters import _catalog_order, build_wavelet_system
+from .errors import (LEAST_POSITIVE, InvalidConfig, InvalidGrid, add_context, check_exponent,
+                     checked_instance, checked_int, checked_real)
+from .filters import build_wavelet_system
 
 __all__ = ["DistanceConfig", "distance_new", "distance_original",
            "distance_matrix", "wavelet_distance"]
@@ -103,19 +103,19 @@ class DistanceConfig:
             raise InvalidConfig(
                 f"need j0 >= {_MIN_J0} and j0 + M <= {_MAX_SAMPLING_LEVEL} so the "
                 f"domain and the grid spacing are doubles, got j0 = {self.j0}, M = {self.M}")
-        _catalog_order(self.wavelet)
-        weights = (self.C1,) if self.C0 is None else (self.C0, self.C1)
-        reals = all(isinstance(c, numbers.Real) for c in weights)
-        if self.formulation == "new" and not reals:
-            raise InvalidConfig(f"C0 and C1 must be real numbers, got C0 = {self.C0!r}, "
-                                f"C1 = {self.C1!r}")
-        if self.formulation == "original" and not (reals and weights in ((1.0,), (0.0, 1.0))):
-            raise InvalidConfig("original formulation fixes C0 = 0 and C1 = 1")
-        if self.formulation == "alternative" and not (
-                reals and all(0.0 < c < math.inf for c in weights)):
-            raise InvalidConfig(
-                f"alternative formulation requires finite C0 > 0 and C1 > 0, "
-                f"got C0 = {self.C0}, C1 = {self.C1}")
+        build_wavelet_system(self.wavelet)
+        message, bounds = {
+            "new": (f"C0 and C1 must be real numbers, got C0 = {self.C0!r}, C1 = {self.C1!r}",
+                    ()),
+            "original": ("original formulation fixes C0 = 0 and C1 = 1", ()),
+            "alternative": (f"alternative formulation requires finite C0 > 0 and C1 > 0, "
+                            f"got C0 = {self.C0}, C1 = {self.C1}",
+                            (LEAST_POSITIVE, sys.float_info.max)),
+        }[self.formulation]
+        weights = tuple(checked_real(c, InvalidConfig, message, *bounds)
+                        for c in ((self.C1,) if self.C0 is None else (self.C0, self.C1)))
+        if self.formulation == "original" and weights not in ((1.0,), (0.0, 1.0)):
+            raise InvalidConfig(message)
 
 
 def _coefficients(p: Density, cfg: DistanceConfig, num_levels):

@@ -20,7 +20,6 @@ nonzero coefficients, sorted by level and translation, with
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -34,7 +33,7 @@ from .distance import (_MAX_CELLS, DistanceConfig, _coefficients, _each_measure,
                        _levels_and_weights, _pairwise)
 from .dwt import _chain, dwt_decompose
 from .errors import (ConfigMismatch, InvalidConfig, InvalidGrid, MalformedWlot, ShapeMismatch,
-                     UnknownWavelet, checked_instance, checked_int, checked_reals)
+                     UnknownWavelet, checked_instance, checked_int, checked_real, checked_reals)
 from .filters import build_wavelet_system
 
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
@@ -186,8 +185,7 @@ def wlot_distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
 def prune(vec: WlotVector, eps: float) -> WlotVector:
     """Drop entries below magnitude eps, a real number (lossy; for storage only)."""
     checked_instance(vec, WlotVector, ShapeMismatch)
-    if not isinstance(eps, numbers.Real) or math.isnan(eps):
-        raise InvalidConfig(f"eps must be a real number, got {eps!r}")
+    eps = checked_real(eps, InvalidConfig, f"eps must be a real number, got {eps!r}")
     levels = [(offset, np.where(np.abs(values) >= eps, values, 0.0))
               for offset, values in vec.levels]
     return WlotVector(wavelet=vec.wavelet, j0=vec.j0, M=vec.M, levels=levels)

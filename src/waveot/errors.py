@@ -1,6 +1,6 @@
 """Exception types raised across the package, and the checks that raise
-them for typed arguments, integer arguments, intervals, arrays of reals
-and the distance exponent."""
+them for typed arguments, integer and real arguments, intervals, arrays
+of reals and the distance exponent."""
 
 import math
 import numbers
@@ -116,15 +116,35 @@ def checked_int(value, error, message, lo=-math.inf, hi=math.inf):
     raise error(message)
 
 
+# the least positive double, so checked_real(..., lo=LEAST_POSITIVE) refuses x <= 0
+LEAST_POSITIVE = math.ulp(0.0)
+
+
+def checked_real(value, error, message, lo=-math.inf, hi=math.inf):
+    """value as a float, when it is a real number that a double holds (not
+    NaN, nor an integer past the double range) in [lo, hi]; otherwise
+    raise error(message)."""
+    if isinstance(value, numbers.Real):
+        try:
+            x = float(value)
+        except OverflowError:
+            raise error(message) from None
+        if lo <= x <= hi:
+            return x
+    raise error(message)
+
+
 def checked_interval(pair, error, message):
-    """pair as (lo, hi), when it is a pair of finite real numbers with
-    lo < hi; otherwise raise error(message)."""
+    """pair as (lo, hi), ends as given, when it is a pair of real numbers
+    lo < hi whose width, taken in Python floats (where an overflow reads
+    inf without a numpy warning), is a finite double; otherwise raise
+    error(message)."""
     try:
         lo, hi = pair
     except (TypeError, ValueError):
         raise error(message) from None
-    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)
-            and -math.inf < lo < hi < math.inf):
+    a, b = (checked_real(x, error, message) for x in (lo, hi))
+    if not (a < b and b - a < math.inf):
         raise error(message)
     return lo, hi
 

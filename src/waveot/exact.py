@@ -52,8 +52,13 @@ class TransportPlan:
 
 def _reread(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Both measures re-read through DiscreteMeasure's constructor, whose
-    rules then also refuse arrays a caller has edited through a view."""
-    return [replace(checked_instance(m, DiscreteMeasure, InvalidGrid)) for m in (mu, nu)]
+    rules then also refuse arrays a caller has edited through a view, and
+    refused if their positions together span more than a double holds."""
+    mu, nu = (replace(checked_instance(m, DiscreteMeasure, InvalidGrid)) for m in (mu, nu))
+    ends = [m.positions.item(i) for m in (mu, nu) for i in (0, -1)]
+    if not max(ends) - min(ends) < math.inf:  # Python floats: no numpy overflow warning
+        raise InvalidGrid(f"the measures span [{min(ends)}, {max(ends)}], wider than a double")
+    return mu, nu
 
 
 def w1_cdf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

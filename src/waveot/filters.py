@@ -6,8 +6,10 @@ follows from the quadrature-mirror relation h_k = (-1)^k g_{L-1-k}.  The
 scaling and wavelet functions are both supported on [0, L-1].
 
 The Daubechies coefficient tables are embedded (see waveot/_db_tables.py,
-regenerated by tools/make_daubechies_tables.py) and every entry is checked
-against the defining filter identities when the system is built.
+regenerated by tools/make_daubechies_tables.py).  The catalog's systems
+are built once, when this module is imported, so each is checked against
+the defining filter identities once; build_wavelet_system hands out the
+one shared, immutable system for a name.
 """
 
 from dataclasses import dataclass, field
@@ -20,11 +22,6 @@ from .errors import InvalidConfig, UnknownWavelet, checked_reals
 __all__ = ["WaveletSystem", "build_wavelet_system", "catalog_names"]
 
 _IDENTITY_TOL = 1e-12
-
-
-def catalog_names():
-    """Names of all available wavelet systems ('haar', 'db2', ..., 'db20')."""
-    return ["haar"] + [f"db{p}" for p in sorted(DB_SCALING_FILTERS) if p > 1]
 
 
 @dataclass(frozen=True)
@@ -71,29 +68,27 @@ class WaveletSystem:
         object.__setattr__(self, "support_length", L - 1)
 
 
-def _catalog_order(name) -> int:
-    """The order p, 1 for Haar, of the wavelet build_wavelet_system would
-    build for name, found without building it; UnknownWavelet otherwise."""
-    key = name.strip().lower() if isinstance(name, str) else ""
-    if key == "haar":
-        return 1
-    try:
-        p = int(key[2:]) if key.startswith("db") else 0
-    except ValueError:
-        p = 0
-    if p not in DB_SCALING_FILTERS:
-        raise UnknownWavelet(name)
-    return p
+_CATALOG = {p: WaveletSystem("haar" if p == 1 else f"db{p}", g)
+            for p, g in sorted(DB_SCALING_FILTERS.items())}
+
+
+def catalog_names():
+    """Names of all available wavelet systems ('haar', 'db2', ..., 'db20')."""
+    return [system.name for system in _CATALOG.values()]
 
 
 def build_wavelet_system(name: str) -> WaveletSystem:
-    """Look up a catalog wavelet by name.
+    """The catalog's system for name, the one built at import: every
+    caller and every spelling of a name gets the same object.
 
     Accepts 'haar' (alias 'db1') and 'db2' through 'db20', in any case and
     with surrounding blanks, and names the system as catalog_names spells
     it.  Raises UnknownWavelet for anything else, a name that is not a str
     too.
     """
-    p = _catalog_order(name)
-    g = np.array(DB_SCALING_FILTERS[p], dtype=float)
-    return WaveletSystem(name="haar" if p == 1 else f"db{p}", g=g)
+    key = name.strip().lower() if isinstance(name, str) else ""
+    try:
+        p = 1 if key == "haar" else int(key[2:]) if key.startswith("db") else 0
+        return _CATALOG[p]
+    except (KeyError, ValueError):
+        raise UnknownWavelet(name) from None

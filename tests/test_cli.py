@@ -208,8 +208,11 @@ def test_grid_past_double_range_reports_and_fails(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("bad", [["--count", "1"], ["--range", "2", "1"]])
+@pytest.mark.parametrize("bad", [["--count", "1"], ["--range", "2", "1"],
+                                 ["--range", " -1e308", "1e308"]])
 def test_bad_sweep_spec_reports_and_fails(tmp_path, capsys, bad):
+    # the overflowing range printed numpy's "invalid value" warning, then
+    # "support must be finite with lo < hi, got (nan, nan)"
     code = main(["simulate", "--family", "bump_dilate", "--out",
                  str(tmp_path / "out.csv")] + bad)
     assert code == 1

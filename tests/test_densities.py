@@ -585,6 +585,15 @@ def test_discrete_measure_refuses_inputs_that_are_not_real_arrays(pos, w, error,
         DiscreteMeasure(pos, w)
 
 
+@pytest.mark.parametrize("positions", [[-1e308, 1e308], [0.0, 1e308, -1e308, 1.0]],
+                         ids=["increasing", "unordered"])
+def test_discrete_measure_refuses_positions_whose_span_overflows(positions):
+    # np.diff overflowed with a numpy warning before any refusal
+    with pytest.raises(InvalidGrid, match="^positions span \\[-1e\\+308, 1e\\+308\\], wider "
+                                          "than a double$"):
+        DiscreteMeasure(positions, np.full(len(positions), 1 / len(positions)))
+
+
 @pytest.mark.parametrize("support", [("a", "b"), None, (0, 1, 2), (0.0,), (1.0, math.nan)])
 def test_density_refuses_a_support_that_is_not_a_pair_of_reals(support):
     # None and the strings used to escape as TypeError, three ends as ValueError
@@ -592,17 +601,23 @@ def test_density_refuses_a_support_that_is_not_a_pair_of_reals(support):
         Density(lambda x: np.ones_like(x), support)
 
 
-@pytest.mark.parametrize("domain", [("a", "b"), (0.0,), (0.0, math.inf), (math.nan, 1.0), 3.0])
+@pytest.mark.parametrize("domain", [
+    ("a", "b"), (0.0,), (0.0, math.inf), (math.nan, 1.0), 3.0,
+    pytest.param((-1e308, 1e308), id="width-overflows"),
+    pytest.param((0, 10**400), id="end-past-double")])
 def test_discretize_refuses_a_domain_that_is_not_a_pair_of_finite_reals(domain):
     # the strings used to escape as numpy's DTypePromotionError and (0.0,)
-    # as ValueError; (0.0, inf) warned from linspace before it was refused
+    # as ValueError; (0.0, inf) warned from linspace before it was refused,
+    # and so did (-1e308, 1e308), whose width overflows; 10**400 escaped as
+    # numpy's UFuncTypeError
     with pytest.raises(InvalidInterval, match="^invalid grid domain "):
         discretize(uniform_density(0.0, 1.0), 10, domain=domain)
 
 
 def test_uniform_density_refuses_ends_that_are_not_finite_reals():
-    # "a" used to escape as TypeError from the comparison
-    for lo, hi in (("a", 1.0), (0.0, math.inf), (0.0, None)):
+    # "a" used to escape as TypeError from the comparison, 10**400 as
+    # OverflowError
+    for lo, hi in (("a", 1.0), (0.0, math.inf), (0.0, None), (0, 10**400), (-10**400, 0)):
         with pytest.raises(InvalidInterval, match="^need finite lo < hi"):
             uniform_density(lo, hi)
 
@@ -615,10 +630,18 @@ def test_uniform_density_refuses_ends_that_are_not_finite_reals():
     (lambda u: dilate(u, 2.0, "x"), "^dilation centre must be a real number"),
     (lambda u: bump_density("x", 0.5), "^center must be a real number"),
     (lambda u: bump_density(0.5, "x"), "^half_width must be positive"),
+    (lambda u: translate(u, 10**400), "^shift must be a real number"),
+    (lambda u: dilate(u, 10**400, 0.5), "^dilation factor must be positive"),
+    (lambda u: dilate(u, 2.0, -10**400), "^dilation centre must be a real number"),
+    (lambda u: bump_density(10**400, 0.5), "^center must be a real number"),
+    (lambda u: bump_density(0.5, 10**400), "^half_width must be positive"),
 ], ids=["translate-str", "translate-none", "dilate-factor-str", "dilate-factor-complex",
-        "dilate-about-str", "bump-center-str", "bump-width-str"])
+        "dilate-about-str", "bump-center-str", "bump-width-str", "translate-huge-int",
+        "dilate-factor-huge-int", "dilate-about-huge-int", "bump-center-huge-int",
+        "bump-width-huge-int"])
 def test_transforms_refuse_arguments_that_are_not_reals(make, message):
-    # each used to escape as TypeError from the support arithmetic
+    # each used to escape as TypeError from the support arithmetic, and an
+    # integer past the double range as OverflowError
     with pytest.raises(InvalidInterval, match=message):
         make(uniform_density(0.0, 1.0))
 
@@ -652,14 +675,16 @@ def test_density_refuses_points_that_are_not_real_numbers(x):
         uniform_density(0.0, 1.0)(x)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Density(lambda x: np.ones_like(x), (0.0, 1e-320)),
-    lambda: uniform_density(0.0, 5e-324),
-    lambda: uniform_density(-1.7e308, 1.7e308),
+@pytest.mark.parametrize("make, message", [
+    (lambda: Density(lambda x: np.ones_like(x), (0.0, 1e-320)),
+     "its width is too small for 262144 mass-check cells$"),
+    (lambda: uniform_density(0.0, 5e-324), "its width is too small for 262144 mass-check cells$"),
+    (lambda: uniform_density(-1.7e308, 1.7e308),
+     "^need finite lo < hi, got \\(-1.7e\\+308, 1.7e\\+308\\)$"),
 ], ids=["subnormal", "least", "overflow"])
-def test_density_refuses_a_support_width_the_mass_check_cannot_cut(make):
+def test_density_refuses_a_support_width_the_mass_check_cannot_cut(make, message):
     # the first two escaped _mass as ZeroDivisionError, as their cells had
-    # width 0; the last was refused only after numpy warned of an overflow
-    with pytest.raises(InvalidInterval, match="its width is not finite or too small for "
-                                              "262144 mass-check cells$"):
+    # width 0; the last was refused only after numpy warned of an overflow,
+    # and is now refused by the interval rule, whose width must be a double
+    with pytest.raises(InvalidInterval, match=message):
         make()

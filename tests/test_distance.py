@@ -61,9 +61,11 @@ def test_config_refuses_an_exponent_that_is_not_real(s):
         DistanceConfig(s=s, j0=-3, M=8)
 
 
-@pytest.mark.parametrize("weights", [{"C0": "x"}, {"C1": None}, {"C0": 1j}, {"C1": "2"}])
+@pytest.mark.parametrize("weights", [{"C0": "x"}, {"C1": None}, {"C0": 1j}, {"C1": "2"},
+                                     {"C0": 10**400}, {"C1": 10**400}])
 def test_alternative_rejects_weights_that_are_not_real(weights):
-    # C0 = "x" and C1 = None used to escape as TypeError
+    # C0 = "x" and C1 = None used to escape as TypeError; 10**400 was
+    # accepted, and every distance then failed with OverflowError
     with pytest.raises(InvalidConfig, match="finite C0 > 0 and C1 > 0"):
         DistanceConfig(s=0.5, j0=-4, M=10, formulation="alternative", **weights)
 
@@ -77,8 +79,8 @@ def test_config_refuses_an_unknown_wavelet_when_it_is_built(wavelet):
 
 
 def test_config_checks_its_wavelet_without_building_it(monkeypatch):
-    # embedding._grid and wlot_distance make a DistanceConfig on every call
-    monkeypatch.setattr(filters, "build_wavelet_system", None)
+    # embedding._grid and wlot_distance make a DistanceConfig on every call;
+    # it looks the name up among the systems the catalog built at import
     monkeypatch.setattr(filters, "WaveletSystem", None)
     assert DistanceConfig(s=0.5, j0=-3, M=8, wavelet=" DB2").wavelet == " DB2"
 

@@ -410,10 +410,10 @@ def test_prune():
     assert prune(vec, 0).entries == vec.entries
 
 
-@pytest.mark.parametrize("eps", [float("nan"), "x", None, 1j])
+@pytest.mark.parametrize("eps", [float("nan"), "x", None, 1j, pytest.param(10**400, id="huge-int")])
 def test_prune_refuses_a_threshold_that_is_not_a_real_number(eps):
-    # no magnitude is >= NaN, so it would drop every entry, and a string
-    # would escape as numpy's UFuncTypeError
+    # no magnitude is >= NaN, so it would drop every entry, a string would
+    # escape as numpy's UFuncTypeError, and 10**400 as OverflowError
     vec = embed(bump_density(0.7, 0.3), CFG)
     with pytest.raises(InvalidConfig, match="^eps must be a real number"):
         prune(vec, eps)
@@ -499,7 +499,7 @@ def test_vector_refuses_a_level_that_is_not_an_offset_and_real_values(level):
 @pytest.mark.parametrize("header, error", [
     ({"wavelet": "db99"}, UnknownWavelet),
     ({"wavelet": "sym4"}, UnknownWavelet),
-    ({"wavelet": ["db10"]}, UnknownWavelet),  # unhashable, so never cached
+    ({"wavelet": ["db10"]}, UnknownWavelet),  # a list, not a str
     ({"wavelet": None}, UnknownWavelet),
     ({"j0": -1100, "M": 1110}, InvalidConfig),
     ({"M": 100000000}, InvalidConfig),

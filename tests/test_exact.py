@@ -331,6 +331,18 @@ def test_exact_ws_refuses_a_measure_that_is_not_a_discrete_measure():
         exact_ws(mu, "x", 0.5)
 
 
+@pytest.mark.parametrize("solve", [lambda mu, nu: exact_ws(mu, nu, 0.5), w1_cdf],
+                         ids=["exact_ws", "w1_cdf"])
+def test_solvers_refuse_measures_whose_positions_together_overflow(solve):
+    # each measure spans nothing, but their differences overflow: exact_ws
+    # returned inf (the true W_0.5 is 1.414e154) after three numpy warnings
+    mu, nu = DiscreteMeasure([-1e308], [1.0]), DiscreteMeasure([1e308], [1.0])
+    for pair in ((mu, nu), (nu, mu)):
+        with pytest.raises(InvalidGrid, match="^the measures span \\[-1e\\+308, 1e\\+308\\], "
+                                              "wider than a double$"):
+            solve(*pair)
+
+
 def test_w1_cdf_refuses_a_measure_that_is_not_a_discrete_measure():
     mu = DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     with pytest.raises(InvalidGrid, match="^expected a DiscreteMeasure, got 'x'$"):

@@ -85,7 +85,19 @@ def test_system_is_named_as_the_catalog_spells_it(spelling, name):
     # gave names that are not catalog names
     system = build_wavelet_system(spelling)
     assert system.name == name and name in catalog_names()
-    assert np.array_equal(system.g, build_wavelet_system(name).g)
+    assert system is build_wavelet_system(name)
+
+
+def test_lookup_builds_no_system_after_import(monkeypatch):
+    # each transform, WlotVector and .wlot header used to build and check
+    # its system afresh: 180 builds in a traced embed_matrix pass
+    built = []
+    monkeypatch.setattr(WaveletSystem, "__post_init__", lambda system: built.append(system))
+    for name in catalog_names():
+        system = build_wavelet_system(name)
+        assert system is build_wavelet_system(f" {name.upper()} ") and system.name == name
+        DistanceConfig(s=0.5, j0=-3, M=8, wavelet=name)
+    assert built == []
 
 
 def test_filters_immutable():

@@ -43,10 +43,12 @@ def test_spec_validation():
 @pytest.mark.parametrize("kwargs", [
     {"s_values": 0.5}, {"s_values": None}, {"param_range": (1,)}, {"param_range": 1.0},
     {"param_range": ("a", "b")}, {"param_range": (0.0, float("inf"))}, {"family": ["x"]},
-    {"family": None}])
+    {"family": None}, {"param_range": (-1e308, 1e308)}, {"param_range": (0, 10**400)}])
 def test_spec_refuses_ill_typed_fields(kwargs):
     # these used to escape as TypeError or ValueError, or, for the strings
-    # and the infinite range, to fail only once the sweep ran
+    # and the infinite range, to fail only once the sweep ran; params()
+    # warned of an overflow on (-1e308, 1e308), whose width is no double,
+    # and escaped as numpy's UFuncTypeError on 10**400
     with pytest.raises(InvalidConfig):
         SimulationSpec(**{"family": "uniform_translate", "cfg": SMALL_CFG, **kwargs})
 

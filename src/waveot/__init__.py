@@ -16,7 +16,7 @@ from .distance import (DistanceConfig, distance_matrix, distance_new,
 from .dwt import CoefficientPyramid, dwt_decompose, dwt_reconstruct
 from .embedding import (WlotVector, embed, prune, read_wlot, wlot_distance,
                         wlot_distance_matrix, write_wlot)
-from .exact import TransportPlan, exact_ws, w1_cdf
+from .exact import exact_ws, w1_cdf
 from .filters import WaveletSystem, build_wavelet_system, catalog_names
 from .simulate import (SimulationRow, SimulationSpec, emit_csv,
                        fit_normalization, run_simulation)
@@ -28,7 +28,7 @@ __all__ = [
     "Density", "SampledDensity", "DiscreteMeasure",
     "uniform_density", "bump_density", "translate", "dilate",
     "sample_for_dwt", "discretize",
-    "TransportPlan", "exact_ws", "w1_cdf",
+    "exact_ws", "w1_cdf",
     "DistanceConfig", "distance_new", "distance_original",
     "distance_matrix", "wavelet_distance",
     "WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .densities import _BLOCK_POINTS, _MAX_SAMPLE_POINTS, SampledDensity
 from .errors import (InvalidConfig, InvalidFunction, InvalidLevels, check_exponent,
-                     checked_instance, checked_int)
+                     checked_instance, checked_int, shown)
 from .exact import abs_power
 from .filters import WaveletSystem
 
@@ -38,7 +38,8 @@ _R_CANDIDATES = 4096
 # overwrites in place, fits in a core's L2 cache.  It is not
 # densities._BLOCK_POINTS: 2^14-entry blocks give hex-identical constants,
 # but the nine of db2, db10 and db20 at s = 1, 0.5 and 0.25 then take
-# about a fifth longer (1.45-1.55 s against 1.19-1.26 s on 2 CPUs)
+# about a tenth longer (medians 1.16 s against 1.06 s, slower in 13 of 16
+# interleaved pairs, on 2 CPUs)
 _SCAN_BLOCK = 1 << 16
 
 
@@ -113,10 +114,10 @@ def cascade_evaluate(system: WaveletSystem, which: str,
     checked_instance(system, WaveletSystem, InvalidConfig)
     if which not in ("scaling", "wavelet"):
         raise InvalidFunction(
-            f"which must be 'scaling' or 'wavelet', got {which!r}")
+            f"which must be 'scaling' or 'wavelet', got {shown(which)!r}")
     refinement_depth = checked_int(
         refinement_depth, InvalidLevels,
-        f"refinement_depth must be a positive integer, got {refinement_depth}", lo=1)
+        "refinement_depth must be a positive integer, got {}", lo=1)
     g = system.g
     L = len(g)
     width = L - 1

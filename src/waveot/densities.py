@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (LEAST_POSITIVE, DomainOverflow, InvalidGrid, InvalidInterval,
                      UnbalancedMarginals, checked_instance, checked_int, checked_interval,
-                     checked_real, checked_reals)
+                     checked_real, checked_reals, shown)
 
 __all__ = [
     "Density", "SampledDensity", "DiscreteMeasure",
@@ -112,9 +112,9 @@ class Density:
 
     def __post_init__(self):
         if not callable(self.evaluator):
-            raise InvalidInterval(f"the evaluator must be callable, got {self.evaluator!r}")
+            raise InvalidInterval(f"the evaluator must be callable, got {shown(self.evaluator)!r}")
         lo, hi = checked_interval(self.support, InvalidInterval,
-                                  f"support must be finite with lo < hi, got {self.support}")
+                                  "support must be finite with lo < hi, got {}")
         object.__setattr__(self, "support", (lo, hi))  # so hash and == work on any pair
         if not (float(hi) - float(lo)) / _MASS_CELLS > 0.0:
             raise InvalidInterval(f"support [{lo}, {hi}]: its width is too small for "
@@ -200,7 +200,7 @@ class DiscreteMeasure:
 
 def uniform_density(lo: float, hi: float) -> Density:
     """Uniform density on [lo, hi]."""
-    checked_interval((lo, hi), InvalidInterval, f"need finite lo < hi, got ({lo}, {hi})")
+    checked_interval((lo, hi), InvalidInterval, "need finite lo < hi, got ({0[0]}, {0[1]})")
     height = 1.0 / (float(hi) - float(lo))
 
     def evaluate(x):
@@ -233,9 +233,9 @@ def bump_density(center: float, half_width: float) -> Density:
     profile's mass by the same midpoint rule the Density constructor uses,
     never a hard-coded literal.
     """
-    center = checked_real(center, InvalidInterval, f"center must be a real number, got {center}")
+    center = checked_real(center, InvalidInterval, "center must be a real number, got {}")
     half_width = checked_real(half_width, InvalidInterval,
-                              f"half_width must be positive, got {half_width}", lo=LEAST_POSITIVE)
+                              "half_width must be positive, got {}", lo=LEAST_POSITIVE)
     scale = 1.0 / (half_width * _BUMP_BASE_MASS)
 
     def evaluate(x):
@@ -250,7 +250,7 @@ def translate(d: Density, a: float) -> Density:
     """Shift a density by a.  The new evaluator composes d's, so a chain
     of transforms is masked by its own support only, and only on blocks
     of points that reach outside it."""
-    a = checked_real(a, InvalidInterval, f"shift must be a real number, got {a}")
+    a = checked_real(a, InvalidInterval, "shift must be a real number, got {}")
     lo, hi = checked_instance(d, Density, InvalidInterval).support
     inner = d.evaluator
 
@@ -262,10 +262,10 @@ def translate(d: Density, a: float) -> Density:
 
 def dilate(d: Density, b: float, about: float) -> Density:
     """Dilate a density by factor b > 0 about a point, preserving mass."""
-    b = checked_real(b, InvalidInterval, f"dilation factor must be positive, got {b}",
+    b = checked_real(b, InvalidInterval, "dilation factor must be positive, got {}",
                      lo=LEAST_POSITIVE)
     about = checked_real(about, InvalidInterval,
-                         f"dilation centre must be a real number, got {about}")
+                         "dilation centre must be a real number, got {}")
     lo, hi = checked_instance(d, Density, InvalidInterval).support
     inner = d.evaluator
 
@@ -310,16 +310,15 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
     _MAX_SAMPLE_POINTS points is refused before evaluating, and one without
     a nonzero cell after it, as discretize refuses a grid missing the density.
     """
-    M = checked_int(M, InvalidGrid, f"M must be a positive integer, got {M}", lo=1)
+    M = checked_int(M, InvalidGrid, "M must be a positive integer, got {}", lo=1)
     # a fractional j0 would put the window on a grid that is not dyadic
-    j0 = checked_int(j0, InvalidGrid, f"j0 must be an integer >= {_MIN_J0}, got {j0}",
-                     lo=_MIN_J0)
+    j0 = checked_int(j0, InvalidGrid, "j0 must be an integer >= {lo}, got {}", lo=_MIN_J0)
     lo, hi = checked_instance(d, Density, InvalidInterval).support
     domain_hi = 2.0 ** (-j0)
     if lo < -1e-12 or hi > domain_hi * (1.0 + 1e-12):
         raise DomainOverflow(
             f"support [{lo}, {hi}] exceeds the sampling domain [0, {domain_hi}]")
-    spacing = 2.0 ** (-(j0 + M))
+    spacing = math.ldexp(1.0, -(j0 + M))  # 0.0 where 2.0 ** would overflow
     # the window has at most (hi - lo) / spacing + 2 cells; multiplied out,
     # so a spacing that underflows to zero is refused too
     if _CELL_POINTS * (hi - lo) > (_MAX_SAMPLE_POINTS - 2 * _CELL_POINTS) * spacing:
@@ -362,10 +361,10 @@ def discretize(d: Density, num_points: int, domain: tuple = None) -> DiscreteMea
     """
     num_points = checked_int(
         num_points, InvalidGrid,
-        f"need 2 to {_MAX_SAMPLE_POINTS} grid points, got {num_points}", 2, _MAX_SAMPLE_POINTS)
+        "need {lo} to {hi} grid points, got {}", 2, _MAX_SAMPLE_POINTS)
     support = lo, hi = checked_instance(d, Density, InvalidInterval).support
     if domain is not None:
-        lo, hi = checked_interval(domain, InvalidInterval, f"invalid grid domain {domain}")
+        lo, hi = checked_interval(domain, InvalidInterval, "invalid grid domain {}")
         if not lo <= support[0] <= support[1] <= hi:
             raise InvalidGrid(f"support [{support[0]}, {support[1]}] reaches outside "
                               f"the grid domain [{lo}, {hi}]")

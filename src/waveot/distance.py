@@ -43,7 +43,7 @@ import numpy as np
 from .densities import _BLOCK_POINTS, _MIN_J0, Density, sample_for_dwt
 from .dwt import dwt_decompose
 from .errors import (LEAST_POSITIVE, InvalidConfig, InvalidGrid, add_context, check_exponent,
-                     checked_instance, checked_int, checked_real)
+                     checked_instance, checked_int, checked_real, shown)
 from .filters import build_wavelet_system
 
 __all__ = ["DistanceConfig", "distance_new", "distance_original",
@@ -91,12 +91,12 @@ class DistanceConfig:
     def __post_init__(self):
         check_exponent(self.s)
         if self.formulation not in FORMULATIONS:
-            raise InvalidConfig(f"unknown formulation {self.formulation!r}")
+            raise InvalidConfig(f"unknown formulation {shown(self.formulation)!r}")
         # integral floats pass; levels, shifts and the .wlot header need ints
         object.__setattr__(self, "M", checked_int(
-            self.M, InvalidConfig, f"M must be a positive integer, got {self.M}", lo=1))
+            self.M, InvalidConfig, "M must be a positive integer, got {}", lo=1))
         object.__setattr__(self, "j0", checked_int(
-            self.j0, InvalidConfig, f"j0 must be an integer, got {self.j0}"))
+            self.j0, InvalidConfig, "j0 must be an integer, got {}"))
         if self.j0 < 0 and self.M <= -self.j0:
             raise InvalidConfig("need M > -j0 so the sampling level j0+M is positive")
         if not (self.j0 >= _MIN_J0 and self.j0 + self.M <= _MAX_SAMPLING_LEVEL):
@@ -105,15 +105,16 @@ class DistanceConfig:
                 f"domain and the grid spacing are doubles, got j0 = {self.j0}, M = {self.M}")
         build_wavelet_system(self.wavelet)
         message, bounds = {
-            "new": (f"C0 and C1 must be real numbers, got C0 = {self.C0!r}, C1 = {self.C1!r}",
+            "new": ("C0 and C1 must be real numbers, got C0 = {C0!r}, C1 = {C1!r}",
                     ()),
             "original": ("original formulation fixes C0 = 0 and C1 = 1", ()),
-            "alternative": (f"alternative formulation requires finite C0 > 0 and C1 > 0, "
-                            f"got C0 = {self.C0}, C1 = {self.C1}",
+            "alternative": ("alternative formulation requires finite C0 > 0 and C1 > 0, "
+                            "got C0 = {C0}, C1 = {C1}",
                             (LEAST_POSITIVE, sys.float_info.max)),
         }[self.formulation]
-        weights = tuple(checked_real(c, InvalidConfig, message, *bounds)
-                        for c in ((self.C1,) if self.C0 is None else (self.C0, self.C1)))
+        weights = tuple(
+            checked_real(c, InvalidConfig, message, *bounds, C0=self.C0, C1=self.C1)
+            for c in ((self.C1,) if self.C0 is None else (self.C0, self.C1)))
         if self.formulation == "original" and weights not in ((1.0,), (0.0, 1.0)):
             raise InvalidConfig(message)
 
@@ -232,7 +233,7 @@ def _each_measure(ps, transform, budget):
     measure; refused with InvalidGrid before any transform when ps is not
     iterable or its N measures need more than budget cells of N x N."""
     if not np.iterable(ps):
-        raise InvalidGrid(f"measures must be an iterable of densities, got {ps!r}")
+        raise InvalidGrid(f"measures must be an iterable of densities, got {shown(ps)!r}")
     if (n := len(ps := list(ps))) * n > budget:
         raise InvalidGrid(f"{n} measures need {n * n} matrix cells, more than the budget "
                           f"of {budget}; use fewer measures")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (EmptyInput, InvalidConfig, InvalidLevels, ShapeMismatch, checked_instance,
-                     checked_int, checked_reals)
+                     checked_int, checked_reals, shown)
 from .filters import WaveletSystem
 
 __all__ = ["CoefficientPyramid", "dwt_decompose", "dwt_reconstruct",
@@ -95,7 +95,7 @@ def _chain(mode, k0, n, L, levels):
     nonzero product in sum_l x_l f_{l-2k}: the first is the one with
     l - 2k = L - 1 at l = k0 + parity."""
     if mode not in MODES:
-        raise InvalidConfig(f"unknown mode {mode!r}")
+        raise InvalidConfig(f"unknown mode {shown(mode)!r}")
     if mode == "periodic":
         if (n & -n) >> levels == 0:
             raise InvalidLevels("periodic mode requires length divisible by 2 at every level")
@@ -119,11 +119,11 @@ def dwt_decompose(x, system: WaveletSystem, num_levels: int,
     """
     global _DECOMPOSE_CALLS
     num_levels = checked_int(num_levels, InvalidLevels,
-                             f"num_levels must be a positive integer, got {num_levels}", lo=1)
-    checked_int(num_levels, InvalidLevels,
-                f"num_levels must be at most {_MAX_LEVELS}, got {num_levels}", hi=_MAX_LEVELS)
-    j_in = checked_int(j_in, InvalidConfig, f"j_in must be an integer, got {j_in}")
-    k_offset = checked_int(k_offset, InvalidConfig, f"k_offset must be an integer, got {k_offset}")
+                             "num_levels must be a positive integer, got {}", lo=1)
+    checked_int(num_levels, InvalidLevels, "num_levels must be at most {hi}, got {}",
+                hi=_MAX_LEVELS)
+    j_in = checked_int(j_in, InvalidConfig, "j_in must be an integer, got {}")
+    k_offset = checked_int(k_offset, InvalidConfig, "k_offset must be an integer, got {}")
     x = checked_reals(x, EmptyInput, "input must be an array of real numbers")
     if x.ndim != 1 or x.size == 0:
         raise EmptyInput("input must be a nonempty 1-D array")
@@ -169,8 +169,8 @@ def dwt_reconstruct(pyramid: CoefficientPyramid, system: WaveletSystem) -> np.nd
     k0 = checked_int(pyramid.input_offset, ShapeMismatch, "input offset is not an integer")
     n = checked_int(pyramid.input_length, ShapeMismatch, "input length is not an integer > 0", 1)
     j0 = checked_int(pyramid.j0, ShapeMismatch, "j0 is not an integer")
-    L = checked_int(pyramid.filter_length, ShapeMismatch, f"pyramid's filter length "
-                    f"{pyramid.filter_length!r} is not the system's {len(g)}", len(g), len(g))
+    L = checked_int(pyramid.filter_length, ShapeMismatch,
+                    "pyramid's filter length {!r} is not the system's {hi}", len(g), len(g))
     chain = _chain(mode, k0, n, L, levels)
     if a.shape != (chain[levels][1],):
         raise ShapeMismatch("approximation array inconsistent with input geometry")

@@ -33,7 +33,8 @@ from .distance import (_MAX_CELLS, DistanceConfig, _coefficients, _each_measure,
                        _levels_and_weights, _pairwise)
 from .dwt import _chain, dwt_decompose
 from .errors import (ConfigMismatch, InvalidConfig, InvalidGrid, MalformedWlot, ShapeMismatch,
-                     UnknownWavelet, checked_instance, checked_int, checked_real, checked_reals)
+                     UnknownWavelet, checked_instance, checked_int, checked_real, checked_reals,
+                     shown)
 from .filters import build_wavelet_system
 
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
@@ -80,7 +81,8 @@ class WlotVector:
     def __post_init__(self):
         wavelet, j0, M, windows = _grid(self.wavelet, self.j0, self.M)
         if not np.iterable(self.levels):
-            raise ShapeMismatch(f"levels must be a sequence of {M} levels, got {self.levels!r}")
+            raise ShapeMismatch(
+                f"levels must be a sequence of {M} levels, got {shown(self.levels)!r}")
         levels, trimmed = tuple(self.levels), []
         if len(levels) != M:
             raise ShapeMismatch(f"{len(levels)} levels for M = {M}")
@@ -91,7 +93,7 @@ class WlotVector:
                 values = None  # not real values either
             values = checked_reals(values, ShapeMismatch,
                                    f"level {j}: not an (offset, real values) pair")
-            offset = checked_int(offset, ShapeMismatch, f"level {j}: bad offset {offset!r}")
+            offset = checked_int(offset, ShapeMismatch, "level {j}: bad offset {!r}", j=j)
             if values.ndim != 1:
                 raise ShapeMismatch(f"level {j}: {values.ndim}-D values, not 1-D")
             start, stop = _nonzero_span(values)
@@ -185,7 +187,7 @@ def wlot_distance_matrix(ps, cfg: DistanceConfig) -> np.ndarray:
 def prune(vec: WlotVector, eps: float) -> WlotVector:
     """Drop entries below magnitude eps, a real number (lossy; for storage only)."""
     checked_instance(vec, WlotVector, ShapeMismatch)
-    eps = checked_real(eps, InvalidConfig, f"eps must be a real number, got {eps!r}")
+    eps = checked_real(eps, InvalidConfig, "eps must be a real number, got {!r}")
     levels = [(offset, np.where(np.abs(values) >= eps, values, 0.0))
               for offset, values in vec.levels]
     return WlotVector(wavelet=vec.wavelet, j0=vec.j0, M=vec.M, levels=levels)

@@ -1,9 +1,11 @@
 """Exception types raised across the package, and the checks that raise
 them for typed arguments, integer and real arguments, intervals, arrays
-of reals and the distance exponent."""
+of reals and the distance exponent.  A check's message is a str.format
+template, filled only when the check refuses: {} by the value, shown()."""
 
 import math
 import numbers
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -98,54 +100,86 @@ def add_context(context: str):
         raise
 
 
+class _Shown(str):
+    """A message's stand-in for a value, the same text under {} and {!r}."""
+
+    __repr__ = str.__str__
+
+
+def shown(value):
+    """value as a message names it: itself, but an integer past the double
+    range, which str() may refuse (past 4,300 digits), by its digit count,
+    also inside a tuple or list."""
+    if type(value) in (tuple, list):
+        return type(value)(map(shown, value))
+    if not (isinstance(value, numbers.Integral) and abs(value) >= 2 ** 1024):
+        return value
+    magnitude = abs(int(value))
+    digits = int(magnitude.bit_length() * math.log10(2))  # the count or one less
+    digits += 10 ** digits <= magnitude
+    return _Shown(f"{'-' if value < 0 else ''}<{digits}-digit integer>")
+
+
+def _refusal(error, message, value, **fields):
+    """error(message), its {} filled by value and named fields by fields, each shown()."""
+    return error(message.format(shown(value), **{k: shown(v) for k, v in fields.items()}))
+
+
 def checked_instance(value, cls, error):
     """value, when it is an instance of cls; otherwise raise error naming both."""
     if not isinstance(value, cls):
-        raise error(f"expected a {cls.__name__}, got {value!r}")
+        raise error(f"expected a {cls.__name__}, got {shown(value)!r}")
     return value
 
 
-def checked_int(value, error, message, lo=-math.inf, hi=math.inf):
+def checked_int(value, error, message, lo=-sys.float_info.max, hi=sys.float_info.max, **fields):
     """value as an int, when it is an integer or a real number with an
-    integral value (so 3.0 passes as 3) in [lo, hi]; otherwise raise
-    error(message)."""
+    integral value (so 3.0 passes as 3) in [lo, hi], by default the double
+    range; otherwise raise error(message), with {lo}, {hi} and the named
+    fields filled."""
     if isinstance(value, numbers.Integral) or (
             isinstance(value, numbers.Real) and float(value).is_integer()):
         if lo <= value <= hi:
             return int(value)
-    raise error(message)
+    raise _refusal(error, message, value, lo=lo, hi=hi, **fields)
 
 
 # the least positive double, so checked_real(..., lo=LEAST_POSITIVE) refuses x <= 0
 LEAST_POSITIVE = math.ulp(0.0)
 
 
-def checked_real(value, error, message, lo=-math.inf, hi=math.inf):
-    """value as a float, when it is a real number that a double holds (not
-    NaN, nor an integer past the double range) in [lo, hi]; otherwise
-    raise error(message)."""
+def _double(value):
+    """value as a float, when it is a real number that a double holds;
+    otherwise NaN, which no bound admits."""
     if isinstance(value, numbers.Real):
         try:
-            x = float(value)
+            return float(value)
         except OverflowError:
-            raise error(message) from None
-        if lo <= x <= hi:
-            return x
-    raise error(message)
+            pass
+    return math.nan
+
+
+def checked_real(value, error, message, lo=-math.inf, hi=math.inf, **fields):
+    """value as a float, when it is a real number that a double holds (not
+    NaN, nor an integer past the double range) in [lo, hi]; otherwise
+    raise error(message), with the named fields filled."""
+    if lo <= (x := _double(value)) <= hi:
+        return x
+    raise _refusal(error, message, value, **fields)
 
 
 def checked_interval(pair, error, message):
     """pair as (lo, hi), ends as given, when it is a pair of real numbers
     lo < hi whose width, taken in Python floats (where an overflow reads
     inf without a numpy warning), is a finite double; otherwise raise
-    error(message)."""
+    error(message), {} filled by the pair."""
     try:
         lo, hi = pair
     except (TypeError, ValueError):
-        raise error(message) from None
-    a, b = (checked_real(x, error, message) for x in (lo, hi))
+        lo = hi = None  # not a pair
+    a, b = _double(lo), _double(hi)
     if not (a < b and b - a < math.inf):
-        raise error(message)
+        raise _refusal(error, message, pair)
     return lo, hi
 
 
@@ -164,5 +198,4 @@ def checked_reals(values, error, message):
 
 def check_exponent(s):
     """Raise InvalidExponent unless s is a real number in (0, 1]."""
-    if not (isinstance(s, numbers.Real) and 0.0 < s <= 1.0):
-        raise InvalidExponent(f"s must lie in (0, 1], got {s}")
+    checked_real(s, InvalidExponent, "s must lie in (0, 1], got {}", LEAST_POSITIVE, 1.0)

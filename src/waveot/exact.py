@@ -24,14 +24,14 @@ merged support grid) used as an independent oracle for s = 1.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .densities import DiscreteMeasure
 from .errors import InvalidGrid, SolverDidNotConverge, check_exponent, checked_instance
 
-__all__ = ["TransportPlan", "exact_ws", "w1_cdf"]
+__all__ = ["exact_ws", "w1_cdf"]
 
 # pivot budget on an m x n residual: _PIVOTS_PER_NODE * (m + n) + _PIVOTS_EXTRA
 _PIVOTS_PER_NODE = 200
@@ -41,13 +41,6 @@ _PIVOTS_EXTRA = 10_000
 # solve holds the costs, one block of reduced costs and the basis, 11.6-11.9
 # bytes a cell on 300- and 600-point residuals, so under 50 MB at the limit
 _MAX_RESIDUAL_CELLS = 1 << 22
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Optimal coupling as sparse (source, target, mass) entries."""
-
-    entries: list
 
 
 def _reread(mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -87,8 +80,8 @@ def abs_power(x, s):
 def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
     """Minimize sum gamma_ij |x_i - y_j|^s over transport plans.
 
-    Returns (cost, TransportPlan); the plan indexes the original atoms
-    (zero-weight atoms never enter the residual and never carry mass).
+    Returns (cost, plan), the plan a list of (i, j, mass) triples over the
+    original atoms, common-mass matches first; zero-weight atoms get none.
 
     Because |x - y|^s is itself a metric for 0 < s <= 1, the optimal value
     depends only on mu - nu, so mass shared at exactly coincident
@@ -124,7 +117,7 @@ def exact_ws(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float):
             total += f * cost[ii, jj]
             if f > 0.0:
                 entries.append((int(ir[ii]), int(jr[jj]), float(f)))
-    return float(total), TransportPlan(entries=entries)
+    return float(total), entries
 
 
 def _nested_start(x, y, a, b):

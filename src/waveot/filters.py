@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._db_tables import DB_SCALING_FILTERS
-from .errors import InvalidConfig, UnknownWavelet, checked_reals
+from .errors import InvalidConfig, UnknownWavelet, checked_reals, shown
 
 __all__ = ["WaveletSystem", "build_wavelet_system", "catalog_names"]
 
@@ -91,4 +91,4 @@ def build_wavelet_system(name: str) -> WaveletSystem:
         p = 1 if key == "haar" else int(key[2:]) if key.startswith("db") else 0
         return _CATALOG[p]
     except (KeyError, ValueError):
-        raise UnknownWavelet(name) from None
+        raise UnknownWavelet(shown(name)) from None

@@ -19,7 +19,7 @@ from .densities import (_MAX_SAMPLE_POINTS, bump_density, dilate, discretize, tr
                         uniform_density)
 from .distance import _C0_DIAMETER, DistanceConfig, wavelet_distance
 from .errors import (DegenerateFit, InvalidConfig, add_context, checked_instance, checked_int,
-                     checked_interval)
+                     checked_interval, shown)
 from .exact import exact_ws
 
 __all__ = ["SimulationSpec", "SimulationRow", "run_simulation",
@@ -81,31 +81,29 @@ class SimulationSpec:
 
     def __post_init__(self):
         if not isinstance(self.family, str) or self.family not in FAMILIES:
-            raise InvalidConfig(f"unknown family {self.family!r}; "
+            raise InvalidConfig(f"unknown family {shown(self.family)!r}; "
                                 f"choose from {sorted(FAMILIES)}")
         # integral floats pass; np.linspace and discretize need ints
         object.__setattr__(self, "count", checked_int(
             self.count, InvalidConfig,
-            f"count must lie in [2, {_MAX_COUNT}], got {self.count}", 2, _MAX_COUNT))
+            "count must lie in [{lo}, {hi}], got {}", 2, _MAX_COUNT))
         # discretize's bound, checked here before any density is built
         object.__setattr__(self, "exact_grid_points", checked_int(
             self.exact_grid_points, InvalidConfig,
-            f"exact_grid_points: need 2 to {_MAX_SAMPLE_POINTS} grid points, "
-            f"got {self.exact_grid_points}", 2, _MAX_SAMPLE_POINTS))
+            "exact_grid_points: need {lo} to {hi} grid points, got {}", 2, _MAX_SAMPLE_POINTS))
         try:  # a str is one value; tuple() would split "0.5" into "0", ".", "5"
             s_values = () if isinstance(self.s_values, str) else tuple(self.s_values)
         except TypeError:
             s_values = ()
         if not s_values:
             raise InvalidConfig(f"s_values must be a sequence of at least one exponent, "
-                                f"got {self.s_values!r}")
+                                f"got {shown(self.s_values)!r}")
         checked_instance(self.cfg, DistanceConfig, InvalidConfig)
         for s in s_values:  # DistanceConfig refuses a bad exponent
             replace(self.cfg, s=s)
         object.__setattr__(self, "s_values", s_values)
         if self.param_range is not None:
-            checked_interval(self.param_range, InvalidConfig,
-                             f"invalid param_range {self.param_range}")
+            checked_interval(self.param_range, InvalidConfig, "invalid param_range {}")
 
     def params(self):
         lo, hi = FAMILIES[self.family][2] if self.param_range is None else self.param_range
@@ -138,7 +136,7 @@ def fit_normalization(rows) -> float:
     refuses a non-finite param, a non-finite value in that window, a window
     whose wavelet values are all zero, or a constant past the double range."""
     if not np.iterable(rows):
-        raise DegenerateFit(f"rows must be an iterable of SimulationRow, got {rows!r}")
+        raise DegenerateFit(f"rows must be an iterable of SimulationRow, got {shown(rows)!r}")
     rows = [checked_instance(r, SimulationRow, DegenerateFit) for r in rows]
     if not rows:
         raise DegenerateFit("no rows to fit")

@@ -371,6 +371,10 @@ def test_sample_for_dwt_refuses_windows_past_budget(monkeypatch):
     # at the real budget: a spacing that underflows to zero is refused
     with pytest.raises(InvalidGrid, match="budget"):
         sample_for_dwt(p, 0, 1100)
+    # and so is one whose level j0 + M no double holds; it used to escape
+    # as OverflowError from 2.0 ** -(j0 + M)
+    with pytest.raises(InvalidGrid, match="budget"):
+        sample_for_dwt(uniform_density(-1e-12, 0.0), 10 ** 308, 10 ** 308)
     # 16 cells need at most 64 * (16 + 2) points, 32 cells more than 1200
     monkeypatch.setattr(densities, "_MAX_SAMPLE_POINTS", 1200)
     assert len(sample_for_dwt(p, 0, 4).values) == 16

@@ -8,7 +8,8 @@ of the paper's dilation law (dilating by 2^k scales the "new" distance,
 its embedding's distance and exact W_s by 2^(ks)), of the paper's bound
 W_s a12 <= D_new + a12 E on the simulation families' sampled measures
 and of its other side, D_new <= K W_s plus the cells' share with K from
-db10's psi, of the embedding's
+db10's psi, with c05's pair as a fixed case whose ratio D_new / W_s
+settles as M grows, of the embedding's
 linearity in a mixture,
 matrix (at any column block) and text round trip, of every hand-built
 WlotVector that constructs reading back from its text, of the exact solver against the LP oracle, with symmetric costs and
@@ -402,6 +403,26 @@ def test_distance_new_obeys_the_lower_side_of_the_equivalence(family, fraction, 
     assert dnew <= K * (S * ws + share) + G * abs(S - T)
 
 
+def test_equivalence_ratio_on_c05s_pair_settles_as_the_grid_refines():
+    """D_new / W_s on c05's pair, uniform on [0, 1] and its translates by
+    3 + m (db2's support length plus m), with db2, s = 0.5, j0 = -4 and
+    W_s on the 1000-point grid on [0, 13], stays in one band at M = 12, 13
+    and 14, and each refinement moves it about half as far as the one
+    before, so the equivalence constant does not drift with resolution.
+    The ratios read 9.39-12.38; the step from 13 to 14 is 5.8e-5 to
+    1.6e-4 relative, 0.50-0.51 of the step from 12 to 13."""
+    p = uniform_density(0.0, 1.0)
+    mu = discretize(p, 1000, (0.0, 13.0))
+    for m in range(5):
+        q = translate(p, 3.0 + m)
+        ws = exact_ws(mu, discretize(q, 1000, (0.0, 13.0)), 0.5)[0]
+        ratios = [distance_new(p, q, DistanceConfig(s=0.5, j0=-4, M=M, wavelet="db2")) / ws
+                  for M in (12, 13, 14)]
+        assert 9.0 < min(ratios) and max(ratios) < 13.0, ratios
+        first, second = (abs(b - a) / a for a, b in zip(ratios, ratios[1:]))
+        assert second < 2e-4 and second < 0.6 * first, ratios
+
+
 @SETTINGS
 @given(st.sampled_from(catalog_names()),
        hnp.arrays(np.float64, st.integers(1, 200), elements=st.floats(-1.0, 1.0)),
@@ -660,7 +681,7 @@ def grid_measures(draw):
 
 def plan_marginals(plan, mu, nu):
     rows, cols = np.zeros(len(mu)), np.zeros(len(nu))
-    for i, j, f in plan.entries:
+    for i, j, f in plan:
         rows[i] += f
         cols[j] += f
     return rows, cols
@@ -768,7 +789,7 @@ def test_nested_start_is_a_spanning_tree_without_crossings(problem):
     mu = DiscreteMeasure(x, a / a.sum())
     nu = DiscreteMeasure(y, b / b.sum())
     plan = exact_ws(mu, nu, 0.5)[1]
-    assert crossing([(x[i], y[j]) for i, j, f in plan.entries if f > 0.0]) is None
+    assert crossing([(x[i], y[j]) for i, j, f in plan if f > 0.0]) is None
 
 
 @SETTINGS

@@ -22,16 +22,17 @@ print(f"  sum h           = {db10.h.sum():.2e}")
 print(f"  ||g||^2 - 1     = {np.dot(db10.g, db10.g) - 1:.2e}")
 
 
-def trapezoid(sd):
-    """Trapezoid-rule integral of a sampled function."""
-    return np.sum(sd.spacing * (sd.values[1:] + sd.values[:-1]) / 2.0)
+def trapezoid(values, spacing):
+    """Trapezoid-rule integral of a function sampled at the given spacing."""
+    return np.sum(spacing * (values[1:] + values[:-1]) / 2.0)
 
 
+# both on the grid i * 2^-12 over [0, 19]
 phi = cascade_evaluate(db10, "scaling", 12)
 psi = cascade_evaluate(db10, "wavelet", 12)
-print(f"\nscaling function on {len(phi.values)} dyadic points, "
-      f"mass = {trapezoid(phi):.12f}")
-print(f"wavelet cancellation: integral = {trapezoid(psi):.2e}")
+print(f"\nscaling function on {len(phi)} dyadic points, "
+      f"mass = {trapezoid(phi, 2.0 ** -12):.12f}")
+print(f"wavelet cancellation: integral = {trapezoid(psi, 2.0 ** -12):.2e}")
 
 rng = np.random.default_rng(0)
 x = rng.standard_normal(4096)

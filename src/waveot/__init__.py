@@ -8,9 +8,8 @@ the "new" formulation exactly.
 """
 
 from .cascade import HolderConstants, cascade_evaluate, estimate_constants
-from .densities import (Density, DiscreteMeasure, SampledDensity, bump_density,
-                        dilate, discretize, sample_for_dwt, translate,
-                        uniform_density)
+from .densities import (Density, DiscreteMeasure, bump_density, dilate, discretize,
+                        sample_for_dwt, translate, uniform_density)
 from .distance import (DistanceConfig, distance_matrix, distance_new,
                        distance_original, wavelet_distance)
 from .dwt import CoefficientPyramid, dwt_decompose, dwt_reconstruct
@@ -25,7 +24,7 @@ __all__ = [
     "WaveletSystem", "build_wavelet_system", "catalog_names",
     "CoefficientPyramid", "dwt_decompose", "dwt_reconstruct",
     "cascade_evaluate", "estimate_constants", "HolderConstants",
-    "Density", "SampledDensity", "DiscreteMeasure",
+    "Density", "DiscreteMeasure",
     "uniform_density", "bump_density", "translate", "dilate",
     "sample_for_dwt", "discretize",
     "exact_ws", "w1_cdf",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import _BLOCK_POINTS, _MAX_SAMPLE_POINTS, SampledDensity
+from .densities import _BLOCK_POINTS, _MAX_SAMPLE_POINTS
 from .errors import (InvalidConfig, InvalidFunction, InvalidLevels, check_exponent,
                      checked_instance, checked_int, shown)
 from .exact import abs_power
@@ -106,11 +106,12 @@ def _wavelet(grid, h, depth):
 
 
 def cascade_evaluate(system: WaveletSystem, which: str,
-                     refinement_depth: int = DEFAULT_CASCADE_DEPTH) -> SampledDensity:
+                     refinement_depth: int = DEFAULT_CASCADE_DEPTH) -> np.ndarray:
     """Values of the scaling ('scaling') or wavelet ('wavelet') function on
-    the dyadic grid of spacing 2^-refinement_depth over [0, L-1].  A grid
-    of more than densities._MAX_SAMPLE_POINTS points is refused before
-    anything is allocated."""
+    the dyadic grid of spacing 2^-refinement_depth over [0, L-1]: entry i
+    is the value at i * 2^-refinement_depth.  A grid of more than
+    densities._MAX_SAMPLE_POINTS points is refused before anything is
+    allocated."""
     checked_instance(system, WaveletSystem, InvalidConfig)
     if which not in ("scaling", "wavelet"):
         raise InvalidFunction(
@@ -142,7 +143,7 @@ def cascade_evaluate(system: WaveletSystem, which: str,
         _two_scale(grid[::step], g, 2 ** d, 1, grid[step // 2:: step])
     if wavelet:
         _wavelet(grid, system.h, refinement_depth)
-    return SampledDensity(offset=0, spacing=2.0 ** (-refinement_depth), values=grid)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -240,7 +241,7 @@ def estimate_constants(system: WaveletSystem, s: float) -> HolderConstants:
     grid, a scan block and its values: 1.9 MiB by tracemalloc for db20."""
     check_exponent(s)
     depth = DEFAULT_CASCADE_DEPTH
-    grid = cascade_evaluate(system, "scaling", depth).values
+    grid = cascade_evaluate(system, "scaling", depth)
     spacing = 2.0 ** -depth
     l1_phi = _weighted_sum(grid, spacing, np.ones_like)
     inf_phi = _centered_moment_inf(spacing, grid, s)

@@ -17,7 +17,7 @@ from .errors import (LEAST_POSITIVE, DomainOverflow, InvalidGrid, InvalidInterva
                      checked_real, checked_reals, shown)
 
 __all__ = [
-    "Density", "SampledDensity", "DiscreteMeasure",
+    "Density", "DiscreteMeasure",
     "uniform_density", "bump_density", "translate", "dilate",
     "sample_for_dwt", "discretize",
 ]
@@ -50,7 +50,8 @@ def _mass(f, lo, hi):
     f the mask runs only on blocks that reach outside the support: the
     first pass's two end blocks and refined blocks holding an end cell.
     Positions are kept relative to lo and rounded once, when f gets them.
-    A negative value at any point evaluated raises InvalidInterval.
+    A negative or infinite value at any point evaluated raises
+    InvalidInterval.
     """
     n, width, total = _BLOCK_POINTS, (hi - lo) / _MASS_CELLS, 0.0
     starts = n * width * np.arange(_MASS_CELLS // n)
@@ -64,6 +65,9 @@ def _mass(f, lo, hi):
                 k = int(np.argmin(vals))
                 raise InvalidInterval(
                     f"density is {vals.flat[k]:.6g} < 0 at x = {pos.flat[k]:.17g}")
+            if vals.max() == math.inf:
+                raise InvalidInterval(
+                    f"density is inf at x = {pos.flat[int(np.argmax(vals))]:.17g}")
             del pos
             err = np.diff(vals, 2)
             cells = np.flatnonzero(np.abs(err, out=err) > _MASS_CELL_ERR / width)
@@ -98,8 +102,8 @@ class Density:
     is not a pair of real numbers lo < hi whose width hi - lo is a finite
     double (errors.checked_interval), which is stored as the tuple
     (lo, hi), or its width is too small to cut into the mass check's
-    cells, if the evaluator returns neither one
-    value nor one value per point or is negative at a point of the mass
+    cells, if the evaluator returns neither one real value nor one real
+    value per point or is negative or infinite at a point of the mass
     check, or if the mass, by the refined midpoint rule of _mass,
     deviates from 1 by more than 1e-8.
     An integrable singularity at a support end far from 0 can fail it:
@@ -133,34 +137,23 @@ class Density:
         arr = np.atleast_1d(checked_reals(x, InvalidGrid, "density points must be real numbers"))
         # a NaN fails both tests, so it takes the mask and samples as zero
         inside_all = arr.ndim == 1 and arr.size and lo <= arr.min() and arr.max() < hi
-        out = self.evaluator(arr) if inside_all else None
+        out = self._evaluated(arr) if inside_all else None
         if np.shape(out) != arr.shape:  # the mask also broadcasts one value for all
             inside = (arr >= lo) & (arr < hi)
             out = np.zeros_like(arr)
             if count := int(np.count_nonzero(inside)):
-                values = self.evaluator(arr[inside])
+                values = self._evaluated(arr[inside])
                 if np.shape(values) not in ((), (1,), (count,)):
                     raise InvalidInterval(f"the evaluator returned shape {np.shape(values)} "
                                           f"for {count} points, not one value or one per point")
                 out[inside] = values
-        out = np.asarray(out, dtype=float)
         return out[0] if np.ndim(x) == 0 else out
 
-
-@dataclass(frozen=True)
-class SampledDensity:
-    """Values on a window of a uniform grid: values[i] belongs to grid
-    index offset + i, i.e. to x = (offset + i) * spacing.
-
-    Grid cells outside the window hold exact zeros.
-    """
-
-    offset: int
-    spacing: float
-    values: np.ndarray
-
-    def grid(self):
-        return (self.offset + np.arange(len(self.values))) * self.spacing
+    def _evaluated(self, points):
+        """The evaluator's values at points as a float array; a complex,
+        str or object result is refused, not cast."""
+        return checked_reals(self.evaluator(points), InvalidInterval,
+                             "the evaluator must return real numbers")
 
 
 @dataclass(frozen=True)
@@ -289,8 +282,9 @@ def _nonzero_span(values):
     return int(nonzero.argmax()), len(nonzero) - int(nonzero[::-1].argmax())
 
 
-def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
-    """DWT initialization on the grid of spacing 2^-(j0+M) over [0, 2^-j0].
+def sample_for_dwt(d: Density, j0: int, M: int) -> tuple:
+    """DWT initialization on the grid of spacing 2^-(j0+M) over [0, 2^-j0],
+    as (offset, values): values[i] is cell offset + i, as in a DWT level.
 
     Cell k gets 2^(-(j0+M)/2) times the average of d over [k, k+1) *
     spacing (midpoint rule, _CELL_POINTS = 64 points per cell).  Cell
@@ -343,7 +337,7 @@ def sample_for_dwt(d: Density, j0: int, M: int) -> SampledDensity:
         raise InvalidGrid(
             f"density on [{lo}, {hi}] carries no mass on the sampling grid of "
             f"spacing {spacing}; use a larger M")
-    return SampledDensity(offset=k_lo + start, spacing=spacing, values=values[start:stop])
+    return k_lo + start, values[start:stop]
 
 
 def discretize(d: Density, num_points: int, domain: tuple = None) -> DiscreteMeasure:
@@ -372,6 +366,10 @@ def discretize(d: Density, num_points: int, domain: tuple = None) -> DiscreteMea
     w = np.empty_like(grid)
     for start in range(0, num_points, _BLOCK_POINTS):
         w[start: start + _BLOCK_POINTS] = d(grid[start: start + _BLOCK_POINTS])
+    if not np.isfinite(w).all():  # an integrable singularity at lo, say
+        k = int(np.argmin(np.isfinite(w)))
+        raise InvalidGrid(f"density is {w[k]} at grid point x = {grid[k]:.17g}, "
+                          "not a finite weight")
     total = w.sum()
     if total <= 0:
         raise InvalidGrid("density carries no mass on the requested grid")

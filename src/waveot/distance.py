@@ -124,9 +124,9 @@ def _coefficients(p: Density, cfg: DistanceConfig, num_levels):
     levels below the sampling level j0 + M: the approximation, then the
     detail levels from the coarsest.  array[t] is the coefficient at
     translation offset + t."""
-    sp = sample_for_dwt(p, cfg.j0, cfg.M)
-    pyr = dwt_decompose(sp.values, build_wavelet_system(cfg.wavelet), num_levels,
-                        mode="zero", j_in=cfg.j0 + cfg.M, k_offset=sp.offset)
+    offset, values = sample_for_dwt(p, cfg.j0, cfg.M)
+    pyr = dwt_decompose(values, build_wavelet_system(cfg.wavelet), num_levels,
+                        mode="zero", j_in=cfg.j0 + cfg.M, k_offset=offset)
     return [(pyr.approx_offset, pyr.approx), *zip(pyr.detail_offsets, pyr.details)]
 
 

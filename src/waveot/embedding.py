@@ -33,8 +33,8 @@ from .distance import (_MAX_CELLS, DistanceConfig, _coefficients, _each_measure,
                        _levels_and_weights, _pairwise)
 from .dwt import _chain, dwt_decompose
 from .errors import (ConfigMismatch, InvalidConfig, InvalidGrid, MalformedWlot, ShapeMismatch,
-                     UnknownWavelet, checked_instance, checked_int, checked_real, checked_reals,
-                     shown)
+                     UnknownWavelet, checked_instance, checked_int, checked_path, checked_real,
+                     checked_reals, shown)
 from .filters import build_wavelet_system
 
 __all__ = ["WlotVector", "embed", "wlot_distance", "wlot_distance_matrix",
@@ -249,11 +249,12 @@ def from_text(text: str) -> WlotVector:
 
 def write_wlot(vec: WlotVector, path) -> None:
     text = to_text(vec)  # before open, so a refused vector leaves path as it was
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(checked_path(path, InvalidConfig), "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 def read_wlot(path) -> WlotVector:
     # a byte that is not UTF-8 reads as a lone surrogate, which no token parses as
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(checked_path(path, InvalidConfig), encoding="utf-8",
+              errors="surrogateescape") as fh:
         return from_text(fh.read())

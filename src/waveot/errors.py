@@ -1,10 +1,12 @@
 """Exception types raised across the package, and the checks that raise
-them for typed arguments, integer and real arguments, intervals, arrays
-of reals and the distance exponent.  A check's message is a str.format
-template, filled only when the check refuses: {} by the value, shown()."""
+them for typed arguments, file paths, integer and real arguments,
+intervals, arrays of reals and the distance exponent.  A check's message
+is a str.format template, filled only when the check refuses: {} by the
+value, shown()."""
 
 import math
 import numbers
+import os
 import sys
 from contextlib import contextmanager
 
@@ -142,6 +144,15 @@ def checked_int(value, error, message, lo=-sys.float_info.max, hi=sys.float_info
         if lo <= value <= hi:
             return int(value)
     raise _refusal(error, message, value, lo=lo, hi=hi, **fields)
+
+
+def checked_path(path, error):
+    """path, when it is a file name (str, bytes or os.PathLike); otherwise
+    raise error before anything is opened: open() takes an int as a file
+    descriptor, which it would close."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise error(f"expected a file path (str, bytes or os.PathLike), got {shown(path)!r}")
+    return path
 
 
 # the least positive double, so checked_real(..., lo=LEAST_POSITIVE) refuses x <= 0

@@ -19,7 +19,7 @@ from .densities import (_MAX_SAMPLE_POINTS, bump_density, dilate, discretize, tr
                         uniform_density)
 from .distance import _C0_DIAMETER, DistanceConfig, wavelet_distance
 from .errors import (DegenerateFit, InvalidConfig, add_context, checked_instance, checked_int,
-                     checked_interval, shown)
+                     checked_interval, checked_path, shown)
 from .exact import exact_ws
 
 __all__ = ["SimulationSpec", "SimulationRow", "run_simulation",
@@ -195,7 +195,12 @@ def run_simulation(spec: SimulationSpec):
 
 def emit_csv(rows, path) -> None:
     """Write rows in input order, one column per SimulationRow field,
-    numbers as %.12g; identical rows give identical bytes."""
+    numbers as %.12g; identical rows give identical bytes.  InvalidConfig
+    refuses rows that are not an iterable of SimulationRow, or a path that
+    is not a file name, before the file is opened."""
+    checked_path(path, InvalidConfig)
+    if not np.iterable(rows):
+        raise InvalidConfig(f"rows must be an iterable of SimulationRow, got {shown(rows)!r}")
     lines = [CSV_HEADER]
     for r in rows:
         values = astuple(checked_instance(r, SimulationRow, InvalidConfig))

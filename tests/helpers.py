@@ -24,6 +24,11 @@ def trapezoid(values, dx):
     return float(np.sum(dx * (values[1:] + values[:-1]) / 2.0))
 
 
+def window_grid(offset, values, spacing):
+    """The points of a sampled window: values[i] sits at (offset + i) * spacing."""
+    return (offset + np.arange(len(values))) * spacing
+
+
 def random_measure(rng, max_atoms, lo=0.0, hi=3.0, min_atoms=2):
     """Random discrete measure with distinct sorted positions."""
     k = int(rng.integers(min_atoms, max_atoms + 1))
@@ -82,9 +87,9 @@ def wavelet_part_densities(name, j_level, k_shift, depth=12):
     """
     system = build_wavelet_system(name)
     psi = cascade_evaluate(system, "wavelet", depth)
-    vals = 2.0 ** (j_level / 2.0) * psi.values
+    vals = 2.0 ** (j_level / 2.0) * psi
     origin = k_shift * 2.0 ** (-j_level)
-    spacing = psi.spacing * 2.0 ** (-j_level)
+    spacing = 2.0 ** (-depth - j_level)
     mu, c_pos = density_from_grid(np.maximum(vals, 0.0), origin, spacing)
     nu, c_neg = density_from_grid(np.maximum(-vals, 0.0), origin, spacing)
     assert abs(c_pos - c_neg) < 1e-7 * max(c_pos, 1.0)
@@ -107,7 +112,7 @@ def multiscale_part_densities(name, a_coeffs, j_start, s, depth=12):
     for idx, aj in enumerate(a_coeffs):
         j = j_start + idx
         g += aj * 2.0 ** (j * (s + 1.0)) * np.interp(
-            2.0 ** j * xs, psi.grid(), psi.values, left=0.0, right=0.0)
+            2.0 ** j * xs, window_grid(0, psi, 2.0 ** -depth), psi, left=0.0, right=0.0)
     mu, c_pos = density_from_grid(np.maximum(g, 0.0), 0.0, dx)
     nu, c_neg = density_from_grid(np.maximum(-g, 0.0), 0.0, dx)
     assert abs(c_pos - c_neg) < 1e-6 * max(c_pos, 1.0)

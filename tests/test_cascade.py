@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import trapezoid
+from helpers import trapezoid, window_grid
 from waveot import cascade
 from waveot.cascade import cascade_evaluate, estimate_constants
 from waveot.errors import InvalidConfig, InvalidExponent, InvalidLevels, WaveotError
@@ -12,18 +12,18 @@ from waveot.filters import WaveletSystem, build_wavelet_system, catalog_names
 
 def test_haar_scaling_depth3():
     haar = build_wavelet_system("haar")
-    sd = cascade_evaluate(haar, "scaling", 3)
-    assert sd.spacing == 0.125
-    assert np.allclose(sd.values[:-1], 1.0, atol=1e-12)
-    assert sd.values[-1] == 0.0
+    phi = cascade_evaluate(haar, "scaling", 3)
+    assert len(phi) == 9  # spacing 1/8 over [0, 1]
+    assert np.allclose(phi[:-1], 1.0, atol=1e-12)
+    assert phi[-1] == 0.0
 
 
 def test_haar_wavelet_depth3():
     haar = build_wavelet_system("haar")
-    sd = cascade_evaluate(haar, "wavelet", 3)
-    assert np.allclose(sd.values[:4], 1.0, atol=1e-12)
-    assert np.allclose(sd.values[4:8], -1.0, atol=1e-12)
-    assert sd.values[-1] == 0.0
+    psi = cascade_evaluate(haar, "wavelet", 3)
+    assert np.allclose(psi[:4], 1.0, atol=1e-12)
+    assert np.allclose(psi[4:8], -1.0, atol=1e-12)
+    assert psi[-1] == 0.0
 
 
 @pytest.mark.parametrize("name", ["db2", "db4", "db10", "db20"])
@@ -31,8 +31,8 @@ def test_scaling_mass_and_wavelet_cancellation(name):
     system = build_wavelet_system(name)
     phi = cascade_evaluate(system, "scaling", 10)
     psi = cascade_evaluate(system, "wavelet", 10)
-    assert abs(trapezoid(phi.values, dx=phi.spacing) - 1.0) < 1e-6
-    assert abs(trapezoid(psi.values, dx=psi.spacing)) < 1e-6
+    assert abs(trapezoid(phi, dx=2.0 ** -10) - 1.0) < 1e-6
+    assert abs(trapezoid(psi, dx=2.0 ** -10)) < 1e-6
 
 
 def test_db10_refinement_consistency():
@@ -41,22 +41,22 @@ def test_db10_refinement_consistency():
     db10 = build_wavelet_system("db10")
     lo = cascade_evaluate(db10, "scaling", 11)
     hi = cascade_evaluate(db10, "scaling", 12)
-    assert np.max(np.abs(hi.values[::2] - lo.values)) < 1e-10
-    assert abs(trapezoid(hi.values, dx=hi.spacing) - 1.0) < 1e-6
+    assert np.max(np.abs(hi[::2] - lo)) < 1e-10
+    assert abs(trapezoid(hi, dx=2.0 ** -12) - 1.0) < 1e-6
 
 
 def test_two_scale_relation_holds_on_grid():
     db5 = build_wavelet_system("db5")
     phi = cascade_evaluate(db5, "scaling", 8)
     g = db5.g
-    n = len(phi.values)
+    n = len(phi)
     scale = 2 ** 8
     recon = np.zeros(n)
     for k in range(len(g)):
         src = 2 * np.arange(n) - k * scale
         ok = (src >= 0) & (src < n)
-        recon[ok] += g[k] * phi.values[src[ok]]
-    assert np.max(np.abs(np.sqrt(2.0) * recon - phi.values)) < 1e-10
+        recon[ok] += g[k] * phi[src[ok]]
+    assert np.max(np.abs(np.sqrt(2.0) * recon - phi)) < 1e-10
 
 
 def test_invalid_inputs():
@@ -79,8 +79,8 @@ def test_invalid_inputs():
 def test_integral_float_depth_is_an_int():
     db2 = build_wavelet_system("db2")
     ref = cascade_evaluate(db2, "scaling", 3)
-    sd = cascade_evaluate(db2, "scaling", 3.0)
-    assert sd.spacing == ref.spacing and np.array_equal(sd.values, ref.values)
+    got = cascade_evaluate(db2, "scaling", 3.0)
+    assert len(got) == len(ref) and np.array_equal(got, ref)
     for depth in (2.5, float("nan"), float("inf")):
         with pytest.raises(InvalidLevels):
             cascade_evaluate(db2, "wavelet", depth)
@@ -101,7 +101,7 @@ def test_refinement_depth_budget_checked_before_allocating(monkeypatch):
         cascade_evaluate(db2, "wavelet", 3)
     monkeypatch.undo()
     monkeypatch.setattr(cascade, "_MAX_SAMPLE_POINTS", 25)
-    assert len(cascade_evaluate(db2, "wavelet", 3).values) == 25
+    assert len(cascade_evaluate(db2, "wavelet", 3)) == 25
 
 
 def test_refinement_memory_per_grid_point():
@@ -115,7 +115,7 @@ def test_refinement_memory_per_grid_point():
     for which in ("scaling", "wavelet"):
         tracemalloc.start()
         try:
-            values = cascade_evaluate(db20, which, 13).values
+            values = cascade_evaluate(db20, which, 13)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -129,11 +129,11 @@ def test_wavelet_from_the_half_grid_equals_the_full_grid_route(name, depth):
     # psi at depth D reads phi only at the even points of the depth-D
     # grid, which are the depth-(D-1) grid
     system = build_wavelet_system(name)
-    phi = cascade_evaluate(system, "scaling", depth).values
+    phi = cascade_evaluate(system, "scaling", depth)
     full = cascade._two_scale(phi, system.h, 2 ** depth, 0, np.zeros(len(phi)))
     psi = cascade_evaluate(system, "wavelet", depth)
-    assert psi.spacing == 2.0 ** -depth
-    assert psi.values.tobytes() == full.tobytes()
+    assert len(psi) == (len(system.g) - 1) * 2 ** depth + 1  # spacing 2^-depth
+    assert psi.tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -207,7 +207,7 @@ def test_db10_constants_sane():
     db10 = build_wavelet_system("db10")
     c = estimate_constants(db10, 0.5)
     phi = cascade_evaluate(db10, "scaling", 12)
-    l1 = trapezoid(np.abs(phi.values), dx=phi.spacing)
+    l1 = trapezoid(np.abs(phi), dx=2.0 ** -12)
     assert abs(c.a13 - 1.0 / l1) < 1e-12
     assert c.a11 > 0 and c.a12 > 0
     # the centered s-moment of |psi| exceeds that of |phi| for db10
@@ -219,8 +219,8 @@ def test_grid_search_matches_midpoint_objective_for_haar():
     # direct objective evaluation at the known minimizer r = 1/2
     haar = build_wavelet_system("haar")
     phi = cascade_evaluate(haar, "scaling", 12)
-    grid = phi.grid()
-    val = trapezoid(np.abs(grid - 0.5) * np.abs(phi.values), dx=phi.spacing)
+    grid = window_grid(0, phi, 2.0 ** -12)
+    val = trapezoid(np.abs(grid - 0.5) * np.abs(phi), dx=2.0 ** -12)
     assert abs(val - 0.25) < 1e-4
     c = estimate_constants(haar, 1.0)
     assert 1.0 / c.a11 <= val + 1e-12
@@ -259,14 +259,14 @@ def test_results_independent_of_block_points(monkeypatch):
     # a time: each grid value takes the same terms in the same order in
     # any block, and the objective adds its block sums exactly rounded
     systems = {name: build_wavelet_system(name) for name in ("db2", "db20")}
-    grids = {(name, which): cascade_evaluate(system, which, 8).values
+    grids = {(name, which): cascade_evaluate(system, which, 8)
              for name, system in systems.items() for which in ("scaling", "wavelet")}
     consts = {name: estimate_constants(system, 0.25) for name, system in systems.items()}
     # db20's 159,745-point grid in 7-point blocks would take seconds a call
     for block, names in ((7, ("db2",)), (1 << 20, ("db2", "db20"))):
         monkeypatch.setattr(cascade, "_BLOCK_POINTS", block)
         for (name, which), ref in grids.items():
-            got = cascade_evaluate(systems[name], which, 8).values
+            got = cascade_evaluate(systems[name], which, 8)
             assert got.tobytes() == ref.tobytes(), (block, name, which)
         for name in names:
             got, ref = estimate_constants(systems[name], 0.25), consts[name]

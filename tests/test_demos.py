@@ -1,4 +1,5 @@
-"""Smoke test: every demo runs to completion from a clean process."""
+"""Smoke test: every demo runs to completion from a clean process, with a
+numpy overflow, invalid-value or divide-by-zero warning as an error."""
 
 import os
 import subprocess
@@ -16,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          str(ROOT / "demos" / f"{demo}.py")],
                          cwd=ROOT, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout

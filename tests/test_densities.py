@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import CodedError, trapezoid
+from helpers import CodedError, trapezoid, window_grid
 from waveot import densities
 from waveot.cli import _DEFAULT_J0
 from waveot.densities import (_BUMP_BASE_MASS, Density, DiscreteMeasure,
@@ -255,7 +255,7 @@ def test_an_evaluator_of_one_value_is_broadcast():
     # the density masks when the shape differs, and the mask broadcasts
     d = Density(lambda x: 1.0, (0.0, 1.0))
     assert np.array_equal(d(np.array([0.25, 0.5, 1.0])), [1.0, 1.0, 0.0]) and d(0.5) == 1.0
-    assert np.array_equal(sample_for_dwt(d, 0, 4).values, np.full(16, 0.25))
+    assert np.array_equal(sample_for_dwt(d, 0, 4)[1], np.full(16, 0.25))
     m = discretize(d, 11)
     assert np.array_equal(m.weights, np.r_[np.full(10, 0.1), 0.0])
 
@@ -275,8 +275,8 @@ def test_sample_memory_of_a_dilated_bump():
     # the dilated points and the bump's values reuse the arrays their
     # evaluators made: 0.91 MiB beyond the window when each step made one
     d = dilate(bump_density(1.5, 0.5), 1.2, 1.5)
-    sd, peak = _traced_peak(lambda: sample_for_dwt(d, -9, 22))
-    assert peak - sd.values.nbytes < 0.8 * (1 << 20)
+    (_, values), peak = _traced_peak(lambda: sample_for_dwt(d, -9, 22))
+    assert peak - values.nbytes < 0.8 * (1 << 20)
 
 
 def test_bump_base_mass_matches_quadrature():
@@ -287,35 +287,34 @@ def test_bump_base_mass_matches_quadrature():
     assert _BUMP_BASE_MASS.hex() == "0x1.c6a650a045c5ap-2"
 
 
-def _point_values(d, sd, j0, M):
-    """Plain point sampling on the window of sd, with the DWT scale factor."""
-    return d(sd.grid()) * 2.0 ** (-(j0 + M) / 2.0)
+def _point_values(d, window, j0, M):
+    """Plain point sampling on the (offset, values) window, with the DWT scale factor."""
+    return d(window_grid(*window, 2.0 ** -(j0 + M))) * 2.0 ** (-(j0 + M) / 2.0)
 
 
 def test_sample_for_dwt_hand_case():
     # domain [0, 2] in 4 cells; the window holds the cells meeting the support
     p = uniform_density(0.0, 1.0)
-    sd = sample_for_dwt(p, -1, 2)
-    assert sd.spacing == 0.5
-    assert sd.offset == 0
-    assert np.array_equal(sd.grid(), [0.0, 0.5])
-    assert np.allclose(sd.values, 2.0 ** -0.5 * np.array([1.0, 1.0]), atol=1e-14)
-    shifted = sample_for_dwt(translate(p, 0.75), -1, 2)
-    assert shifted.offset == 1
-    assert np.allclose(shifted.values, 2.0 ** -0.5 * np.array([0.5, 1.0, 0.5]),
-                       atol=1e-14)
+    offset, values = sample_for_dwt(p, -1, 2)
+    assert offset == 0
+    assert np.array_equal(window_grid(offset, values, 0.5), [0.0, 0.5])
+    assert np.allclose(values, 2.0 ** -0.5 * np.array([1.0, 1.0]), atol=1e-14)
+    offset, values = sample_for_dwt(translate(p, 0.75), -1, 2)
+    assert offset == 1
+    assert np.allclose(values, 2.0 ** -0.5 * np.array([0.5, 1.0, 0.5]), atol=1e-14)
 
 
 def test_sample_for_dwt_full_paper_size():
     # the window covers the support only: about 2^11 cells, not 2^22
     p = bump_density(0.5, 0.5)
-    sd = sample_for_dwt(p, -11, 22)
+    offset, values = sample_for_dwt(p, -11, 22)
+    spacing = 2.0 ** -11
     lo, hi = p.support
-    assert len(sd.values) <= (hi - lo) / sd.spacing + 2
-    assert sd.offset >= 0 and sd.offset + len(sd.values) <= 2 ** 22
-    nz = np.flatnonzero(sd.values)
+    assert len(values) <= (hi - lo) / spacing + 2
+    assert offset >= 0 and offset + len(values) <= 2 ** 22
+    nz = np.flatnonzero(values)
     assert len(nz) > 0
-    assert (sd.offset + nz[-1]) * sd.spacing <= 1.0 + sd.spacing
+    assert (offset + nz[-1]) * spacing <= 1.0 + spacing
 
 
 @pytest.mark.parametrize("M", [18, 22])
@@ -325,8 +324,8 @@ def test_windows_start_and_end_on_a_nonzero_cell(M):
     # points at which exp(-1/(1 - t^2)) underflows
     for family, (base, transform, (lo, hi)) in FAMILIES.items():
         for d in [base()] + [transform(t) for t in np.linspace(lo, hi, 5)]:
-            sd = sample_for_dwt(d, _DEFAULT_J0[family], M)
-            assert sd.values[0] != 0.0 and sd.values[-1] != 0.0, (family, d.support)
+            _, values = sample_for_dwt(d, _DEFAULT_J0[family], M)
+            assert values[0] != 0.0 and values[-1] != 0.0, (family, d.support)
 
 
 def test_sample_for_dwt_overflow():
@@ -340,7 +339,7 @@ def test_sample_for_dwt_bounds_j0():
     p = uniform_density(0.0, 1.0)
     with pytest.raises(InvalidGrid, match="j0 must be an integer >= -1023"):
         sample_for_dwt(p, -1024, 1100)
-    assert len(sample_for_dwt(p, -1023, 1030).values) == 1 << 7
+    assert len(sample_for_dwt(p, -1023, 1030)[1]) == 1 << 7
 
 
 def test_sample_for_dwt_refuses_a_window_without_mass():
@@ -350,16 +349,16 @@ def test_sample_for_dwt_refuses_a_window_without_mass():
         d = uniform_density(lo, lo + 1e-9)
         with pytest.raises(InvalidGrid, match="no mass"):
             sample_for_dwt(d, 0, 4)
-        assert np.count_nonzero(sample_for_dwt(d, 0, 24).values) == 1
+        assert np.count_nonzero(sample_for_dwt(d, 0, 24)[1]) == 1
 
 
 def test_sample_for_dwt_integer_arguments():
     d = bump_density(0.5, 0.25)
-    ref = sample_for_dwt(d, -1, 8)
+    ref_offset, ref_values = sample_for_dwt(d, -1, 8)
     for j0, M in ((-1.0, 8), (-1, 8.0), (np.int64(-1), np.float64(8.0))):
-        sd = sample_for_dwt(d, j0, M)
-        assert type(sd.offset) is int and sd.spacing == ref.spacing
-        assert sd.offset == ref.offset and np.array_equal(sd.values, ref.values)
+        offset, values = sample_for_dwt(d, j0, M)
+        assert type(offset) is int
+        assert offset == ref_offset and np.array_equal(values, ref_values)
     # a fractional j0 would sample on a grid that is not dyadic
     for j0, M in ((-0.5, 4), (0, 8.5), (0, float("nan")), (float("inf"), 4)):
         with pytest.raises(InvalidGrid, match="integer"):
@@ -377,7 +376,7 @@ def test_sample_for_dwt_refuses_windows_past_budget(monkeypatch):
         sample_for_dwt(uniform_density(-1e-12, 0.0), 10 ** 308, 10 ** 308)
     # 16 cells need at most 64 * (16 + 2) points, 32 cells more than 1200
     monkeypatch.setattr(densities, "_MAX_SAMPLE_POINTS", 1200)
-    assert len(sample_for_dwt(p, 0, 4).values) == 16
+    assert len(sample_for_dwt(p, 0, 4)[1]) == 16
     with pytest.raises(InvalidGrid, match="budget"):
         sample_for_dwt(p, 0, 5)
 
@@ -388,13 +387,13 @@ def test_sample_for_dwt_evaluates_in_blocks():
     p = bump_density(0.5, 0.5)
     tracemalloc.start()
     try:
-        sd = sample_for_dwt(p, 0, 16)
+        _, values = sample_for_dwt(p, 0, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the whole domain, less the end cells where the bump underflows to 0
-    assert 0.99 * (1 << 16) < len(sd.values) <= 1 << 16
-    assert peak <= 512 * len(sd.values)
+    assert 0.99 * (1 << 16) < len(values) <= 1 << 16
+    assert peak <= 512 * len(values)
 
 
 def test_sample_memory_does_not_grow_with_the_window():
@@ -406,24 +405,24 @@ def test_sample_memory_does_not_grow_with_the_window():
     for M in (14, 17):
         tracemalloc.start()
         try:
-            sd = sample_for_dwt(p, 0, M)
-            excess.append(tracemalloc.get_traced_memory()[1] - sd.values.nbytes)
+            _, values = sample_for_dwt(p, 0, M)
+            excess.append(tracemalloc.get_traced_memory()[1] - values.nbytes)
         finally:
             tracemalloc.stop()
-        assert 0.99 * (1 << M) < len(sd.values) <= 1 << M
+        assert 0.99 * (1 << M) < len(values) <= 1 << M
     assert max(excess) < 2 << 20
     assert excess[1] <= excess[0] + (64 << 10)
 
 
 def test_sample_blocks_do_not_change_values(monkeypatch):
     d = dilate(bump_density(1.5, 0.5), 1.3, 1.5)
-    ref = sample_for_dwt(d, -3, 12)
+    ref_offset, ref_values = sample_for_dwt(d, -3, 12)
     # the reference takes three blocks of 256 cells, the patched run 96 of 7
-    assert len(ref.values) > 2 * densities._BLOCK_POINTS // densities._CELL_POINTS
+    assert len(ref_values) > 2 * densities._BLOCK_POINTS // densities._CELL_POINTS
     monkeypatch.setattr(densities, "_BLOCK_POINTS", 7 * densities._CELL_POINTS)
-    blocked = sample_for_dwt(d, -3, 12)
-    assert blocked.offset == ref.offset
-    assert np.array_equal(blocked.values, ref.values)
+    offset, values = sample_for_dwt(d, -3, 12)
+    assert offset == ref_offset
+    assert np.array_equal(values, ref_values)
 
 
 def test_sample_rules_agree_for_smooth_density():
@@ -432,7 +431,7 @@ def test_sample_rules_agree_for_smooth_density():
     p = bump_density(0.5, 0.5)
     cell = sample_for_dwt(p, -1, 12)
     point = _point_values(p, cell, -1, 12)
-    assert np.max(np.abs(point - cell.values)) < 1e-4
+    assert np.max(np.abs(point - cell[1])) < 1e-4
 
 
 def test_cell_rule_preserves_difference_mass():
@@ -443,7 +442,7 @@ def test_cell_rule_preserves_difference_mass():
     sp = sample_for_dwt(p, -3, 10)
     sq = sample_for_dwt(q, -3, 10)
     diff_point = _point_values(p, sp, -3, 10).sum() - _point_values(q, sq, -3, 10).sum()
-    diff_cell = sp.values.sum() - sq.values.sum()
+    diff_cell = sp[1].sum() - sq[1].sum()
     assert abs(diff_cell) < abs(diff_point) / 16.0
 
 
@@ -453,8 +452,8 @@ def test_sampling_consistency_across_m():
     p = bump_density(0.5, 0.5)
     totals = []
     for M in (10, 11):
-        sd = sample_for_dwt(p, -1, M)
-        totals.append(float(np.sum(sd.values ** 2)))
+        _, values = sample_for_dwt(p, -1, M)
+        totals.append(float(np.sum(values ** 2)))
     assert abs(totals[0] - totals[1]) < 0.02 * totals[1]
 
 
@@ -669,6 +668,39 @@ def test_density_refuses_an_evaluator_that_is_not_callable(evaluator):
     # used to escape as TypeError ("... is not callable") from the mass check
     with pytest.raises(InvalidInterval, match="^the evaluator must be callable, got "):
         Density(evaluator, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("evaluator", [
+    lambda x: np.full(np.shape(x), 1 + 1j), lambda x: np.full(np.shape(x), 1 + 0j),
+    lambda x: "1", lambda x: np.full(np.shape(x), None),
+], ids=["complex", "complex-zero-imag", "str", "object"])
+def test_density_refuses_an_evaluator_that_returns_no_real_numbers(evaluator):
+    # complex values were cast with a ComplexWarning that dropped their
+    # imaginary parts, "1" read as 1.0 and None escaped as TypeError
+    with pytest.raises(InvalidInterval, match="^the evaluator must return real numbers$"):
+        Density(evaluator, (0.0, 1.0))
+
+
+def test_mass_check_refuses_an_infinite_value():
+    # it used to be refused only after np.diff warned of inf - inf
+    with pytest.raises(InvalidInterval, match="^density is inf at x = "):
+        Density(lambda x: np.where(x < 0.5, np.inf, 1.0), (0.0, 1.0))
+
+
+def _half_inverse_sqrt(x):
+    """1 / (2 sqrt(x)), of unit mass on (0, 1), and inf at 0 without a warning."""
+    return np.divide(0.5, np.sqrt(x), out=np.full(np.shape(x), np.inf), where=x > 0)
+
+
+def test_discretize_refuses_a_singular_end():
+    # the mass check evaluates no point at 0, but discretize's grid starts
+    # there: the weights were normalized by inf, with a warning, and only
+    # DiscreteMeasure refused the NaNs that gave
+    d = Density(_half_inverse_sqrt, (0.0, 1.0))
+    assert d(0.0) == math.inf and d(0.25) == 1.0
+    with pytest.raises(InvalidGrid,
+                       match="^density is inf at grid point x = 0, not a finite weight$"):
+        discretize(d, 100)
 
 
 @pytest.mark.parametrize("x", ["abc", ["0.5"], [1j], [None, 0.5], [[0.5], [0.5, 0.6]]],

@@ -169,18 +169,18 @@ def test_triangle_inequality():
 
 def test_homogeneity_of_weighted_sum():
     # scaling a sampled window scales the weighted sum of its transform exactly
-    sp = sample_for_dwt(uniform_density(0.0, 1.0), CFG.j0, CFG.M)
+    offset, values = sample_for_dwt(uniform_density(0.0, 1.0), CFG.j0, CFG.M)
     system = build_wavelet_system(CFG.wavelet)
 
     def weighted_sum(values):
         pyr = dwt_decompose(values, system, CFG.M, "zero",
-                            j_in=CFG.j0 + CFG.M, k_offset=sp.offset)
+                            j_in=CFG.j0 + CFG.M, k_offset=offset)
         return sum(2.0 ** (-(pyr.j0 + i) * (CFG.s + 0.5)) * np.sum(np.abs(d))
                    for i, d in enumerate(pyr.details))
 
-    base = weighted_sum(sp.values)
+    base = weighted_sum(values)
     lam = 3.7
-    scaled = weighted_sum(lam * sp.values)
+    scaled = weighted_sum(lam * values)
     assert abs(scaled - lam * base) < 1e-9 * max(1.0, scaled)
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import window_grid
 from waveot import densities, distance, dwt
 from waveot.cascade import cascade_evaluate
 from waveot.dwt import CoefficientPyramid, decompose_call_count, dwt_decompose, dwt_reconstruct
@@ -272,7 +273,7 @@ def test_orthonormality_via_initialization():
     ks = np.arange(int(width / spacing) + 1)
     sample = np.zeros(n)
     sample[: len(ks)] = 2.0 ** (-(j0 + M) / 2.0) * np.interp(
-        ks * spacing, psi.grid(), psi.values, left=0.0, right=0.0)
+        ks * spacing, window_grid(0, psi, 2.0 ** -12), psi, left=0.0, right=0.0)
     pyr = dwt_decompose(sample, db10, M, "zero", j_in=j0 + M)
     peak = None
     worst = 0.0

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -602,6 +603,26 @@ def test_write_wlot_leaves_the_file_as_it_was_for_a_bad_vector(tmp_path):
     with pytest.raises(ShapeMismatch, match="^expected a WlotVector, got 'x'$"):
         write_wlot("x", path)
     assert path.read_bytes() == b"8 bytes\n"
+
+
+def test_wlot_files_refuse_a_path_that_is_not_a_file_name(tmp_path):
+    # open() takes an int as a file descriptor: write_wlot wrote there and
+    # closed the caller's descriptor, read_wlot(12345) escaped as OSError
+    # and a float path as TypeError
+    vec, path = from_text(GOOD_WLOT), tmp_path / "vec.wlot"
+    fd = os.open(path, os.O_RDWR | os.O_CREAT)
+    try:
+        for call in (lambda p: write_wlot(vec, p), read_wlot):
+            for bad in (fd, 12345, 3.5, None):
+                with pytest.raises(InvalidConfig, match=f"^expected a file path \\(str, bytes "
+                                                        f"or os.PathLike\\), got {bad}$"):
+                    call(bad)
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    assert path.read_bytes() == b""
+    write_wlot(vec, bytes(path))
+    assert to_text(read_wlot(str(path))) == path.read_text() == GOOD_WLOT
 
 
 @pytest.mark.parametrize("text", [5, None, GOOD_WLOT.encode()], ids=["int", "none", "bytes"])

@@ -39,7 +39,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import brute_force_lp
+from helpers import brute_force_lp, window_grid
 from waveot.cascade import DEFAULT_CASCADE_DEPTH, cascade_evaluate, estimate_constants
 from waveot.densities import (_CELL_POINTS, Density, DiscreteMeasure, bump_density,
                               dilate, discretize, sample_for_dwt, translate,
@@ -112,15 +112,16 @@ def test_window_is_the_nonzero_span_of_the_support(data):
     # on a nonzero cell, and every cell outside it is zero
     j0, M = data.draw(grids())
     d = data.draw(densities(j0, M))
-    sd = sample_for_dwt(d, j0, M)
+    offset, values = sample_for_dwt(d, j0, M)
+    spacing = 2.0 ** -(j0 + M)
     lo, hi = d.support
-    first = max(0, int(np.floor(lo / sd.spacing)))
-    last = min(2 ** M - 1, int(np.ceil(hi / sd.spacing)) - 1)
-    assert first <= sd.offset and sd.offset + len(sd.values) <= last + 1
-    assert sd.values[0] != 0.0 and sd.values[-1] != 0.0
+    first = max(0, int(np.floor(lo / spacing)))
+    last = min(2 ** M - 1, int(np.ceil(hi / spacing)) - 1)
+    assert first <= offset and offset + len(values) <= last + 1
+    assert values[0] != 0.0 and values[-1] != 0.0
     full = full_grid_samples(d, j0, M)
-    window = slice(sd.offset, sd.offset + len(sd.values))
-    assert np.array_equal(sd.values, full[window])
+    window = slice(offset, offset + len(values))
+    assert np.array_equal(values, full[window])
     full[window] = 0.0
     assert not np.any(full)
 
@@ -131,12 +132,12 @@ def test_sample_blocks_keep_the_window(data):
     j0 = data.draw(st.integers(-3, 1))
     M = data.draw(st.integers(8, 14))
     d = data.draw(transformed(j0))
-    ref = sample_for_dwt(d, j0, M)
+    ref_offset, ref_values = sample_for_dwt(d, j0, M)
     cells = data.draw(st.integers(1, 300))
     with mock.patch("waveot.densities._BLOCK_POINTS", cells * _CELL_POINTS):
-        blocked = sample_for_dwt(d, j0, M)
-    assert blocked.offset == ref.offset
-    assert np.array_equal(blocked.values, ref.values)
+        offset, values = sample_for_dwt(d, j0, M)
+    assert offset == ref_offset
+    assert np.array_equal(values, ref_values)
 
 
 @st.composite
@@ -323,10 +324,11 @@ def test_exact_ws_obeys_the_papers_bound(family, fraction, s, wavelet, grid):
     j0, M = grid
     cfg = DistanceConfig(s=s, j0=j0, M=M, wavelet=wavelet)
     samples = [sample_for_dwt(d, j0, M) for d in (p, q)]
-    ws = exact_ws(*(DiscreteMeasure(positions=sp.grid(), weights=sp.values / sp.values.sum())
-                    for sp in samples), s)[0]
+    ws = exact_ws(*(DiscreteMeasure(positions=window_grid(offset, values, 2.0 ** -(j0 + M)),
+                                    weights=values / values.sum())
+                    for offset, values in samples), s)[0]
     c = _difference(*(_coefficients(d, cfg, M)[0] for d in (p, q)))
-    cells = _difference(*((sp.offset, sp.values) for sp in samples))
+    cells = _difference(*samples)
     constants = _constants(wavelet, s)
     share = (2.0 ** (-j0 * (s + 0.5)) * (np.abs(c).sum() / constants.a11
                                          + np.abs(np.cumsum(c)).sum())
@@ -345,9 +347,9 @@ def _wavelet_sup_and_slope(wavelet):
     slopes = []
     for depth in (DEFAULT_CASCADE_DEPTH, DEFAULT_CASCADE_DEPTH + 2):
         psi = cascade_evaluate(system, "wavelet", depth)
-        slopes.append(np.abs(np.diff(psi.values)).max() / psi.spacing)
+        slopes.append(np.abs(np.diff(psi)).max() / 2.0 ** -depth)
     assert abs(slopes[1] - slopes[0]) <= 1e-3 * slopes[0]
-    return np.abs(psi.values).max(), slopes[1]
+    return np.abs(psi).max(), slopes[1]
 
 
 @settings(SETTINGS, max_examples=100)
@@ -391,10 +393,11 @@ def test_distance_new_obeys_the_lower_side_of_the_equivalence(family, fraction, 
     j0, M = grid
     J, L = j0 + M, len(build_wavelet_system("db10").g)
     samples = [sample_for_dwt(d, j0, M) for d in (p, q)]
-    S, T = (2.0 ** (-J / 2) * sp.values.sum() for sp in samples)
-    ws = exact_ws(*(DiscreteMeasure(positions=sp.grid(), weights=sp.values / sp.values.sum())
-                    for sp in samples), s)[0]
-    cells = _difference(*((sp.offset, sp.values) for sp in samples))
+    S, T = (2.0 ** (-J / 2) * values.sum() for _, values in samples)
+    ws = exact_ws(*(DiscreteMeasure(positions=window_grid(offset, values, 2.0 ** -J),
+                                    weights=values / values.sum())
+                    for offset, values in samples), s)[0]
+    cells = _difference(*samples)
     sup, slope = _wavelet_sup_and_slope("db10")
     K = 2 * (L - 1) * (slope / (1.0 - 2.0 ** (s - 1.0)) + 2.0 * sup / (1.0 - 2.0 ** -s))
     G = (L - 1) * sup * 2.0 ** (-j0 * s) / (1.0 - 2.0 ** -s)

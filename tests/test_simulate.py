@@ -1,4 +1,5 @@
 import math
+import os
 import re
 from dataclasses import replace
 
@@ -301,8 +302,8 @@ def test_family_transforms_are_the_paper_sweeps(family, explicit):
     for t in (lo, hi):
         got, want = transform(t), explicit(t)
         assert got.support == want.support
-        a, b = sample_for_dwt(got, -2, 10), sample_for_dwt(want, -2, 10)
-        assert a.offset == b.offset and a.values.tobytes() == b.values.tobytes()
+        (a_offset, a), (b_offset, b) = sample_for_dwt(got, -2, 10), sample_for_dwt(want, -2, 10)
+        assert a_offset == b_offset and a.tobytes() == b.tobytes()
 
 
 def test_run_simulation_refuses_a_spec_that_is_not_a_simulation_spec():
@@ -325,6 +326,27 @@ def test_emit_csv_refuses_a_row_before_it_opens_the_file(tmp_path):
     with pytest.raises(InvalidConfig, match="^expected a SimulationRow, got 'x'$"):
         emit_csv([make_row(1.0, 1.0, 3.0), "x"], path)
     assert path.read_bytes() == b"kept\n"
+
+
+def test_emit_csv_refuses_rows_or_a_path_before_it_opens_the_file(tmp_path):
+    # rows of 5 or None and a float path used to escape as TypeError, and an
+    # int path was taken as a file descriptor, written to and closed
+    path = tmp_path / "out.csv"
+    for rows in (5, None):
+        with pytest.raises(InvalidConfig,
+                           match=f"^rows must be an iterable of SimulationRow, got {rows}$"):
+            emit_csv(rows, path)
+    assert not path.exists()
+    fd = os.open(path, os.O_RDWR | os.O_CREAT)
+    try:
+        for bad in (fd, 3.5):
+            with pytest.raises(InvalidConfig, match=f"^expected a file path \\(str, bytes "
+                                                    f"or os.PathLike\\), got {bad}$"):
+                emit_csv([make_row(1.0, 1.0, 3.0)], bad)
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    assert path.read_bytes() == b""
 
 
 def test_each_norm_constant_is_the_fit_of_its_s_group():
